@@ -1,29 +1,15 @@
-"""Pure-Python Gray-code scan kernel for the minimum-distance search.
+"""Gray-code scan kernel for the minimum-distance search.
 
-Same contract as the compiled kernel in ``_distcore``: enumerate the
-combination indices [start, stop) of the generator list, maintaining the
-running codeword by flipping one generator per step (reflected Gray
-code), and track the minimum symplectic weight over codewords outside
-the stabilizer span.  Works on arbitrary-width Python ints, so it has no
-2n <= 64 restriction.
+Enumerate the combination indices [start, stop) of the generator list,
+maintaining the running codeword by flipping one generator per step
+(reflected Gray code), and track the minimum symplectic weight over
+codewords outside the stabilizer span.  Works on arbitrary-width Python
+ints, so rows of any width are accepted.
 """
 
 from __future__ import annotations
 
-KERNEL_NAME = "pure"
-
-
-def _gray_start(gens, start: int) -> int:
-    """Codeword for combination index ``start`` (XOR per Gray bits)."""
-    g = start ^ (start >> 1)
-    x = 0
-    i = 0
-    while g:
-        if g & 1:
-            x ^= gens[i]
-        g >>= 1
-        i += 1
-    return x
+from .symplectic import xor_rows
 
 
 def gray_scan(gens, n: int, s_rows, start: int, stop: int):
@@ -42,7 +28,7 @@ def gray_scan(gens, n: int, s_rows, start: int, stop: int):
     best_idx = -1
     best_x = 0
 
-    x = _gray_start(gens, start)
+    x = xor_rows(gens, start ^ (start >> 1))
 
     idx = start
     while idx < stop:

@@ -25,8 +25,10 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-#: Block-injectivity is exhaustively checkable while the per-block input
-#: space 2^(6m+2) stays within 2^24, i.e. for m <= 3.
+#: ``verify`` runs the block-injectivity check for m <= 3 (6m+2 <= 24
+#: unit inputs per block) and prints "skipped: over budget" above that.
+#: The rank test is cheap at any m; the gate stays because the verify
+#: lines per m are an output contract (perfbench/workloads.py pins them).
 INJECTIVITY_BUDGET_BITS = 24
 
 
@@ -58,8 +60,7 @@ def cmd_construct(args) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def verify_code_file(cf: codefile.CodeFile,
-                     injectivity: bool = True) -> dict:
+def verify_code_file(cf: codefile.CodeFile) -> dict:
     """Run every structural check on a loaded code file.
 
     Returns a dict with one boolean per check plus diagnostic details;
@@ -69,7 +70,8 @@ def verify_code_file(cf: codefile.CodeFile,
     edit of a stored row either breaks this shape check or changes the
     row space and breaks duality), rank closed forms, pairwise
     symplectic orthogonality, stabilizer-in-normalizer containment, and
-    exhaustive per-block injectivity of the expansion when in budget.
+    per-block injectivity of the expansion by a rank test (for m <= 3,
+    see ``INJECTIVITY_BUDGET_BITS``).
     """
     checks: dict = {}
     details: dict = {}
@@ -117,7 +119,7 @@ def verify_code_file(cf: codefile.CodeFile,
         checks["dims_complementary"] = False
         checks["containment"] = False
 
-    if injectivity and checks["field"] and checks["basis"]:
+    if checks["field"] and checks["basis"]:
         if 6 * m + 2 <= INJECTIVITY_BUDGET_BITS:
             checks["block_injectivity"] = all(
                 check_block_injectivity(field, cf.basis, i)
@@ -161,7 +163,11 @@ def cmd_distance(args) -> int:
     except codefile.CodeFileError as exc:
         _print_err(str(exc))
         return EXIT_IO
-    code = codefile.to_code(cf)
+    try:
+        code = codefile.to_code(cf)
+    except FieldError as exc:
+        _print_err(str(exc))
+        return EXIT_IO
     try:
         if args.method == "exact":
             rep = exact_distance(code, parts=args.parts)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from .field import Field, build_field, find_self_dual_basis
 from .rs import build_rs_pair, css_generators
-from .symplectic import Rref
+from .symplectic import Rref, row_reduce, xor_rows
 
 
 class ConcatError(ValueError):
@@ -142,17 +142,6 @@ class BlockExpander:
 
     def coords(self, x: int) -> tuple[int, ...]:
         return self._coords[x]
-
-    def _combine_low(self, bits: int) -> int:
-        """Rebuild sum of bit_j * beta_{j+1} from the low m+? bits."""
-        x = 0
-        j = 0
-        while bits:
-            if bits & 1:
-                x ^= self.basis[j]
-            bits >>= 1
-            j += 1
-        return x
 
     def expand_block(self, i: int, a_i: int, a_ni: int,
                      s_i, t_i) -> tuple[int, int]:
@@ -261,18 +250,19 @@ class BlockExpander:
         sig_s = (c_bits >> (2 * m)) & 1
         sig_t = (c_bits >> (4 * m + 1)) & 1
 
-        y1 = f.mul(a_inv_i, self._combine_low(c_bits & mask2m))
+        basis = self.basis
+        y1 = f.mul(a_inv_i, xor_rows(basis, c_bits & mask2m))
         cy1 = self._coords[y1]
-        y2 = f.mul(a_inv_i, self._combine_low((c_bits >> (2 * m + 1)) & mask2m))
+        y2 = f.mul(a_inv_i, xor_rows(basis, (c_bits >> (2 * m + 1)) & mask2m))
         cy2 = self._coords[y2]
         if cy1[m] != sig_s or any(cy1[m + 1:]) or \
                 cy2[m] != sig_t or any(cy2[m + 1:]):
             raise ConcatError(f"block {i} bits are not a valid expansion")
         a_i_coords = cy1[:m] + cy2[:m]
 
-        w1 = f.mul(a_pow_i, self._combine_low(b_bits & mask2m))
+        w1 = f.mul(a_pow_i, xor_rows(basis, b_bits & mask2m))
         cw1 = self._coords[w1]
-        w2 = f.mul(a_pow_i, self._combine_low((b_bits >> (2 * m + 1)) & mask2m))
+        w2 = f.mul(a_pow_i, xor_rows(basis, (b_bits >> (2 * m + 1)) & mask2m))
         cw2 = self._coords[w2]
         s_bits = cw1[m:] + (sig_s,)
         t_bits = cw2[m:] + (sig_t,)
@@ -283,7 +273,6 @@ class BlockExpander:
                 ((b_bits >> (4 * m + 1)) & 1) != (a_i_coords[m] ^ t_bits[0]):
             raise ConcatError(f"block {i} bits are not a valid expansion")
 
-        basis = self.basis
         a_i = 0
         a_ni = 0
         for j in range(2 * m):
@@ -325,52 +314,42 @@ def expand_codeword(field: Field, basis, inp: ExpansionInput) \
     return get_expander(field, basis).expand(inp)
 
 
-def check_block_injectivity(field: Field, basis, i: int) -> bool:
-    """Exhaustively test that block i's input -> bits map is injective.
+def block_unit_images(field: Field, basis, i: int) -> list[int]:
+    """Images of block i's 6m+2 unit inputs, packed as b | (c << width).
 
-    Enumerates all 2^(6m+2) inputs (two field symbols plus 2(m+1) free
-    bits) by Gray code over the images of the input unit vectors; the
-    map is injective iff all images are distinct.
+    Input order: the 2m basis coordinates of a_i, then those of a_{N+i},
+    then the m+1 bits of s_i, then the m+1 bits of t_i.  The block map is
+    GF(2)-linear, so the image of any input is the XOR of the images of
+    its set unit inputs.
     """
     exp = get_expander(field, basis)
     m = exp.m
-    nbits = 2 * (2 * m) + 2 * (m + 1)
-    if nbits > 24:
-        raise ConcatError(
-            f"injectivity check over 2^{nbits} inputs is out of budget")
     w = exp.block_width
     zrow = (0,) * (m + 1)
 
-    def unit_image(kind: str, idx: int) -> int:
-        a_i = a_ni = 0
-        s_i = list(zrow)
-        t_i = list(zrow)
-        if kind == "a":
-            a_i = exp.basis[idx]
-        elif kind == "an":
-            a_ni = exp.basis[idx]
-        elif kind == "s":
-            s_i[idx] = 1
-        else:
-            t_i[idx] = 1
-        b_bits, c_bits = exp.expand_block(i, a_i, a_ni, tuple(s_i),
-                                          tuple(t_i))
+    def image(a_i: int, a_ni: int, s_i, t_i) -> int:
+        b_bits, c_bits = exp.expand_block(i, a_i, a_ni, s_i, t_i)
         return b_bits | (c_bits << w)
 
-    gens = [unit_image("a", j) for j in range(2 * m)]
-    gens += [unit_image("an", j) for j in range(2 * m)]
-    gens += [unit_image("s", j) for j in range(m + 1)]
-    gens += [unit_image("t", j) for j in range(m + 1)]
-    assert len(gens) == nbits
+    def unit(j: int) -> tuple[int, ...]:
+        return tuple(int(k == j) for k in range(m + 1))
 
-    seen = {0}
-    x = 0
-    for idx in range(1, 1 << nbits):
-        x ^= gens[(idx & -idx).bit_length() - 1]
-        if x in seen:
-            return False
-        seen.add(x)
-    return True
+    return ([image(b, 0, zrow, zrow) for b in exp.basis]
+            + [image(0, b, zrow, zrow) for b in exp.basis]
+            + [image(0, 0, unit(j), zrow) for j in range(m + 1)]
+            + [image(0, 0, zrow, unit(j)) for j in range(m + 1)])
+
+
+def check_block_injectivity(field: Field, basis, i: int) -> bool:
+    """Rank test that block i's input -> bits map is injective.
+
+    The map is GF(2)-linear, so it is injective iff the 6m+2 unit-input
+    images (:func:`block_unit_images`) are linearly independent, i.e.
+    have full rank 6m+2 in the 2(4m+2)-bit image space.
+    """
+    gens = block_unit_images(field, basis, i)
+    width = 2 * get_expander(field, basis).block_width
+    return row_reduce(gens, width)[0] == len(gens)
 
 
 # ----------------------------------------------------------------------

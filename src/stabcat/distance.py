@@ -4,9 +4,8 @@ Exact mode enumerates all 2^rank(N) combinations of the reduced
 normalizer generators by Gray code (one row XOR per step), skipping
 members of the stabilizer span, and is partitionable into disjoint
 index ranges whose results combine by minimum — the outcome is
-independent of the partition count.  The inner loop runs in a compiled
-extension when available and falls back to a pure-Python twin with the
-identical contract; both are exposed for benchmarking.
+independent of the partition count.  The inner loop is
+:func:`stabcat._distpure.gray_scan`.
 
 Sampled mode draws uniform random normalizer codewords and reports the
 minimum weight seen, an upper bound on the true distance only.
@@ -26,16 +25,10 @@ from dataclasses import dataclass, field as dc_field
 
 from .concat import (StabilizerCodeL, SymplecticVector,
                      designated_half_tuple, get_expander)
-from .symplectic import in_span, symplectic_weight_packed
-
-try:  # compiled kernel is optional; the pure twin is always present
-    from . import _distcore  # type: ignore[attr-defined]
-    HAVE_COMPILED = True
-except ImportError:  # pragma: no cover - depends on build environment
-    _distcore = None
-    HAVE_COMPILED = False
-
+from .symplectic import in_span, symplectic_weight_packed, xor_rows
 from . import _distpure
+
+HAVE_COMPILED = False  # always False; perfbench/run.py's env probe reads it
 
 MAX_EXACT_RANK = 24
 
@@ -60,7 +53,6 @@ class DistanceReport:
     enumerated: int
     seed: int | None = None
     parts: int = 1
-    kernel: str = "pure"
 
     def summary_line(self) -> str:
         seed = self.seed if self.seed is not None else 0
@@ -68,23 +60,6 @@ class DistanceReport:
         return (f"d={self.d} witness_weight={w} "
                 f"enumerated={self.enumerated} method={self.method} "
                 f"seed={seed}")
-
-
-def _select_kernel(kernel: str, code: StabilizerCodeL):
-    if kernel == "auto":
-        kernel = "compiled" if (HAVE_COMPILED and 2 * code.n <= 64) else \
-            "pure"
-    if kernel == "compiled":
-        if not HAVE_COMPILED:
-            raise DistanceError("compiled kernel is not available")
-        if 2 * code.n > 64:
-            raise DistanceError(
-                f"compiled kernel handles rows up to 64 bits, need "
-                f"{2 * code.n}")
-        return _distcore
-    if kernel == "pure":
-        return _distpure
-    raise DistanceError(f"unknown kernel {kernel!r}")
 
 
 def _validate_witness(code: StabilizerCodeL, word: int, w: int) -> None:
@@ -96,8 +71,7 @@ def _validate_witness(code: StabilizerCodeL, word: int, w: int) -> None:
         raise DistanceError("witness weight does not match the reported d")
 
 
-def exact_distance(code: StabilizerCodeL, parts: int = 1,
-                   kernel: str = "auto") -> DistanceReport:
+def exact_distance(code: StabilizerCodeL, parts: int = 1) -> DistanceReport:
     """Exact coset minimum by full Gray-code enumeration.
 
     Refuses instances with rank(N) above ``MAX_EXACT_RANK`` (the
@@ -112,7 +86,6 @@ def exact_distance(code: StabilizerCodeL, parts: int = 1,
             f"2^{MAX_EXACT_RANK}; use the sampled mode")
     if parts < 1 or parts > (1 << r):
         raise DistanceError(f"invalid partition count {parts}")
-    mod = _select_kernel(kernel, code)
     gens = list(code.n_matrix)
     total = 1 << r
     best = None  # (w, idx, word)
@@ -120,8 +93,8 @@ def exact_distance(code: StabilizerCodeL, parts: int = 1,
     for lo, hi in zip(bounds, bounds[1:]):
         if lo == hi:
             continue
-        w, idx, word = mod.gray_scan(gens, code.n, list(code.s_matrix),
-                                     lo, hi)
+        w, idx, word = _distpure.gray_scan(gens, code.n,
+                                           list(code.s_matrix), lo, hi)
         if w >= 0 and (best is None or (w, idx) < best[:2]):
             best = (w, idx, word)
     if best is None:  # pragma: no cover - k >= 1 always leaves a coset
@@ -131,8 +104,7 @@ def exact_distance(code: StabilizerCodeL, parts: int = 1,
     return DistanceReport(
         method="exact", d=w,
         witness=SymplecticVector.from_packed(word, code.n),
-        enumerated=total, seed=None, parts=parts,
-        kernel=getattr(mod, "KERNEL_NAME", "pure"))
+        enumerated=total, seed=None, parts=parts)
 
 
 def sampled_distance_upper(code: StabilizerCodeL, trials: int,
@@ -150,14 +122,7 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     gens = code.n_matrix
     best = None  # (w, trial, word)
     for trial in range(trials):
-        bits = rng.getrandbits(r)
-        x = 0
-        i = 0
-        while bits:
-            if bits & 1:
-                x ^= gens[i]
-            bits >>= 1
-            i += 1
+        x = xor_rows(gens, rng.getrandbits(r))
         if best is not None and \
                 symplectic_weight_packed(x, code.n) >= best[0]:
             continue
@@ -294,14 +259,7 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
         rng = random.Random(seed)
         r = code.rank_n
         for _ in range(trials):
-            bits = rng.getrandbits(r)
-            x = 0
-            i = 0
-            while bits:
-                if bits & 1:
-                    x ^= code.n_matrix[i]
-                bits >>= 1
-                i += 1
+            x = xor_rows(code.n_matrix, rng.getrandbits(r))
             if in_span(code.s_matrix, x):
                 continue
             consider(x)

@@ -69,6 +69,16 @@ def row_reduce(rows, width: int) -> tuple[int, list[int]]:
     return acc.rank, list(acc.rows)
 
 
+def xor_rows(rows, bits: int) -> int:
+    """XOR of rows[j] over the set bits j of ``bits`` (bit 0 -> rows[0])."""
+    x = 0
+    while bits:
+        low = bits & -bits
+        x ^= rows[low.bit_length() - 1]
+        bits ^= low
+    return x
+
+
 def in_span(reduced_rows, x: int) -> bool:
     """Membership of x in the row space of an RREF matrix."""
     for row in reduced_rows:

@@ -1,12 +1,14 @@
 """CLI command tests driven through main() with captured output."""
 
+import hashlib
 import json
 
 import pytest
 
 from stabcat import codefile
+from stabcat.concat import build_code
 from stabcat.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL,
-                         main, pauli_string, verify_code_file)
+                         main, pauli_string)
 from stabcat.symplectic import symplectic_weight_packed
 
 
@@ -105,6 +107,22 @@ class TestRoundTrip:
             assert len(line) == 2 * n + 1
             assert line[n] == "|"
 
+    # sha256 of the code files ``construct`` writes; the same digests are
+    # pinned in perfbench/workloads.py CODE_SHA256.
+    @pytest.mark.parametrize("m,big_k,digest", [
+        (1, 0, "7a1de569ad3ae73a1ac07b5884a5029e"
+               "a9273f9c4ade3875a4e03d74867b8fdf"),
+        (1, 1, "0012555ba969ed43b12158e7abc3b35f"
+               "15c836bf73af6807522f3e641a845ae2"),
+        (2, 3, "11f087f7850b9655a41abda48abc1e5b"
+               "65599b6021ecdebfe1ca3e10847d2137"),
+        (3, 10, "04db16796d12f169b1c71d32ac320eae"
+                "e08b53f864f49845c9166e6a2878ff1b"),
+    ])
+    def test_pinned_file_bytes(self, m, big_k, digest):
+        text = codefile.dumps(codefile.from_code(build_code(m, big_k)))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
     def test_code_round_trip(self, m1k1_path, code_m1k1):
         cf = codefile.load(m1k1_path)
         code = codefile.to_code(cf)
@@ -120,6 +138,17 @@ class TestDistanceCmd:
         out = capsys.readouterr().out.strip()
         assert out == ("d=2 witness_weight=2 enumerated=1048576 "
                        "method=exact seed=0")
+
+    def test_reducible_modulus(self, m1k1_path, tmp_path, capsys):
+        lines = m1k1_path.read_text().split("\n")
+        assert lines[6] == "modulus 0x7"
+        lines[6] = "modulus 0x5"
+        bad = tmp_path / "reducible.code"
+        bad.write_text("\n".join(lines))
+        assert main(["distance", str(bad)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "stabcat: modulus 0x5 is reducible\n"
 
     def test_exact_refusal_m2(self, m2k3_path, capsys):
         rc = main(["distance", str(m2k3_path), "--method", "exact"])
@@ -196,11 +225,3 @@ class TestExport:
         assert len(body) == 36
         assert all(len(ln) == 18 for ln in body)
         assert all(set(ln) <= set("IXYZ") for ln in body)
-
-
-class TestVerifyCodeFileInternals:
-    def test_injectivity_skip_flag(self, m1k1_path):
-        cf = codefile.load(m1k1_path)
-        rep = verify_code_file(cf, injectivity=False)
-        assert rep["passed"]
-        assert "block_injectivity" not in rep["checks"]

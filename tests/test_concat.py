@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from stabcat.concat import (ConcatError, ExpansionInput, SymplecticVector,
-                            build_code, check_block_injectivity,
-                            designated_half_tuple, expand_block,
-                            expand_codeword, get_expander, to_quaternary,
-                            zero_input)
+from stabcat.concat import (BlockExpander, ConcatError, ExpansionInput,
+                            SymplecticVector, block_unit_images, build_code,
+                            check_block_injectivity, designated_half_tuple,
+                            expand_block, expand_codeword, get_expander,
+                            to_quaternary, zero_input)
 from stabcat.field import build_field, coords, find_self_dual_basis
 from stabcat.symplectic import in_span, symplectic_weight
 
@@ -243,6 +243,21 @@ class TestQuaternary:
             assert to_quaternary(x).weight() == symplectic_weight(x)
 
 
+def gray_walk_injective(field, basis, i):
+    """Oracle: walk all 2^(6m+2) inputs of block i by Gray code over the
+    unit-input images; the map is injective iff no image repeats (the
+    zero input's image 0 included)."""
+    gens = block_unit_images(field, basis, i)
+    seen = {0}
+    x = 0
+    for idx in range(1, 1 << len(gens)):
+        x ^= gens[(idx & -idx).bit_length() - 1]
+        if x in seen:
+            return False
+        seen.add(x)
+    return True
+
+
 class TestInjectivity:
     def test_m1_all_blocks(self, gf4):
         f, b = gf4
@@ -252,11 +267,39 @@ class TestInjectivity:
         f, b = gf16
         assert check_block_injectivity(f, b, 0)
 
-    def test_budget_rejected(self):
+    def test_m4_block0_injective(self):
         f = build_field(8)
         b = find_self_dual_basis(f)
-        with pytest.raises(ConcatError):
-            check_block_injectivity(f, b, 0)  # 6m+2 = 26 bits
+        assert len(block_unit_images(f, b, 0)) == 26  # 6m+2 inputs
+        assert check_block_injectivity(f, b, 0)
+
+    @pytest.mark.parametrize("two_m", [2, 4])
+    def test_rank_test_matches_gray_walk(self, two_m):
+        f = build_field(two_m)
+        b = find_self_dual_basis(f)
+        for i in range(f.order - 1):
+            assert check_block_injectivity(f, b, i) is True, i
+            assert gray_walk_injective(f, b, i) is True, i
+
+    @pytest.mark.parametrize("two_m", [2, 4])
+    def test_repeated_unit_image_rejected(self, two_m, monkeypatch):
+        # Make unit input s_{i,1} expand exactly like a_i = beta_1.
+        f = build_field(two_m)
+        b = find_self_dual_basis(f)
+        zrow = (0,) * (two_m // 2 + 1)
+        s_unit = (1,) + zrow[1:]
+        real = BlockExpander.expand_block
+
+        def fake(self, i, a_i, a_ni, s_i, t_i):
+            if (a_i, a_ni, tuple(s_i), tuple(t_i)) == (0, 0, s_unit, zrow):
+                return real(self, i, self.basis[0], 0, zrow, zrow)
+            return real(self, i, a_i, a_ni, s_i, t_i)
+
+        monkeypatch.setattr(BlockExpander, "expand_block", fake)
+        gens = block_unit_images(f, b, 1)
+        assert gens[2 * two_m] == gens[0]  # s_{i,1} follows 4m a-coords
+        assert check_block_injectivity(f, b, 1) is False
+        assert gray_walk_injective(f, b, 1) is False
 
     def test_nonzero_symbol_pair_gives_nonzero_block(self, gf4):
         # Restriction of injectivity to the s = t = 0 fiber.
