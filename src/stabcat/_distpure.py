@@ -12,17 +12,17 @@ from __future__ import annotations
 from .symplectic import xor_rows
 
 
-def gray_scan(gens, n: int, s_rows, start: int, stop: int):
+def gray_scan(gens, n: int, s_pivots, start: int, stop: int):
     """Scan combination indices [start, stop); returns (w, idx, word).
 
-    ``gens`` are packed 2n-bit generator rows; ``s_rows`` is the RREF of
-    the span to exclude (each row reduced by its lowest set bit).  The
-    zero combination (index 0) is never a candidate.  Returns the best
+    ``gens`` are packed 2n-bit generator rows; ``s_pivots`` are the
+    (pivot, row) pairs of the span to exclude, as held by an ``Rref``
+    (the membership test below is ``Rref.reduce`` inlined).  The zero
+    combination (index 0) is never a candidate.  Returns the best
     (weight, index, codeword) with ties broken by the smallest index, or
     (-1, -1, 0) if no candidate outside the excluded span was seen.
     """
     mask = (1 << n) - 1
-    piv = [((r & -r).bit_length() - 1, r) for r in s_rows]
 
     best_w = -1
     best_idx = -1
@@ -38,7 +38,7 @@ def gray_scan(gens, n: int, s_rows, start: int, stop: int):
             w = ((x | (x >> n)) & mask).bit_count()
             if best_w < 0 or w < best_w:
                 y = x
-                for p, r in piv:
+                for p, r in s_pivots:
                     if (y >> p) & 1:
                         y ^= r
                 if y:

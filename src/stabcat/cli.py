@@ -18,7 +18,7 @@ from .distance import (DistanceError, exact_distance,
                        sampled_distance_upper)
 from .field import FieldError, Field, gram_matrix
 from .rs import RsError
-from .symplectic import is_rref, verify_duality
+from .symplectic import RrefError, is_rref, verify_duality
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -65,13 +65,13 @@ def verify_code_file(cf: codefile.CodeFile) -> dict:
 
     Returns a dict with one boolean per check plus diagnostic details;
     key "passed" is the conjunction.  Checks: header arithmetic, field
-    modulus validity, basis trace-orthonormality, literal canonical-RREF
-    form of both matrices (RREF is unique per row space, so any one-bit
-    edit of a stored row either breaks this shape check or changes the
-    row space and breaks duality), rank closed forms, pairwise
-    symplectic orthogonality, stabilizer-in-normalizer containment, and
-    per-block injectivity of the expansion by a rank test (for m <= 3,
-    see ``INJECTIVITY_BUDGET_BITS``).
+    modulus validity and degree cap, basis trace-orthonormality, the
+    canonical-RREF shape of both matrices, checked directly (RREF is
+    unique per row space, so any one-bit edit of a stored row either
+    breaks this shape or changes the row space and breaks duality),
+    rank closed forms, pairwise symplectic orthogonality,
+    stabilizer-in-normalizer containment, and per-block injectivity of
+    the expansion (for m <= 3, see ``INJECTIVITY_BUDGET_BITS``).
     """
     checks: dict = {}
     details: dict = {}
@@ -99,7 +99,7 @@ def verify_code_file(cf: codefile.CodeFile) -> dict:
         checks["basis"] = False
 
     checks["rows_canonical"] = (
-        is_rref(cf.s_rows, 2 * n) and is_rref(cf.n_rows, 2 * n))
+        is_rref(cf.s_rows) and is_rref(cf.n_rows))
 
     rank_s, rank_n = len(cf.s_rows), len(cf.n_rows)
     checks["ranks"] = (
@@ -165,7 +165,8 @@ def cmd_distance(args) -> int:
         return EXIT_IO
     try:
         code = codefile.to_code(cf)
-    except FieldError as exc:
+        code.s_span, code.n_span  # rejects rows that are not canonical
+    except (FieldError, RrefError) as exc:
         _print_err(str(exc))
         return EXIT_IO
     try:

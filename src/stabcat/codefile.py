@@ -45,12 +45,13 @@ class CodeFile:
     n_rows: tuple[int, ...]
 
 
+_DROP_BITS = str.maketrans("", "", "01")
+
+
 def _row_to_line(row: int, n: int) -> str:
-    u = row & ((1 << n) - 1)
-    v = row >> n
-    ub = "".join("1" if (u >> p) & 1 else "0" for p in range(n))
-    vb = "".join("1" if (v >> p) & 1 else "0" for p in range(n))
-    return f"{ub}|{vb}"
+    mask = (1 << n) - 1
+    return (f"{format(row & mask, f'0{n}b')[::-1]}|"
+            f"{format((row >> n) & mask, f'0{n}b')[::-1]}")
 
 
 def _line_to_row(line: str, n: int, lineno: int) -> int:
@@ -58,19 +59,12 @@ def _line_to_row(line: str, n: int, lineno: int) -> int:
         raise CodeFileError(
             f"line {lineno}: expected <u>|<v> with {n}-bit halves, got "
             f"{len(line)} characters")
-    u = 0
-    v = 0
-    for p, ch in enumerate(line[:n]):
-        if ch == "1":
-            u |= 1 << p
-        elif ch != "0":
-            raise CodeFileError(f"line {lineno}: invalid bit {ch!r}")
-    for p, ch in enumerate(line[n + 1:]):
-        if ch == "1":
-            v |= 1 << p
-        elif ch != "0":
-            raise CodeFileError(f"line {lineno}: invalid bit {ch!r}")
-    return u | (v << n)
+    u_text, v_text = line[:n], line[n + 1:]
+    # int() would also accept "_", whitespace and signs: only 0/1 pass.
+    bad = (u_text + v_text).translate(_DROP_BITS)
+    if bad:
+        raise CodeFileError(f"line {lineno}: invalid bit {bad[0]!r}")
+    return int(u_text[::-1] or "0", 2) | (int(v_text[::-1] or "0", 2) << n)
 
 
 def from_code(code: StabilizerCodeL) -> CodeFile:

@@ -23,13 +23,14 @@ by the four equation groups
   c_{i,4m+2}                 = t_{i,m+1}
 
 (empty ranges at m = 1 contribute zero).  The map is GF(2)-linear and
-injective per block: the c-groups reveal s_{i,m+1}, t_{i,m+1} and the
-a_i coordinates, after which the b-groups reveal the a_{N+i} coordinates
-and the remaining s, t bits.  Applied to the generator span of the CSS
-pair S = R x R, N = Rperp x Rperp (plus all unit s/t inputs) this yields
-the stabilizer and normalizer matrices of a binary [[2N(2m+1), 2m(N-2K)]]
-stabilizer code whose duality rests on the alpha^-i / alpha^+i twists
-cancelling inside the trace.
+injective per block.  :meth:`BlockExpander.expand_block` is the only
+encoding of these equations; injectivity and inversion both use the span
+of a block's 6m+2 unit-input images, each tagged with its input index
+above the image bits (:meth:`BlockExpander.unit_span`).  Applied to the
+generator span of the CSS pair S = R x R, N = Rperp x Rperp (plus all
+unit s/t inputs) this yields the stabilizer and normalizer matrices of a
+binary [[2N(2m+1), 2m(N-2K)]] stabilizer code whose duality rests on the
+alpha^-i / alpha^+i twists cancelling inside the trace.
 
 Bit layout: qubit position p = i*(4m+2) + (j-1) holds (b_{i,j}, c_{i,j})
 as (u_p, v_p).
@@ -38,10 +39,11 @@ as (u_p, v_p).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .field import Field, build_field, find_self_dual_basis
 from .rs import build_rs_pair, css_generators
-from .symplectic import Rref, row_reduce, xor_rows
+from .symplectic import Rref, RrefError, xor_rows
 
 
 class ConcatError(ValueError):
@@ -133,12 +135,7 @@ class BlockExpander:
             tuple(field.trace(field.mul(x, b)) for b in basis)
             for x in range(field.order)
         ]
-        # bit int of the first/second halves of the coordinate vector
-        self._half_bits = [
-            (sum(c[j] << j for j in range(self.m)),
-             sum(c[self.m + j] << j for j in range(self.m)))
-            for c in self._coords
-        ]
+        self._unit_spans: dict[int, Rref] = {}  # block -> unit_span
 
     def coords(self, x: int) -> tuple[int, ...]:
         return self._coords[x]
@@ -233,7 +230,40 @@ class BlockExpander:
             v |= c_bits << (i * w)
         return SymplecticVector(u=u, v=v, n=nb * w)
 
-    # -- inversion -----------------------------------------------------
+    # -- unit inputs and inversion ------------------------------------
+
+    def unit_images(self, i: int) -> list[int]:
+        """Images of block i's 6m+2 unit inputs, packed as b | (c << width).
+
+        Input order: the 2m basis coordinates of a_i, then those of
+        a_{N+i}, then the m+1 bits of s_i, then the m+1 bits of t_i.  The
+        block map is GF(2)-linear, so the image of any input is the XOR
+        of the images of its set unit inputs.
+        """
+        m = self.m
+        w = self.block_width
+        zrow = (0,) * (m + 1)
+        units = [zrow[:j] + (1,) + zrow[j + 1:] for j in range(m + 1)]
+
+        def image(a_i: int, a_ni: int, s_i, t_i) -> int:
+            b_bits, c_bits = self.expand_block(i, a_i, a_ni, s_i, t_i)
+            return b_bits | (c_bits << w)
+
+        return ([image(b, 0, zrow, zrow) for b in self.basis]
+                + [image(0, b, zrow, zrow) for b in self.basis]
+                + [image(0, 0, u, zrow) for u in units]
+                + [image(0, 0, zrow, u) for u in units])
+
+    def unit_span(self, i: int) -> Rref:
+        """Span of block i's unit-input images, image j tagged with bit
+        2*width + j.  Reducing block bits against it leaves a zero image
+        residue iff they lie in the image, and then their input in the
+        tag bits."""
+        tag = 2 * self.block_width
+        acc = Rref()
+        for j, image in enumerate(self.unit_images(i)):
+            acc.add(image | (1 << (tag + j)))
+        return acc
 
     def invert_block(self, i: int, b_bits: int, c_bits: int) -> "BlockData":
         """Recover (a_i, a_{N+i}, s_i, t_i) from block i's bits.
@@ -241,46 +271,21 @@ class BlockExpander:
         Raises ConcatError if the bits are not in the image of the block
         map (cannot happen for blocks of genuine expanded codewords).
         """
-        f = self.field
+        span = self._unit_spans.get(i)
+        if span is None:
+            span = self._unit_spans[i] = self.unit_span(i)
+        w = self.block_width
+        x = span.reduce(b_bits | (c_bits << w))
+        if x & ((1 << (2 * w)) - 1):
+            raise ConcatError(f"block {i} bits are not a valid expansion")
+        tag = x >> (2 * w)
         m = self.m
-        mask2m = (1 << (2 * m)) - 1
-        a_inv_i = f.alpha_pow(-i)
-        a_pow_i = f.alpha_pow(i)
-
-        sig_s = (c_bits >> (2 * m)) & 1
-        sig_t = (c_bits >> (4 * m + 1)) & 1
-
-        basis = self.basis
-        y1 = f.mul(a_inv_i, xor_rows(basis, c_bits & mask2m))
-        cy1 = self._coords[y1]
-        y2 = f.mul(a_inv_i, xor_rows(basis, (c_bits >> (2 * m + 1)) & mask2m))
-        cy2 = self._coords[y2]
-        if cy1[m] != sig_s or any(cy1[m + 1:]) or \
-                cy2[m] != sig_t or any(cy2[m + 1:]):
-            raise ConcatError(f"block {i} bits are not a valid expansion")
-        a_i_coords = cy1[:m] + cy2[:m]
-
-        w1 = f.mul(a_pow_i, xor_rows(basis, b_bits & mask2m))
-        cw1 = self._coords[w1]
-        w2 = f.mul(a_pow_i, xor_rows(basis, (b_bits >> (2 * m + 1)) & mask2m))
-        cw2 = self._coords[w2]
-        s_bits = cw1[m:] + (sig_s,)
-        t_bits = cw2[m:] + (sig_t,)
-        a_ni_coords = (cw1[0] ^ sig_s,) + cw1[1:m] + \
-            (cw2[0] ^ sig_t,) + cw2[1:m]
-
-        if ((b_bits >> (2 * m)) & 1) != (a_i_coords[0] ^ s_bits[0]) or \
-                ((b_bits >> (4 * m + 1)) & 1) != (a_i_coords[m] ^ t_bits[0]):
-            raise ConcatError(f"block {i} bits are not a valid expansion")
-
-        a_i = 0
-        a_ni = 0
-        for j in range(2 * m):
-            if a_i_coords[j]:
-                a_i ^= basis[j]
-            if a_ni_coords[j]:
-                a_ni ^= basis[j]
-        return BlockData(a_i=a_i, a_ni=a_ni, s=s_bits, t=t_bits)
+        half = (1 << (2 * m)) - 1
+        return BlockData(
+            a_i=xor_rows(self.basis, tag & half),
+            a_ni=xor_rows(self.basis, (tag >> (2 * m)) & half),
+            s=tuple((tag >> (4 * m + j)) & 1 for j in range(m + 1)),
+            t=tuple((tag >> (5 * m + 1 + j)) & 1 for j in range(m + 1)))
 
 
 @dataclass(frozen=True)
@@ -315,41 +320,19 @@ def expand_codeword(field: Field, basis, inp: ExpansionInput) \
 
 
 def block_unit_images(field: Field, basis, i: int) -> list[int]:
-    """Images of block i's 6m+2 unit inputs, packed as b | (c << width).
-
-    Input order: the 2m basis coordinates of a_i, then those of a_{N+i},
-    then the m+1 bits of s_i, then the m+1 bits of t_i.  The block map is
-    GF(2)-linear, so the image of any input is the XOR of the images of
-    its set unit inputs.
-    """
-    exp = get_expander(field, basis)
-    m = exp.m
-    w = exp.block_width
-    zrow = (0,) * (m + 1)
-
-    def image(a_i: int, a_ni: int, s_i, t_i) -> int:
-        b_bits, c_bits = exp.expand_block(i, a_i, a_ni, s_i, t_i)
-        return b_bits | (c_bits << w)
-
-    def unit(j: int) -> tuple[int, ...]:
-        return tuple(int(k == j) for k in range(m + 1))
-
-    return ([image(b, 0, zrow, zrow) for b in exp.basis]
-            + [image(0, b, zrow, zrow) for b in exp.basis]
-            + [image(0, 0, unit(j), zrow) for j in range(m + 1)]
-            + [image(0, 0, zrow, unit(j)) for j in range(m + 1)])
+    return get_expander(field, basis).unit_images(i)
 
 
 def check_block_injectivity(field: Field, basis, i: int) -> bool:
-    """Rank test that block i's input -> bits map is injective.
+    """Test that block i's input -> bits map is injective.
 
-    The map is GF(2)-linear, so it is injective iff the 6m+2 unit-input
-    images (:func:`block_unit_images`) are linearly independent, i.e.
-    have full rank 6m+2 in the 2(4m+2)-bit image space.
+    The map is GF(2)-linear, so it is injective iff no nonzero input
+    maps to zero, i.e. iff every pivot of the tagged unit-image span
+    (:meth:`BlockExpander.unit_span`) lies in the 2(4m+2) image bits:
+    a pivot in the tag bits is a nonzero input with a zero image.
     """
-    gens = block_unit_images(field, basis, i)
-    width = 2 * get_expander(field, basis).block_width
-    return row_reduce(gens, width)[0] == len(gens)
+    exp = get_expander(field, basis)
+    return all(p < 2 * exp.block_width for p in exp.unit_span(i).pivots)
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +345,8 @@ class StabilizerCodeL:
 
     ``s_matrix`` and ``n_matrix`` are canonical RREF lists of packed
     2n-bit rows (u low, v high) generating the stabilizer and normalizer
-    row spaces.
+    row spaces.  ``s_span`` and ``n_span`` are their spans, built once on
+    first use; they raise RrefError unless the rows are canonical RREF.
     """
 
     m: int
@@ -383,9 +367,24 @@ class StabilizerCodeL:
     def rank_n(self) -> int:
         return len(self.n_matrix)
 
+    @cached_property
+    def s_span(self) -> Rref:
+        return _stored_span("stabilizer", self.s_matrix)
+
+    @cached_property
+    def n_span(self) -> Rref:
+        return _stored_span("normalizer", self.n_matrix)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"StabilizerCodeL(m={self.m}, N={self.big_n}, "
                 f"K={self.big_k}, [[{self.n},{self.k}]])")
+
+
+def _stored_span(name: str, rows) -> Rref:
+    try:
+        return Rref(rows)
+    except RrefError as exc:
+        raise RrefError(f"{name} {exc}") from None
 
 
 def _expanded_span(exp: BlockExpander, field_gens) -> Rref:
@@ -401,7 +400,7 @@ def _expanded_span(exp: BlockExpander, field_gens) -> Rref:
     m = exp.m
     w = exp.block_width
     n = nb * w
-    acc = Rref(2 * n)
+    acc = Rref()
     zrow = (0,) * (m + 1)
     for g in field_gens:
         for e in range(f.two_m):
@@ -410,19 +409,11 @@ def _expanded_span(exp: BlockExpander, field_gens) -> Rref:
             vec = exp.expand(ExpansionInput(
                 a=a, s=(zrow,) * nb, t=(zrow,) * nb))
             acc.add(vec.packed())
+    mask = (1 << w) - 1
     for i in range(nb):
-        for j in range(m + 1):
-            row = list(zrow)
-            row[j] = 1
-            for which in ("s", "t"):
-                if which == "s":
-                    b_bits, c_bits = exp.expand_block(
-                        i, 0, 0, tuple(row), zrow)
-                else:
-                    b_bits, c_bits = exp.expand_block(
-                        i, 0, 0, zrow, tuple(row))
-                packed = (b_bits << (i * w)) | (c_bits << (i * w + n))
-                acc.add(packed)
+        for image in exp.unit_images(i)[4 * m:]:  # the unit s and t inputs
+            acc.add(((image & mask) << (i * w))
+                    | ((image >> w) << (i * w + n)))
     return acc
 
 
@@ -475,12 +466,6 @@ def build_code(m: int, big_k: int) -> StabilizerCodeL:
 # Half-block bookkeeping for the weight-counting checks
 # ----------------------------------------------------------------------
 
-def block_bits(x: SymplecticVector, width: int, i: int) -> tuple[int, int]:
-    """(u, v) bits of block i of a symplectic vector."""
-    mask = (1 << width) - 1
-    return (x.u >> (i * width)) & mask, (x.v >> (i * width)) & mask
-
-
 def designated_half_tuple(exp: BlockExpander, i: int, b_bits: int,
                           c_bits: int) -> tuple[int, ...] | None:
     """Quaternary (2m+1)-tuple of the designated half of block i.
@@ -496,14 +481,8 @@ def designated_half_tuple(exp: BlockExpander, i: int, b_bits: int,
     if data.a_i == 0 and data.a_ni == 0:
         return None
     m = exp.m
-    lo_a, hi_a = exp._half_bits[data.a_i]
-    lo_an, hi_an = exp._half_bits[data.a_ni]
-    if lo_a or lo_an:
-        off = 0
-    else:
-        if not (hi_a or hi_an):  # pragma: no cover - excluded above
-            return None
-        off = 2 * m + 1
+    first_half = exp.coords(data.a_i)[:m] + exp.coords(data.a_ni)[:m]
+    off = 0 if any(first_half) else 2 * m + 1
     return tuple(
         (((b_bits >> (off + j)) & 1) | (((c_bits >> (off + j)) & 1) << 1))
         for j in range(2 * m + 1))

@@ -63,9 +63,9 @@ class DistanceReport:
 
 
 def _validate_witness(code: StabilizerCodeL, word: int, w: int) -> None:
-    if not in_span(code.n_matrix, word):
+    if not in_span(code.n_span, word):
         raise DistanceError("witness fell outside the normalizer span")
-    if in_span(code.s_matrix, word):
+    if in_span(code.s_span, word):
         raise DistanceError("witness lies in the stabilizer span")
     if symplectic_weight_packed(word, code.n) != w:
         raise DistanceError("witness weight does not match the reported d")
@@ -87,14 +87,15 @@ def exact_distance(code: StabilizerCodeL, parts: int = 1) -> DistanceReport:
     if parts < 1 or parts > (1 << r):
         raise DistanceError(f"invalid partition count {parts}")
     gens = list(code.n_matrix)
+    s_span = code.s_span
+    s_pivots = list(zip(s_span.pivots, s_span.rows))
     total = 1 << r
     best = None  # (w, idx, word)
     bounds = [total * i // parts for i in range(parts + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
         if lo == hi:
             continue
-        w, idx, word = _distpure.gray_scan(gens, code.n,
-                                           list(code.s_matrix), lo, hi)
+        w, idx, word = _distpure.gray_scan(gens, code.n, s_pivots, lo, hi)
         if w >= 0 and (best is None or (w, idx) < best[:2]):
             best = (w, idx, word)
     if best is None:  # pragma: no cover - k >= 1 always leaves a coset
@@ -120,13 +121,14 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     rng = random.Random(seed)
     r = code.rank_n
     gens = code.n_matrix
+    s_span = code.s_span
     best = None  # (w, trial, word)
     for trial in range(trials):
         x = xor_rows(gens, rng.getrandbits(r))
         if best is not None and \
                 symplectic_weight_packed(x, code.n) >= best[0]:
             continue
-        if in_span(code.s_matrix, x):
+        if in_span(s_span, x):
             continue
         w = symplectic_weight_packed(x, code.n)
         if best is None or w < best[0]:
@@ -213,6 +215,7 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
     are never examined.
     """
     exp = get_expander(code.field, code.basis)
+    s_span = code.s_span
     blocks_thr = code.big_k + 1
     distinct_thr = math.ceil((code.big_k + 1) / (1 << code.m))
     mult_thr = 1 << code.m
@@ -246,11 +249,10 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
                 f"rank(N) = {r} exceeds the exhaustive budget; use "
                 f"sampled mode")
         gens = code.n_matrix
-        s_rows = code.s_matrix
         x = 0
         for idx in range(1, 1 << r):
             x ^= gens[(idx & -idx).bit_length() - 1]
-            if in_span(s_rows, x):
+            if in_span(s_span, x):
                 continue
             consider(x)
     elif mode == "sampled":
@@ -260,7 +262,7 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
         r = code.rank_n
         for _ in range(trials):
             x = xor_rows(code.n_matrix, rng.getrandbits(r))
-            if in_span(code.s_matrix, x):
+            if in_span(s_span, x):
                 continue
             consider(x)
     else:

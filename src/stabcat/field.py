@@ -135,8 +135,10 @@ class Field:
 
     def __post_init__(self) -> None:
         e = self.two_m
-        if e < 1:
-            raise FieldError(f"extension degree must be >= 1, got {e}")
+        if not 1 <= e <= DEFAULT_MAX_DEGREE:  # before any table is built
+            raise FieldError(
+                f"extension degree {e} outside supported range "
+                f"[1, {DEFAULT_MAX_DEGREE}]")
         if self.modulus.bit_length() != e + 1:
             raise FieldError(
                 f"modulus 0x{self.modulus:x} does not have degree {e}")
@@ -217,17 +219,17 @@ class Field:
         return f"Field(GF(2^{self.two_m}), modulus=0x{self.modulus:x})"
 
 
-def build_field(two_m: int, max_degree: int = DEFAULT_MAX_DEGREE) -> Field:
+def build_field(two_m: int) -> Field:
     """Build GF(2^two_m) on the smallest primitive defining polynomial.
 
     The modulus is the lexicographically smallest (i.e. numerically
     smallest, as a bit-polynomial) primitive polynomial of the requested
     degree, so every downstream artifact is reproducible bit for bit.
     """
-    if not 2 <= two_m <= max_degree:
+    if not 2 <= two_m <= DEFAULT_MAX_DEGREE:
         raise FieldError(
             f"extension degree {two_m} outside supported range "
-            f"[2, {max_degree}]")
+            f"[2, {DEFAULT_MAX_DEGREE}]")
     lo = 1 << two_m
     for poly in range(lo | 1, lo << 1, 2):  # constant term must be 1
         if _is_irreducible(poly, two_m) and _is_primitive(poly, two_m):

@@ -3,10 +3,12 @@
 A length-2n binary vector (u | v) is stored as a single Python int with
 u in bits 0..n-1 and v in bits n..2n-1, so elimination steps are single
 machine-assisted XORs regardless of width.  A "matrix" is a plain list
-of such ints together with an explicit width.  Reduced matrices are kept
-in canonical reduced row echelon form: rows sorted by pivot (lowest set
-bit), every pivot column zero elsewhere.  RREF is unique per row space,
-which the file verifier relies on to detect mutated generator files.
+of such ints.  Reduced matrices are kept in canonical reduced row
+echelon form: rows sorted by pivot (lowest set bit), every pivot column
+zero elsewhere.  RREF is unique per row space, which the file verifier
+relies on to detect mutated generator files.  :class:`Rref` is the one
+elimination routine: spans, membership tests, the RREF check and the
+inversion of the block map all go through it.
 """
 
 from __future__ import annotations
@@ -20,17 +22,32 @@ def lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-class Rref:
-    """Incremental reduced-row-echelon accumulator over GF(2).
+class RrefError(ValueError):
+    """Rows that are not in canonical reduced row echelon form."""
 
-    Rows are inserted one at a time and the matrix is kept fully reduced
-    (pivot columns are zero in every other row, rows sorted by pivot).
+
+class Rref:
+    """Span over GF(2) kept in canonical reduced row echelon form.
+
+    ``Rref(rows)`` takes rows that already are canonical RREF, computes
+    their pivots once and checks the shape (RrefError otherwise): every
+    row is nonzero, the lowest-bit pivots strictly increase, and each
+    row is clear at every other row's pivot.
+    ``Rref()`` starts an empty span; :meth:`add` inserts rows one at a
+    time and keeps the matrix fully reduced.
     """
 
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self.rows: list[int] = []
-        self.pivots: list[int] = []
+    def __init__(self, rows=()) -> None:
+        self.rows: list[int] = list(rows)
+        self.pivots: list[int] = [lowest_bit(r) for r in self.rows]
+        pivot_mask = 0
+        for i, p in enumerate(self.pivots):
+            if p < pivot_mask.bit_length():
+                raise RrefError(f"row {i} is zero or out of pivot order")
+            pivot_mask |= 1 << p
+        for i, (p, row) in enumerate(zip(self.pivots, self.rows)):
+            if row & pivot_mask != 1 << p:
+                raise RrefError(f"row {i} has a bit at another row's pivot")
 
     @property
     def rank(self) -> int:
@@ -57,13 +74,10 @@ class Rref:
         self.rows.insert(at, x)
         return True
 
-    def contains(self, x: int) -> bool:
-        return self.reduce(x) == 0
 
-
-def row_reduce(rows, width: int) -> tuple[int, list[int]]:
+def row_reduce(rows) -> tuple[int, list[int]]:
     """Canonical RREF of a list of packed rows; returns (rank, rows)."""
-    acc = Rref(width)
+    acc = Rref()
     for r in rows:
         acc.add(r)
     return acc.rank, list(acc.rows)
@@ -79,17 +93,22 @@ def xor_rows(rows, bits: int) -> int:
     return x
 
 
-def in_span(reduced_rows, x: int) -> bool:
-    """Membership of x in the row space of an RREF matrix."""
-    for row in reduced_rows:
-        if (x >> lowest_bit(row)) & 1:
-            x ^= row
-    return x == 0
+def in_span(span: Rref, x: int) -> bool:
+    """Membership of x in a span."""
+    return span.reduce(x) == 0
 
 
-def is_rref(rows, width: int) -> bool:
-    """True iff the rows literally are their own canonical RREF."""
-    return list(rows) == row_reduce(rows, width)[1]
+def is_rref(rows) -> bool:
+    """True iff the rows literally are their own canonical RREF.
+
+    The RREF of a row space is unique, so checking the shape directly
+    agrees with re-reducing the rows and comparing.
+    """
+    try:
+        Rref(rows)
+    except RrefError:
+        return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -165,15 +184,17 @@ def verify_duality(code) -> DualityReport:
     dims_ok = rank_s + rank_n == 2 * n
     if not dims_ok:
         failures.append(("dimensions", rank_s, rank_n))
-    contained = all(in_span(code.n_matrix, r) for r in code.s_matrix)
-    if not contained:
-        bad = [i for i, r in enumerate(code.s_matrix)
-               if not in_span(code.n_matrix, r)]
+    try:
+        n_span = code.n_span
+    except RrefError:  # stored rows not canonical: span their reduction
+        n_span = Rref(row_reduce(code.n_matrix)[1])
+    bad = [i for i, r in enumerate(code.s_matrix) if not in_span(n_span, r)]
+    if bad:
         failures.append(("containment", bad[0], None))
     return DualityReport(
         all_orthogonal=not any(f[0] == "orthogonality" for f in failures),
         dims_complementary=dims_ok,
-        contained=contained,
+        contained=not bad,
         rank_s=rank_s,
         rank_n=rank_n,
         n_products=count,

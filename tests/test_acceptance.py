@@ -76,8 +76,8 @@ def test_criterion_3_exact_distance():
     assert rep1.d >= code.big_k + 1 == 2
     assert rep1.d == 2  # frozen fixture for modulus 0x7, basis (0x2,0x3)
     w = rep1.witness.packed()
-    assert in_span(code.n_matrix, w)
-    assert not in_span(code.s_matrix, w)
+    assert in_span(code.n_span, w)
+    assert not in_span(code.s_span, w)
     assert symplectic_weight_packed(w, code.n) == rep1.d
     assert (rep8.d, rep8.witness) == (rep1.d, rep1.witness)
     for parts in (2, 5):

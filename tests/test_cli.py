@@ -9,7 +9,8 @@ from stabcat import codefile
 from stabcat.concat import build_code
 from stabcat.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL,
                          main, pauli_string)
-from stabcat.symplectic import symplectic_weight_packed
+from stabcat.field import _is_irreducible, _is_primitive
+from stabcat.symplectic import lowest_bit, symplectic_weight_packed
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +18,22 @@ def m1k1_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("codes") / "m1k1.code"
     assert main(["construct", "--m", "1", "--K", "1",
                  "--out", str(path)]) == EXIT_OK
+    return path
+
+
+@pytest.fixture(scope="module")
+def m9_header_path(m1k1_path, tmp_path_factory):
+    """The m1k1 file with a header claiming m=9 and a primitive modulus
+    of degree 18, which passes every field check but the degree cap."""
+    lo = 1 << 18
+    modulus = next(p for p in range(lo | 1, lo << 1, 2)
+                   if _is_irreducible(p, 18) and _is_primitive(p, 18))
+    lines = m1k1_path.read_text().split("\n")
+    assert lines[1] == "m 1" and lines[6] == "modulus 0x7"
+    lines[1] = "m 9"
+    lines[6] = f"modulus 0x{modulus:x}"
+    path = tmp_path_factory.mktemp("codes") / "m9.code"
+    path.write_text("\n".join(lines))
     return path
 
 
@@ -80,6 +97,10 @@ class TestVerify:
         mutated.write_text("\n".join(lines))
         assert main(["verify", str(mutated)]) == EXIT_VERIFY_FAIL
 
+    def test_degree_over_cap_fails_field(self, m9_header_path, capsys):
+        assert main(["verify", str(m9_header_path)]) == EXIT_VERIFY_FAIL
+        assert "field: FAIL" in capsys.readouterr().out.split("\n")
+
     def test_truncated_file(self, m1k1_path, tmp_path, capsys):
         mutated = tmp_path / "short.code"
         mutated.write_text(
@@ -123,6 +144,25 @@ class TestRoundTrip:
         text = codefile.dumps(codefile.from_code(build_code(m, big_k)))
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
+    @pytest.mark.parametrize("u_edit,v_edit,shown", [
+        ({3: "x"}, {}, "x"),
+        ({}, {0: "_"}, "_"),
+        ({5: " "}, {2: "2"}, " "),  # the u half is named first
+        ({0: "+"}, {}, "+"),
+    ])
+    def test_invalid_bit_named(self, m1k1_path, u_edit, v_edit, shown):
+        # int(..., 2) accepts "_", spaces and signs; the parser must not.
+        lines = m1k1_path.read_text().split("\n")
+        row = list(lines[10])
+        for p, ch in u_edit.items():
+            row[p] = ch
+        for p, ch in v_edit.items():
+            row[19 + p] = ch
+        lines[10] = "".join(row)
+        with pytest.raises(codefile.CodeFileError) as exc:
+            codefile.loads("\n".join(lines))
+        assert str(exc.value) == f"line 11: invalid bit {shown!r}"
+
     def test_code_round_trip(self, m1k1_path, code_m1k1):
         cf = codefile.load(m1k1_path)
         code = codefile.to_code(cf)
@@ -149,6 +189,29 @@ class TestDistanceCmd:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "stabcat: modulus 0x5 is reducible\n"
+
+    def test_degree_over_cap(self, m9_header_path, capsys):
+        assert main(["distance", str(m9_header_path)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("stabcat: extension degree 18 outside "
+                                "supported range [1, 16]\n")
+
+    def test_rows_not_canonical(self, m1k1_path, tmp_path, capsys):
+        # Set the bit of stabilizer row 0 at row 1's pivot column.
+        cf = codefile.load(m1k1_path)
+        s_rows = list(cf.s_rows)
+        s_rows[0] ^= 1 << lowest_bit(s_rows[1])
+        bad = tmp_path / "not_rref.code"
+        codefile.store(codefile.CodeFile(
+            m=cf.m, big_n=cf.big_n, big_k=cf.big_k, n=cf.n, k=cf.k,
+            modulus=cf.modulus, basis=cf.basis, s_rows=tuple(s_rows),
+            n_rows=cf.n_rows), bad)
+        assert main(["distance", str(bad)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("stabcat: stabilizer row 0 has a bit at "
+                                "another row's pivot\n")
 
     def test_exact_refusal_m2(self, m2k3_path, capsys):
         rc = main(["distance", str(m2k3_path), "--method", "exact"])

@@ -206,7 +206,7 @@ class TestBuildCode:
     def test_containment(self, code_m1k1, code_m2k3):
         for c in (code_m1k1, code_m2k3):
             for row in c.s_matrix:
-                assert in_span(c.n_matrix, row)
+                assert in_span(c.n_span, row)
 
     def test_deterministic(self, code_m1k1):
         again = build_code(1, 1)
@@ -333,6 +333,33 @@ class TestInversion:
                 assert data.a_ni == inp.a[exp.n_blocks + i]
                 assert data.s == inp.s[i]
                 assert data.t == inp.t[i]
+
+    def test_exhaustive_m1_oracle(self, gf4):
+        # Image set of every block from all 2^8 inputs through
+        # expand_block; every one of the 4096 (b, c) pairs is then either
+        # inverted to its unique input or rejected.
+        f, basis = gf4
+        exp = get_expander(f, basis)
+        bit_pairs = [(x, y) for x in (0, 1) for y in (0, 1)]
+        for i in range(3):
+            image = {}
+            for a_i in range(4):
+                for a_ni in range(4):
+                    for s_i in bit_pairs:
+                        for t_i in bit_pairs:
+                            bits = expand_block(f, basis, i, a_i, a_ni,
+                                                s_i, t_i)
+                            assert bits not in image
+                            image[bits] = (a_i, a_ni, s_i, t_i)
+            for bb in range(64):
+                for cb in range(64):
+                    if (bb, cb) in image:
+                        data = exp.invert_block(i, bb, cb)
+                        assert (data.a_i, data.a_ni, data.s, data.t) == \
+                            image[bb, cb]
+                    else:
+                        with pytest.raises(ConcatError):
+                            exp.invert_block(i, bb, cb)
 
     def test_invalid_bits_rejected(self, gf4):
         f, b = gf4

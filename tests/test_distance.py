@@ -14,13 +14,20 @@ from stabcat import _distpure
 from stabcat.distance import (DistanceError, MAX_EXACT_RANK,
                               exact_distance, sampled_distance_upper,
                               verify_counting_claims)
-from stabcat.symplectic import (in_span, row_reduce,
+from stabcat.symplectic import (Rref, in_span, row_reduce,
                                 symplectic_weight_packed)
+
+
+def pivot_pairs(s_rows):
+    """The (pivot, row) pairs that gray_scan takes for an RREF span."""
+    span = Rref(s_rows)
+    return list(zip(span.pivots, span.rows))
 
 
 def brute_force_best(gens, n, s_rows):
     """Oracle: minimum (weight, index) over all generator combinations
     outside the stabilizer span, by explicit subset XOR."""
+    s_span = Rref(s_rows)
     best = None
     for idx in range(1, 1 << len(gens)):
         gray = idx ^ (idx >> 1)
@@ -28,7 +35,7 @@ def brute_force_best(gens, n, s_rows):
         for j in range(len(gens)):
             if (gray >> j) & 1:
                 x ^= gens[j]
-        if in_span(s_rows, x):
+        if in_span(s_span, x):
             continue
         w = symplectic_weight_packed(x, n)
         if best is None or (w, idx) < best[:2]:
@@ -43,13 +50,14 @@ class TestGrayScanKernels:
         n = rng.randrange(6, 16)
         ngens = rng.randrange(4, 11)
         _, gens = row_reduce(
-            [rng.getrandbits(2 * n) for _ in range(ngens)], 2 * n)
+            [rng.getrandbits(2 * n) for _ in range(ngens)])
         if not gens:
             pytest.skip("degenerate sample")
         # exclude the span of a strict subset of the generators
-        _, s_rows = row_reduce(gens[: len(gens) // 2], 2 * n)
+        _, s_rows = row_reduce(gens[: len(gens) // 2])
         expect = brute_force_best(gens, n, s_rows)
-        got = _distpure.gray_scan(gens, n, s_rows, 0, 1 << len(gens))
+        got = _distpure.gray_scan(gens, n, pivot_pairs(s_rows), 0,
+                                  1 << len(gens))
         assert tuple(got) == tuple(expect)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -57,15 +65,15 @@ class TestGrayScanKernels:
         rng = random.Random(100 + seed)
         n = 10
         _, gens = row_reduce(
-            [rng.getrandbits(2 * n) for _ in range(8)], 2 * n)
-        _, s_rows = row_reduce(gens[:2], 2 * n)
+            [rng.getrandbits(2 * n) for _ in range(8)])
+        s_pivots = pivot_pairs(row_reduce(gens[:2])[1])
         total = 1 << len(gens)
-        full = _distpure.gray_scan(gens, n, s_rows, 0, total)
+        full = _distpure.gray_scan(gens, n, s_pivots, 0, total)
         for parts in (2, 3, 5):
             best = None
             bounds = [total * i // parts for i in range(parts + 1)]
             for lo, hi in zip(bounds, bounds[1:]):
-                w, idx, x = _distpure.gray_scan(gens, n, s_rows, lo, hi)
+                w, idx, x = _distpure.gray_scan(gens, n, s_pivots, lo, hi)
                 if w >= 0 and (best is None or (w, idx) < best[:2]):
                     best = (w, idx, x)
             assert best == tuple(full)
@@ -85,8 +93,8 @@ class TestExactDistance:
     def test_witness_validated(self, code_m1k1):
         rep = exact_distance(code_m1k1)
         w = rep.witness.packed()
-        assert in_span(code_m1k1.n_matrix, w)
-        assert not in_span(code_m1k1.s_matrix, w)
+        assert in_span(code_m1k1.n_span, w)
+        assert not in_span(code_m1k1.s_span, w)
         assert symplectic_weight_packed(w, code_m1k1.n) == rep.d
         assert w != 0
 
@@ -145,8 +153,8 @@ class TestSampledDistance:
     def test_witness_validated(self, code_m2k3):
         rep = sampled_distance_upper(code_m2k3, trials=200, seed=2)
         w = rep.witness.packed()
-        assert in_span(code_m2k3.n_matrix, w)
-        assert not in_span(code_m2k3.s_matrix, w)
+        assert in_span(code_m2k3.n_span, w)
+        assert not in_span(code_m2k3.s_span, w)
         assert symplectic_weight_packed(w, code_m2k3.n) == rep.d
 
     def test_bad_trials(self, code_m1k1):

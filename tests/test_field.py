@@ -9,8 +9,10 @@ import itertools
 
 import pytest
 
-from stabcat.field import (Field, FieldError, build_field, combine, coords,
-                           find_self_dual_basis, gram_matrix)
+from stabcat.field import (DEFAULT_MAX_DEGREE, Field, FieldError,
+                           _is_irreducible, _is_primitive, build_field,
+                           combine, coords, find_self_dual_basis,
+                           gram_matrix)
 
 
 # -- independent brute-force helpers (oracles) -------------------------
@@ -109,6 +111,17 @@ class TestBuildField:
             Field(4, 0b11111)  # (x+1)^4-ish, reducible
         with pytest.raises(FieldError):
             Field(8, 0x11b)  # irreducible but x is not primitive
+
+    def test_degree_cap_before_tables(self):
+        # A primitive degree-17 modulus passes every other check, so only
+        # the cap keeps Field from building tables with 2^18 entries.
+        # The search uses the table-free primality tests.
+        e = DEFAULT_MAX_DEGREE + 1
+        lo = 1 << e
+        p = next(p for p in range(lo | 1, lo << 1, 2)
+                 if _is_irreducible(p, e) and _is_primitive(p, e))
+        with pytest.raises(FieldError, match="outside supported range"):
+            Field(e, p)
 
 
 class TestArithmetic:

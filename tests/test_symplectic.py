@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabcat.concat import SymplecticVector
-from stabcat.symplectic import (Rref, in_span, is_rref, row_reduce,
+from stabcat.symplectic import (Rref, RrefError, in_span, is_rref,
+                                row_reduce,
                                 symplectic_product,
                                 symplectic_product_packed, symplectic_weight,
                                 verify_duality)
@@ -68,24 +70,24 @@ class TestWeight:
 
 class TestRowReduce:
     def test_zero_matrix(self):
-        rank, rows = row_reduce([0, 0], 4)
+        rank, rows = row_reduce([0, 0])
         assert rank == 0 and rows == []
 
     def test_identity(self):
-        rank, rows = row_reduce([1, 2, 4], 3)
+        rank, rows = row_reduce([1, 2, 4])
         assert rank == 3 and rows == [1, 2, 4]
 
     def test_dependent_rows(self):
         # {110, 011, 101} as bit masks: third is the XOR of the others.
-        rank, _ = row_reduce([0b110, 0b011, 0b101], 3)
+        rank, _ = row_reduce([0b110, 0b011, 0b101])
         assert rank == 2
 
     def test_canonical_rref(self):
         rng = random.Random(5)
         for _ in range(100):
             rows = [rng.getrandbits(12) for _ in range(6)]
-            rank, red = row_reduce(rows, 12)
-            assert is_rref(red, 12)
+            rank, red = row_reduce(rows)
+            assert is_rref(red)
             # pivots strictly increasing and unique in their columns
             pivs = [(r & -r).bit_length() - 1 for r in red]
             assert pivs == sorted(pivs)
@@ -93,36 +95,82 @@ class TestRowReduce:
                 for j, p in enumerate(pivs):
                     assert ((r >> p) & 1) == (1 if i == j else 0)
             # re-reduction is a fixed point
-            assert row_reduce(red, 12) == (rank, red)
+            assert row_reduce(red) == (rank, red)
 
     def test_rref_order_independent(self):
         rng = random.Random(6)
         rows = [rng.getrandbits(16) for _ in range(8)]
-        _, red1 = row_reduce(rows, 16)
+        _, red1 = row_reduce(rows)
         rng.shuffle(rows)
-        _, red2 = row_reduce(rows, 16)
+        _, red2 = row_reduce(rows)
         assert red1 == red2
+
+
+def old_is_rref(rows):
+    """Oracle: the definition by re-reduction that is_rref replaced."""
+    return list(rows) == row_reduce(rows)[1]
+
+
+@st.composite
+def near_rref_matrices(draw):
+    """Small matrices: random rows, or a canonical RREF left alone or
+    permuted, with a row duplicated, a zero row inserted, or a bit
+    flipped."""
+    width = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=6))
+    if draw(st.booleans()):
+        return rows
+    rows = row_reduce(rows)[1]
+    edit = draw(st.sampled_from(
+        ("none", "permute", "duplicate", "zero", "flip")))
+    if edit == "permute":
+        rows = draw(st.permutations(rows))
+    elif edit == "duplicate" and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows.insert(draw(st.integers(0, len(rows))), rows[i])
+    elif edit == "zero":
+        rows.insert(draw(st.integers(0, len(rows))), 0)
+    elif edit == "flip" and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] ^= 1 << draw(st.integers(0, width - 1))
+    return rows
+
+
+class TestIsRref:
+    @settings(max_examples=500, deadline=None)
+    @given(near_rref_matrices())
+    def test_matches_rereduction(self, rows):
+        assert is_rref(rows) == old_is_rref(rows)
+
+    def test_shape_violations_rejected(self):
+        Rref([0b001, 0b010, 0b100])  # canonical: accepted
+        for rows in ([0b01, 0], [0b10, 0b01], [0b01, 0b01],
+                     [0b11, 0b10]):
+            with pytest.raises(RrefError):
+                Rref(rows)
+            assert not is_rref(rows)
+        assert is_rref([])
 
 
 class TestInSpan:
     def test_trivials(self):
-        _, red = row_reduce([0b101, 0b011], 3)
-        assert in_span(red, 0)
-        assert in_span(red, 0b101)
-        assert in_span(red, 0b110)
-        assert not in_span(red, 0b1000 | 0b101)
+        span = Rref(row_reduce([0b101, 0b011])[1])
+        assert in_span(span, 0)
+        assert in_span(span, 0b101)
+        assert in_span(span, 0b110)
+        assert not in_span(span, 0b1000 | 0b101)
 
     def test_outside_column_support(self):
-        _, red = row_reduce([0b0011], 4)
-        assert not in_span(red, 0b1000)
+        span = Rref(row_reduce([0b0011])[1])
+        assert not in_span(span, 0b1000)
 
     def test_incremental_matches_batch(self):
         rng = random.Random(9)
         rows = [rng.getrandbits(20) for _ in range(10)]
-        acc = Rref(20)
+        acc = Rref()
         for r in rows:
             acc.add(r)
-        assert (acc.rank, acc.rows) == row_reduce(rows, 20)
+        assert (acc.rank, acc.rows) == row_reduce(rows)
 
 
 class TestVerifyDuality:
@@ -140,6 +188,17 @@ class TestVerifyDuality:
         rep = verify_duality(code_m2k3)
         assert rep.passed
         assert rep.rank_s == 114 and rep.rank_n == 186
+
+    def test_containment_over_non_canonical_rows(self, code_m1k1):
+        # Row 0 + row 1 in place of row 0: the same row space, not RREF,
+        # so containment is decided on the reduced rows.
+        from dataclasses import replace
+        rows = list(code_m1k1.n_matrix)
+        rows[0] ^= rows[1]
+        same_span = replace(code_m1k1, n_matrix=tuple(rows))
+        assert not is_rref(same_span.n_matrix)
+        rep = verify_duality(same_span)
+        assert rep.contained and rep.passed
 
     def test_failure_enumerates_witnesses(self, code_m1k1):
         # Corrupt one stabilizer row; the report must name a bad pair.
