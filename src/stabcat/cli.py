@@ -1,6 +1,7 @@
 """Command-line surface: construct, verify, distance, bounds, export.
 
-Exit codes: 0 success / all checks passed, 1 verification failure,
+Exit codes: 0 success / all checks passed, 1 verification failure
+(``distance`` on a file that fails the duality check included),
 2 usage error (bad arguments, parameters out of range, over-budget
 request), 3 I/O or parse error.
 """
@@ -69,9 +70,11 @@ def verify_code_file(cf: codefile.CodeFile) -> dict:
     canonical-RREF shape of both matrices, checked directly (RREF is
     unique per row space, so any one-bit edit of a stored row either
     breaks this shape or changes the row space and breaks duality),
-    rank closed forms, pairwise symplectic orthogonality,
+    rank closed forms, symplectic orthogonality of every stabilizer row
+    to every normalizer row (S·Ω·Nᵀ = 0, by table lookups),
     stabilizer-in-normalizer containment, and per-block injectivity of
-    the expansion (for m <= 3, see ``INJECTIVITY_BUDGET_BITS``).
+    the expansion (for m <= 3, see ``INJECTIVITY_BUDGET_BITS``).  The
+    field is built once and shared by the field check and the code.
     """
     checks: dict = {}
     details: dict = {}
@@ -106,7 +109,7 @@ def verify_code_file(cf: codefile.CodeFile) -> dict:
         rank_s == 2 * big_n * (m + 1) + 4 * m * big_k
         and rank_s + rank_n == 2 * n)
 
-    code = codefile.to_code(cf) if field is not None else None
+    code = codefile.to_code(cf, field) if field is not None else None
     if code is not None:
         rep = verify_duality(code)
         checks["orthogonality"] = rep.all_orthogonal
@@ -157,6 +160,17 @@ def cmd_verify(args) -> int:
 # distance
 # ----------------------------------------------------------------------
 
+def describe_failure(failure: tuple) -> str:
+    """One line for a ``DualityReport.failures`` entry."""
+    kind, a, b = failure
+    if kind == "orthogonality":
+        return (f"stabilizer row {a} is not orthogonal to normalizer "
+                f"row {b}")
+    if kind == "dimensions":
+        return f"rank_s {a} + rank_n {b} is not 2n"
+    return f"stabilizer row {a} lies outside the normalizer span"
+
+
 def cmd_distance(args) -> int:
     try:
         cf = codefile.load(args.path)
@@ -169,6 +183,11 @@ def cmd_distance(args) -> int:
     except (FieldError, RrefError) as exc:
         _print_err(str(exc))
         return EXIT_IO
+    duality = verify_duality(code)
+    if not duality.passed:
+        _print_err("not a valid code: "
+                   + describe_failure(duality.failures[0]))
+        return EXIT_VERIFY_FAIL
     try:
         if args.method == "exact":
             rep = exact_distance(code, parts=args.parts)

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from stabcat import codefile
+from stabcat import cli, codefile
+from stabcat import field as field_mod
 from stabcat.concat import build_code
 from stabcat.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL,
                          main, pauli_string)
@@ -111,6 +112,20 @@ class TestVerify:
     def test_missing_file(self, capsys):
         assert main(["verify", "/no/such/file.code"]) == EXIT_IO
 
+    def test_field_built_once(self, m1k1_path, monkeypatch):
+        built = []
+        real = field_mod.Field
+
+        def counting_field(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "Field", counting_field)
+        monkeypatch.setattr(codefile, "Field", counting_field)
+        report = cli.verify_code_file(codefile.load(m1k1_path))
+        assert report["passed"]
+        assert built == [(2, 0x7)]
+
 
 class TestRoundTrip:
     def test_store_load_store_byte_identical(self, m1k1_path, m2k3_path,
@@ -212,6 +227,40 @@ class TestDistanceCmd:
         assert captured.out == ""
         assert captured.err == ("stabcat: stabilizer row 0 has a bit at "
                                 "another row's pivot\n")
+
+    def test_not_the_code(self, m1k1_path, tmp_path, capsys):
+        # Flip a non-pivot bit of stabilizer row 0: the rows stay
+        # canonical RREF, but they no longer span the code.
+        cf = codefile.load(m1k1_path)
+        s_rows = list(cf.s_rows)
+        pivots = {lowest_bit(r) for r in s_rows}
+        bit = max(set(range(2 * cf.n)) - pivots)
+        s_rows[0] ^= 1 << bit
+        bad = tmp_path / "not_the_code.code"
+        codefile.store(codefile.CodeFile(
+            m=cf.m, big_n=cf.big_n, big_k=cf.big_k, n=cf.n, k=cf.k,
+            modulus=cf.modulus, basis=cf.basis, s_rows=tuple(s_rows),
+            n_rows=cf.n_rows), bad)
+        assert main(["verify", str(bad)]) == EXIT_VERIFY_FAIL
+        capsys.readouterr()
+        for method in ("exact", "sample"):
+            assert main(["distance", str(bad), "--method", method]) == \
+                EXIT_VERIFY_FAIL
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "stabcat: not a valid code: stabilizer row 0 is not "
+                "orthogonal to normalizer row 1\n")
+
+    def test_duality_looked_up_through_cli(self, m1k1_path, monkeypatch,
+                                           capsys):
+        # the per-layer trace wraps stabcat.cli.verify_duality
+        calls = []
+        real = cli.verify_duality
+        monkeypatch.setattr(cli, "verify_duality",
+                            lambda code: calls.append(code) or real(code))
+        assert main(["distance", str(m1k1_path)]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_exact_refusal_m2(self, m2k3_path, capsys):
         rc = main(["distance", str(m2k3_path), "--method", "exact"])

@@ -10,12 +10,12 @@ import random
 
 import pytest
 
-from stabcat import _distpure
+from stabcat import _distpure, distance
 from stabcat.distance import (DistanceError, MAX_EXACT_RANK,
                               exact_distance, sampled_distance_upper,
                               verify_counting_claims)
 from stabcat.symplectic import (Rref, in_span, row_reduce,
-                                symplectic_weight_packed)
+                                symplectic_weight_packed, xor_rows)
 
 
 def pivot_pairs(s_rows):
@@ -160,6 +160,58 @@ class TestSampledDistance:
     def test_bad_trials(self, code_m1k1):
         with pytest.raises(DistanceError):
             sampled_distance_upper(code_m1k1, trials=0, seed=0)
+
+
+def one_shot_sampler(code, trials, seed):
+    """Oracle: the sampler loop before XorTable, one xor_rows per trial;
+    returns (d, witness word, trials enumerated)."""
+    rng = random.Random(seed)
+    r = code.rank_n
+    gens = code.n_matrix
+    s_span = code.s_span
+    best = None  # (w, trial, word)
+    for trial in range(trials):
+        x = xor_rows(gens, rng.getrandbits(r))
+        if best is not None and \
+                symplectic_weight_packed(x, code.n) >= best[0]:
+            continue
+        if in_span(s_span, x):
+            continue
+        w = symplectic_weight_packed(x, code.n)
+        if best is None or w < best[0]:
+            best = (w, trial, x)
+    return best[0], best[2], trials
+
+
+class OneShotTable:
+    """Stand-in for XorTable that combines by xor_rows."""
+
+    def __init__(self, rows):
+        self.rows = list(rows)
+
+    def combine(self, bits):
+        return xor_rows(self.rows, bits)
+
+
+class TestSamplerOracle:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_draws_as_one_shot_loop(self, code_m1k1, code_m2k3, seed):
+        for code in (code_m1k1, code_m2k3):
+            rep = sampled_distance_upper(code, trials=500, seed=seed)
+            got = (rep.d, rep.witness.packed(), rep.enumerated)
+            assert got == one_shot_sampler(code, 500, seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sampled_counting_unchanged(self, code_m1k1, code_m2k3, seed,
+                                        monkeypatch):
+        for code in (code_m1k1, code_m2k3):
+            table = verify_counting_claims(code, mode="sampled",
+                                           trials=300, seed=seed)
+            with monkeypatch.context() as mp:
+                mp.setattr(distance, "XorTable", OneShotTable)
+                one_shot = verify_counting_claims(code, mode="sampled",
+                                                  trials=300, seed=seed)
+            assert table == one_shot
 
 
 class TestCountingClaims:

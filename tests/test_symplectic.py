@@ -1,16 +1,19 @@
 """Packed GF(2) linear algebra and symplectic form tests."""
 
 import random
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stabcat import symplectic
 from stabcat.concat import SymplecticVector
-from stabcat.symplectic import (Rref, RrefError, in_span, is_rref,
-                                row_reduce,
+from stabcat.symplectic import (DualityReport, Rref, RrefError, XorTable,
+                                in_span, is_rref, row_reduce,
                                 symplectic_product,
                                 symplectic_product_packed, symplectic_weight,
-                                verify_duality)
+                                verify_duality, xor_rows)
 
 
 class TestSymplecticProduct:
@@ -171,6 +174,116 @@ class TestInSpan:
         for r in rows:
             acc.add(r)
         assert (acc.rank, acc.rows) == row_reduce(rows)
+
+
+@st.composite
+def rows_and_bits(draw):
+    """A row list (0-40 rows, 1-300 bits wide) and a selector for it."""
+    width = draw(st.integers(1, 300))
+    rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=40))
+    bits = draw(st.integers(0, (1 << len(rows)) - 1))
+    return rows, bits
+
+
+class TestXorTable:
+    @settings(max_examples=300, deadline=None)
+    @given(rows_and_bits())
+    def test_matches_xor_rows(self, case):
+        rows, bits = case
+        assert XorTable(rows).combine(bits) == xor_rows(rows, bits)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 1 << 50))
+    def test_out_of_range_rejected(self, nrows, extra):
+        table = XorTable(range(1, nrows + 1))
+        with pytest.raises(ValueError):
+            table.combine((1 << nrows) + extra)
+        with pytest.raises(ValueError):
+            table.combine(-1 - extra)
+
+    def test_every_selector_of_nine_rows(self):
+        # 9 rows: a last byte whose only row sits in the low nibble
+        rows = [1 << (3 * j) | 1 << (3 * j + 1) for j in range(9)]
+        table = XorTable(rows)
+        for bits in range(1 << 9):
+            assert table.combine(bits) == xor_rows(rows, bits)
+
+
+def pairwise_duality(code) -> DualityReport:
+    """Oracle: verify_duality with one symplectic product per row pair,
+    the loop that the table-driven orthogonality check replaced."""
+    n = code.n
+    failures = []
+    count = 0
+    for i, s_row in enumerate(code.s_matrix):
+        for j, n_row in enumerate(code.n_matrix):
+            count += 1
+            if symplectic_product_packed(s_row, n_row, n):
+                failures.append(("orthogonality", i, j))
+    rank_s = len(code.s_matrix)
+    rank_n = len(code.n_matrix)
+    dims_ok = rank_s + rank_n == 2 * n
+    if not dims_ok:
+        failures.append(("dimensions", rank_s, rank_n))
+    n_span = Rref(row_reduce(code.n_matrix)[1])
+    bad = [i for i, r in enumerate(code.s_matrix) if not in_span(n_span, r)]
+    if bad:
+        failures.append(("containment", bad[0], None))
+    return DualityReport(
+        all_orthogonal=not any(f[0] == "orthogonality" for f in failures),
+        dims_complementary=dims_ok, contained=not bad, rank_s=rank_s,
+        rank_n=rank_n, n_products=count, failures=failures)
+
+
+@st.composite
+def bit_flips(draw, code):
+    """The code with 1-4 random bits flipped in its S and N rows, and a
+    column slice width for the transposition (narrow ones force many
+    slices at small n)."""
+    s_rows, n_rows = list(code.s_matrix), list(code.n_matrix)
+    for _ in range(draw(st.integers(1, 4))):
+        rows = s_rows if draw(st.booleans()) else n_rows
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] ^= 1 << draw(st.integers(0, 2 * code.n - 1))
+    flipped = replace(code, s_matrix=tuple(s_rows), n_matrix=tuple(n_rows))
+    return flipped, draw(st.sampled_from((1, 7, 64, 1024)))
+
+
+class TestOrthogonalityOracle:
+    def _check(self, case):
+        code, slice_width = case
+        with mock.patch.object(symplectic, "COLUMN_SLICE", slice_width):
+            assert verify_duality(code) == pairwise_duality(code)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_m1_flips(self, code_m1k1, data):
+        self._check(data.draw(bit_flips(code_m1k1)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_m2_flips(self, code_m2k3, data):
+        self._check(data.draw(bit_flips(code_m2k3)))
+
+    def test_unflipped_codes(self, code_m1k0, code_m2k3):
+        for code in (code_m1k0, code_m2k3):
+            assert verify_duality(code) == pairwise_duality(code)
+
+    def test_empty_matrices(self, code_m1k1):
+        for code in (replace(code_m1k1, n_matrix=()),
+                     replace(code_m1k1, s_matrix=())):
+            assert verify_duality(code) == pairwise_duality(code)
+
+    def test_bits_above_2n_ignored(self, code_m1k1):
+        # as in symplectic_product_packed, bits above 2n never count
+        high = 1 << (2 * code_m1k1.n + 3)
+        wide = replace(
+            code_m1k1,
+            s_matrix=tuple(r | high for r in code_m1k1.s_matrix),
+            n_matrix=tuple(r | high for r in code_m1k1.n_matrix))
+        rep = verify_duality(wide)
+        assert rep.all_orthogonal
+        assert rep.failures == pairwise_duality(wide).failures
 
 
 class TestVerifyDuality:
