@@ -1,9 +1,9 @@
 """Command-line surface: construct, verify, distance, bounds, export.
 
 Exit codes: 0 success / all checks passed, 1 verification failure
-(``distance`` on a file that fails the duality check included),
-2 usage error (bad arguments, parameters out of range, over-budget
-request), 3 I/O or parse error.
+(``distance`` on a file that fails the header, rank or duality checks
+included), 2 usage error (bad arguments, parameters out of range,
+over-budget request), 3 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -61,6 +61,22 @@ def cmd_construct(args) -> int:
 # verify
 # ----------------------------------------------------------------------
 
+def header_holds(cf: codefile.CodeFile) -> bool:
+    """The header's m, N, K, n, k satisfy the construction's closed forms."""
+    m, big_n, big_k = cf.m, cf.big_n, cf.big_k
+    return (big_n == (1 << (2 * m)) - 1
+            and 0 <= big_k <= big_n // 2
+            and cf.n == big_n * (4 * m + 2)
+            and cf.k == 2 * m * (big_n - 2 * big_k))
+
+
+def ranks_hold(cf: codefile.CodeFile) -> bool:
+    """rank(S) = 2N(m+1) + 4mK and rank(S) + rank(N) = 2n."""
+    rank_s, rank_n = len(cf.s_rows), len(cf.n_rows)
+    return (rank_s == 2 * cf.big_n * (cf.m + 1) + 4 * cf.m * cf.big_k
+            and rank_s + rank_n == 2 * cf.n)
+
+
 def verify_code_file(cf: codefile.CodeFile) -> dict:
     """Run every structural check on a loaded code file.
 
@@ -80,11 +96,7 @@ def verify_code_file(cf: codefile.CodeFile) -> dict:
     details: dict = {}
 
     m, big_n, big_k, n = cf.m, cf.big_n, cf.big_k, cf.n
-    checks["header"] = (
-        big_n == (1 << (2 * m)) - 1
-        and 0 <= big_k <= big_n // 2
-        and n == big_n * (4 * m + 2)
-        and cf.k == 2 * m * (big_n - 2 * big_k))
+    checks["header"] = header_holds(cf)
 
     field = None
     try:
@@ -105,9 +117,7 @@ def verify_code_file(cf: codefile.CodeFile) -> dict:
         is_rref(cf.s_rows) and is_rref(cf.n_rows))
 
     rank_s, rank_n = len(cf.s_rows), len(cf.n_rows)
-    checks["ranks"] = (
-        rank_s == 2 * big_n * (m + 1) + 4 * m * big_k
-        and rank_s + rank_n == 2 * n)
+    checks["ranks"] = ranks_hold(cf)
 
     code = codefile.to_code(cf, field) if field is not None else None
     if code is not None:
@@ -116,7 +126,7 @@ def verify_code_file(cf: codefile.CodeFile) -> dict:
         checks["dims_complementary"] = rep.dims_complementary
         checks["containment"] = rep.contained
         if rep.failures:
-            details["duality_failures"] = rep.failures[:8]
+            details["duality_failures"] = rep.failures
     else:
         checks["orthogonality"] = False
         checks["dims_complementary"] = False
@@ -183,6 +193,15 @@ def cmd_distance(args) -> int:
     except (FieldError, RrefError) as exc:
         _print_err(str(exc))
         return EXIT_IO
+    if not header_holds(cf):
+        _print_err(f"not a valid code: header m={cf.m} N={cf.big_n} "
+                   f"K={cf.big_k} n={cf.n} k={cf.k} breaks the closed "
+                   f"forms")
+        return EXIT_VERIFY_FAIL
+    if not ranks_hold(cf):
+        _print_err(f"not a valid code: rank_s={len(cf.s_rows)} "
+                   f"rank_n={len(cf.n_rows)} break the rank closed forms")
+        return EXIT_VERIFY_FAIL
     duality = verify_duality(code)
     if not duality.passed:
         _print_err("not a valid code: "

@@ -1,11 +1,14 @@
 """Minimum symplectic weight over the normalizer-minus-stabilizer coset.
 
 Exact mode enumerates all 2^rank(N) combinations of the reduced
-normalizer generators by Gray code (one row XOR per step), skipping
-members of the stabilizer span, and is partitionable into disjoint
-index ranges whose results combine by minimum — the outcome is
-independent of the partition count.  The inner loop is
-:func:`stabcat._distpure.gray_scan`.
+normalizer generators in Gray order, skipping members of the
+stabilizer span, and is partitionable into disjoint index ranges whose
+results combine by minimum — the outcome is independent of the
+partition count.  The kernel is :func:`stabcat._distpure.gray_scan`:
+it walks the indices in chunks of 2^10 words, each one XOR of a high
+word with a shared table, on words lifted so that popcount is twice
+the symplectic weight; only a chunk whose minimum beats the best so
+far is walked word by word.
 
 Sampled mode draws uniform random normalizer codewords and reports the
 minimum weight seen, an upper bound on the true distance only.
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field as dc_field
+from itertools import chain, repeat
 
 from .concat import (StabilizerCodeL, SymplecticVector,
                      designated_half_tuple, get_expander)
@@ -212,13 +216,44 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
                            seed: int | None = None) -> CountingReport:
     """Check the three counting claims over codewords of N \\ S.
 
-    Exhaustive mode walks every normalizer combination by Gray code
-    (same budget as :func:`exact_distance`); sampled mode draws
-    ``trials`` seeded uniform normalizer codewords.  Stabilizer members
-    are never examined.
+    Exhaustive mode walks every normalizer combination in Gray order
+    (same budget as :func:`exact_distance`) through
+    :func:`stabcat._distpure.gray_chunks`; sampled mode draws ``trials``
+    seeded uniform normalizer codewords through an :class:`XorTable`.
+    Both combine normalizer rows that carry their stabilizer residue
+    ``s_span.reduce(x)`` above bit 2n.  The residue is linear in x, so a
+    combined word lies in S iff its bits from 2n up are zero; stabilizer
+    members are never examined.
     """
-    exp = get_expander(code.field, code.basis)
+    shift = 2 * code.n
+    outside = 1 << shift  # a combined word is >= this iff it is not in S
     s_span = code.s_span
+    rows = [x | (s_span.reduce(x) << shift) for x in code.n_matrix]
+    r = code.rank_n
+    if mode == "exhaustive":
+        if r > MAX_EXACT_RANK:
+            raise DistanceError(
+                f"rank(N) = {r} exceeds the exhaustive budget; use "
+                f"sampled mode")
+        tagged = chain.from_iterable(
+            filter(outside.__le__, map(high.__xor__, low))
+            for _first, high, low in _distpure.gray_chunks(rows, 0, 1 << r))
+    elif mode == "sampled":
+        if trials is None or trials < 1:
+            raise DistanceError("sampled mode needs trials >= 1")
+        rng = random.Random(seed)
+        tagged = filter(outside.__le__, map(
+            XorTable(rows).combine, map(rng.getrandbits, repeat(r, trials))))
+    else:
+        raise DistanceError(f"unknown mode {mode!r}")
+    return _count_claims(code, mode, map((outside - 1).__and__, tagged),
+                         seed)
+
+
+def _count_claims(code: StabilizerCodeL, mode: str, words,
+                  seed: int | None) -> CountingReport:
+    """Tally the counting claims over ``words`` (codewords of N \\ S)."""
+    exp = get_expander(code.field, code.basis)
     blocks_thr = code.big_k + 1
     distinct_thr = math.ceil((code.big_k + 1) / (1 << code.m))
     mult_thr = 1 << code.m
@@ -229,9 +264,7 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
     max_mult = 0
     examined = 0
     violations: list = []
-
-    def consider(word: int) -> None:
-        nonlocal min_blocks, min_distinct, max_mult, examined
+    for word in words:
         examined += 1
         nb, nd, mm = _examine(code, word, memo, exp)
         if nb < min_blocks:
@@ -244,33 +277,6 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
                 len(violations) < 8:
             violations.append({"word": word, "nonzero_blocks": nb,
                                "distinct_tuples": nd, "multiplicity": mm})
-
-    if mode == "exhaustive":
-        r = code.rank_n
-        if r > MAX_EXACT_RANK:
-            raise DistanceError(
-                f"rank(N) = {r} exceeds the exhaustive budget; use "
-                f"sampled mode")
-        gens = code.n_matrix
-        x = 0
-        for idx in range(1, 1 << r):
-            x ^= gens[(idx & -idx).bit_length() - 1]
-            if in_span(s_span, x):
-                continue
-            consider(x)
-    elif mode == "sampled":
-        if trials is None or trials < 1:
-            raise DistanceError("sampled mode needs trials >= 1")
-        rng = random.Random(seed)
-        r = code.rank_n
-        combine = XorTable(code.n_matrix).combine
-        for _ in range(trials):
-            x = combine(rng.getrandbits(r))
-            if in_span(s_span, x):
-                continue
-            consider(x)
-    else:
-        raise DistanceError(f"unknown mode {mode!r}")
 
     if examined == 0:
         raise DistanceError("no codeword outside the stabilizer examined")

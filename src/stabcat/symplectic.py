@@ -9,14 +9,17 @@ zero elsewhere.  RREF is unique per row space, which the file verifier
 relies on to detect mutated generator files.  :class:`Rref` is the one
 elimination routine: spans, membership tests, the RREF check and the
 inversion of the block map all go through it.  :class:`XorTable` is the
-one way to XOR many subsets of a fixed row list: the distance sampler
-and the orthogonality check both go through it.
+one way to XOR many subsets of a fixed row list: the distance sampler,
+the sampled counting check, the orthogonality check and the
+containment test (:func:`first_outside`) go through it.
 """
 
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass, field as dc_field
+from itertools import chain, islice
 
 
 def lowest_bit(x: int) -> int:
@@ -142,6 +145,31 @@ def in_span(span: Rref, x: int) -> bool:
     return span.reduce(x) == 0
 
 
+def first_outside(span: Rref, rows) -> int | None:
+    """Index of the first of ``rows`` outside the span, or None.
+
+    In canonical RREF the coefficient of each span row in x is x's bit
+    at that row's pivot, so x lies in the span iff it equals the XOR of
+    the rows its pivot bits select.  The pivot bits are gathered from
+    x's bit string and combined through one :class:`XorTable`, so many
+    rows cost one table instead of one :meth:`Rref.reduce` each.
+    """
+    if not span.rows:
+        return next((i for i, x in enumerate(rows) if x), None)
+    combine = XorTable(span.rows).combine
+    width = span.pivots[-1] + 1
+    low = (1 << width) - 1
+    # string index width-1-p holds bit p; the last pivot comes first, so
+    # that the joined pivot bits read as the selector, row j at bit j
+    gather = operator.itemgetter(*[width - 1 - p
+                                   for p in reversed(span.pivots)])
+    for i, x in enumerate(rows):
+        bits = "".join(gather(format(x & low, f"0{width}b")))
+        if combine(int(bits, 2)) != x:
+            return i
+    return None
+
+
 def is_rref(rows) -> bool:
     """True iff the rows literally are their own canonical RREF.
 
@@ -191,7 +219,11 @@ def symplectic_weight(x) -> int:
 
 @dataclass
 class DualityReport:
-    """Outcome of the stabilizer/normalizer symplectic-duality check."""
+    """Outcome of the stabilizer/normalizer symplectic-duality check.
+
+    ``failures`` lists the first ``FAILURES_KEPT`` failures in report
+    order; ``failures_omitted`` counts the rest.
+    """
 
     all_orthogonal: bool
     dims_complementary: bool
@@ -200,12 +232,17 @@ class DualityReport:
     rank_n: int
     n_products: int
     failures: list = dc_field(default_factory=list)
+    failures_omitted: int = 0
 
     @property
     def passed(self) -> bool:
         return self.all_orthogonal and self.dims_complementary and \
             self.contained
 
+
+#: failures listed by :func:`verify_duality`; ``verify`` prints 8 and
+#: ``distance`` 1, and a corrupted file can fail on every (S, N) row pair
+FAILURES_KEPT = 8
 
 #: columns of N per table in :func:`symplectic_products`; bounds the
 #: transposed strings and the table to about 1024 columns at a time
@@ -251,38 +288,47 @@ def verify_duality(code) -> DualityReport:
     Three conditions: (a) every stabilizer row has symplectic product 0
     with every normalizer row, (b) rank(S) + rank(N) = 2n, and
     (c) the stabilizer row space is contained in the normalizer's
-    (weak self-duality).  Failures are enumerated with witnessing rows.
-    All rank(S)·rank(N) products of (a) come from
-    :func:`symplectic_products` (table lookups, not one product per
-    pair); orthogonality failures are listed by stabilizer row, then by
-    ascending normalizer row.
+    (weak self-duality).  Failures are listed with witnessing rows, up
+    to ``FAILURES_KEPT`` of them.  All rank(S)·rank(N) products of (a)
+    come from :func:`symplectic_products` (table lookups, not one
+    product per pair); orthogonality failures come first, by stabilizer
+    row, then by ascending normalizer row.  Containment (c) is one
+    :func:`first_outside` over the normalizer span.
     """
     n = code.n
-    failures = []
-    for i, v in enumerate(symplectic_products(code.s_matrix,
-                                              code.n_matrix, n)):
-        while v:
-            low = v & -v
-            failures.append(("orthogonality", i, low.bit_length() - 1))
-            v ^= low
+    prods = symplectic_products(code.s_matrix, code.n_matrix, n)
     rank_s = len(code.s_matrix)
     rank_n = len(code.n_matrix)
     dims_ok = rank_s + rank_n == 2 * n
-    if not dims_ok:
-        failures.append(("dimensions", rank_s, rank_n))
     try:
         n_span = code.n_span
     except RrefError:  # stored rows not canonical: span their reduction
         n_span = Rref(row_reduce(code.n_matrix)[1])
-    bad = [i for i, r in enumerate(code.s_matrix) if not in_span(n_span, r)]
-    if bad:
-        failures.append(("containment", bad[0], None))
+    bad = first_outside(n_span, code.s_matrix)
+    others = []
+    if not dims_ok:
+        others.append(("dimensions", rank_s, rank_n))
+    if bad is not None:
+        others.append(("containment", bad, None))
+    n_orthogonality = sum(map(int.bit_count, prods))
+    failures = list(islice(chain(_orthogonality_failures(prods), others),
+                           FAILURES_KEPT))
     return DualityReport(
-        all_orthogonal=not any(f[0] == "orthogonality" for f in failures),
+        all_orthogonal=n_orthogonality == 0,
         dims_complementary=dims_ok,
-        contained=not bad,
+        contained=bad is None,
         rank_s=rank_s,
         rank_n=rank_n,
         n_products=rank_s * rank_n,
         failures=failures,
+        failures_omitted=n_orthogonality + len(others) - len(failures),
     )
+
+
+def _orthogonality_failures(prods):
+    """("orthogonality", i, j) for each set bit j of each prods[i]."""
+    for i, v in enumerate(prods):
+        while v:
+            low = v & -v
+            yield "orthogonality", i, low.bit_length() - 1
+            v ^= low

@@ -1,5 +1,6 @@
 """CLI command tests driven through main() with captured output."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -251,6 +252,33 @@ class TestDistanceCmd:
             assert captured.err == (
                 "stabcat: not a valid code: stabilizer row 0 is not "
                 "orthogonal to normalizer row 1\n")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("m", 2, "header m=2 N=3 K=1 n=18 k=2 breaks the closed forms"),
+        ("big_n", 5, "header m=1 N=5 K=1 n=18 k=2 breaks the closed forms"),
+        ("big_k", 0, "header m=1 N=3 K=0 n=18 k=2 breaks the closed forms"),
+        ("k", 4, "header m=1 N=3 K=1 n=18 k=4 breaks the closed forms"),
+        ("s_rows", 15, "rank_s=15 rank_n=20 break the rank closed forms"),
+        ("n_rows", 19, "rank_s=16 rank_n=19 break the rank closed forms"),
+    ])
+    def test_header_and_ranks_checked(self, m1k1_path, tmp_path, capsys,
+                                      field, value, message):
+        cf = codefile.load(m1k1_path)
+        if field in ("s_rows", "n_rows"):  # drop the last rows
+            value = getattr(cf, field)[:value]
+        changes = {field: value}
+        if field == "m":  # keep the field valid: x^4 + x + 1
+            changes["modulus"] = 0x13
+        bad = tmp_path / "bad_header.code"
+        codefile.store(dataclasses.replace(cf, **changes), bad)
+        assert main(["verify", str(bad)]) == EXIT_VERIFY_FAIL
+        capsys.readouterr()
+        for method in ("exact", "sample"):
+            assert main(["distance", str(bad), "--method", method]) == \
+                EXIT_VERIFY_FAIL
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"stabcat: not a valid code: {message}\n"
 
     def test_duality_looked_up_through_cli(self, m1k1_path, monkeypatch,
                                            capsys):

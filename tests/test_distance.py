@@ -1,14 +1,17 @@
-"""Distance search tests: kernel oracle, fixtures, and counting claims.
+"""Distance search tests: kernel oracles, fixtures, and counting claims.
 
-The Gray-scan kernel is checked against a brute-force oracle that
-XORs every explicit generator subset; the m=1 exact distances are
-frozen fixtures computed by that enumeration under the recorded field
-(modulus 0x7, basis (0x2, 0x3)).
+The chunked Gray-scan kernel is checked against a brute-force oracle
+that XORs every explicit generator subset and against the per-step
+Gray loop it replaced; the m=1 exact distances are frozen fixtures
+computed by that enumeration under the recorded field (modulus 0x7,
+basis (0x2, 0x3)).
 """
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabcat import _distpure, distance
 from stabcat.distance import (DistanceError, MAX_EXACT_RANK,
@@ -77,6 +80,85 @@ class TestGrayScanKernels:
                 if w >= 0 and (best is None or (w, idx) < best[:2]):
                     best = (w, idx, x)
             assert best == tuple(full)
+
+
+def stepwise_gray_scan(gens, n, s_pivots, start, stop):
+    """Oracle: the per-step Gray scan that the chunked walk replaced,
+    one row XOR and one weight per combination index."""
+    mask = (1 << n) - 1
+    best_w = -1
+    best_idx = -1
+    best_x = 0
+    x = xor_rows(gens, start ^ (start >> 1))
+    idx = start
+    while idx < stop:
+        if idx != start:
+            x ^= gens[(idx & -idx).bit_length() - 1]
+        if idx != 0:
+            w = ((x | (x >> n)) & mask).bit_count()
+            if best_w < 0 or w < best_w:
+                y = x
+                for p, r in s_pivots:
+                    if (y >> p) & 1:
+                        y ^= r
+                if y:
+                    best_w = w
+                    best_idx = idx
+                    best_x = x
+        idx += 1
+    return best_w, best_idx, best_x
+
+
+@st.composite
+def scan_cases(draw):
+    """Random generator lists (zero and repeated rows allowed), an RREF
+    span to exclude, an index range [start, stop) that may cut chunks
+    anywhere, and a chunk width."""
+    n = draw(st.integers(1, 12))
+    word = st.integers(0, (1 << (2 * n)) - 1)
+    gens = draw(st.lists(word, min_size=0, max_size=14))
+    if draw(st.booleans()):  # exclude part of the generators' span
+        s_rows = row_reduce(gens[:draw(st.integers(0, len(gens)))])[1]
+    else:
+        s_rows = row_reduce(draw(st.lists(word, max_size=6)))[1]
+    total = 1 << len(gens)
+    start = draw(st.integers(0, total - 1))
+    stop = draw(st.integers(start, total))
+    chunk_bits = draw(st.sampled_from((1, 2, 3, _distpure.CHUNK_BITS)))
+    return gens, n, pivot_pairs(s_rows), start, stop, chunk_bits
+
+
+class TestChunkedGrayScan:
+    @settings(max_examples=400, deadline=None)
+    @given(scan_cases())
+    def test_matches_stepwise_scan(self, case):
+        gens, n, s_pivots, start, stop, chunk_bits = case
+        with mock.patch.object(_distpure, "CHUNK_BITS", chunk_bits):
+            got = _distpure.gray_scan(gens, n, s_pivots, start, stop)
+        assert got == stepwise_gray_scan(gens, n, s_pivots, start, stop)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_lift_is_linear_and_doubles_weight(self, data):
+        n = data.draw(st.integers(1, 64))
+        word = st.integers(0, (1 << (2 * n)) - 1)
+        x, y = data.draw(word), data.draw(word)
+        lift = _distpure.lift
+        assert lift(x ^ y, n) == lift(x, n) ^ lift(y, n)
+        assert lift(x, n).bit_count() == 2 * symplectic_weight_packed(x, n)
+        assert lift(x, n) & ((1 << (2 * n)) - 1) == x
+
+    @pytest.mark.parametrize("chunk_bits", [1, 3, 10])
+    def test_chunks_list_every_index_once(self, chunk_bits):
+        rows = [1 << j for j in range(7)]  # word at idx is gray(idx)
+        with mock.patch.object(_distpure, "CHUNK_BITS", chunk_bits):
+            for start, stop in ((0, 128), (5, 6), (3, 77), (64, 128)):
+                words = []
+                for first, high, low in _distpure.gray_chunks(
+                        rows, start, stop):
+                    assert first == start + len(words)
+                    words += [high ^ t for t in low]
+                assert words == [i ^ (i >> 1) for i in range(start, stop)]
 
 
 class TestExactDistance:
@@ -212,6 +294,42 @@ class TestSamplerOracle:
                 one_shot = verify_counting_claims(code, mode="sampled",
                                                   trials=300, seed=seed)
             assert table == one_shot
+
+
+def in_span_walk(code):
+    """Oracle: the exhaustive counting walk before the residue-carrying
+    rows, one row XOR and one in_span test per combination index."""
+    gens = code.n_matrix
+    x = 0
+    for idx in range(1, 1 << code.rank_n):
+        x ^= gens[(idx & -idx).bit_length() - 1]
+        if not in_span(code.s_span, x):
+            yield x
+
+
+def in_span_samples(code, trials, seed):
+    """Oracle: the sampled counting draws with an in_span test each."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        x = xor_rows(code.n_matrix, rng.getrandbits(code.rank_n))
+        if not in_span(code.s_span, x):
+            yield x
+
+
+class TestCountingOracle:
+    def test_exhaustive_m1k1(self, code_m1k1):
+        got = verify_counting_claims(code_m1k1, mode="exhaustive")
+        assert got == distance._count_claims(
+            code_m1k1, "exhaustive", in_span_walk(code_m1k1), None)
+        assert got.examined == 983040
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sampled(self, code_m1k1, code_m2k3, seed):
+        for code in (code_m1k1, code_m2k3):
+            got = verify_counting_claims(code, mode="sampled", trials=500,
+                                         seed=seed)
+            assert got == distance._count_claims(
+                code, "sampled", in_span_samples(code, 500, seed), seed)
 
 
 class TestCountingClaims:

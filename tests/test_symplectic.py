@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabcat import symplectic
-from stabcat.concat import SymplecticVector
+from stabcat.concat import SymplecticVector, build_code
 from stabcat.symplectic import (DualityReport, Rref, RrefError, XorTable,
-                                in_span, is_rref, row_reduce,
+                                first_outside, in_span, is_rref, row_reduce,
                                 symplectic_product,
                                 symplectic_product_packed, symplectic_weight,
                                 verify_duality, xor_rows)
@@ -211,7 +211,9 @@ class TestXorTable:
 
 def pairwise_duality(code) -> DualityReport:
     """Oracle: verify_duality with one symplectic product per row pair,
-    the loop that the table-driven orthogonality check replaced."""
+    the loop that the table-driven orthogonality check replaced; every
+    failure is listed, then all but the first FAILURES_KEPT are counted
+    instead."""
     n = code.n
     failures = []
     count = 0
@@ -229,10 +231,12 @@ def pairwise_duality(code) -> DualityReport:
     bad = [i for i, r in enumerate(code.s_matrix) if not in_span(n_span, r)]
     if bad:
         failures.append(("containment", bad[0], None))
+    kept = symplectic.FAILURES_KEPT
     return DualityReport(
         all_orthogonal=not any(f[0] == "orthogonality" for f in failures),
         dims_complementary=dims_ok, contained=not bad, rank_s=rank_s,
-        rank_n=rank_n, n_products=count, failures=failures)
+        rank_n=rank_n, n_products=count, failures=failures[:kept],
+        failures_omitted=max(len(failures) - kept, 0))
 
 
 @st.composite
@@ -286,6 +290,25 @@ class TestOrthogonalityOracle:
         assert rep.failures == pairwise_duality(wide).failures
 
 
+class TestFirstOutside:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_in_span(self, data):
+        width = data.draw(st.integers(1, 80))
+        word = st.integers(0, (1 << width) - 1)
+        span = Rref(row_reduce(data.draw(st.lists(word, max_size=12)))[1])
+        # members, non-members and words with bits above every pivot
+        members = [xor_rows(span.rows, b) for b in data.draw(
+            st.lists(st.integers(0, (1 << span.rank) - 1), max_size=6))]
+        rows = data.draw(st.permutations(
+            members + data.draw(st.lists(word, max_size=4))))
+        if data.draw(st.booleans()):
+            rows = [r | (1 << (width + 2)) for r in rows]
+        want = next((i for i, r in enumerate(rows)
+                     if not in_span(span, r)), None)
+        assert first_outside(span, rows) == want
+
+
 class TestVerifyDuality:
     def test_m1_codes(self, code_m1k1, code_m1k0):
         for code, rank_s, rank_n in ((code_m1k1, 16, 20),
@@ -312,6 +335,18 @@ class TestVerifyDuality:
         assert not is_rref(same_span.n_matrix)
         rep = verify_duality(same_span)
         assert rep.contained and rep.passed
+
+    def test_failure_list_bounded(self):
+        # Every stabilizer row XORed with random bits: hundreds of
+        # thousands of failing pairs, of which the first few are listed.
+        code = build_code(3, 10)
+        rng = random.Random(7)
+        bad = replace(code, s_matrix=tuple(
+            r ^ rng.getrandbits(2 * code.n) for r in code.s_matrix))
+        rep = verify_duality(bad)
+        assert len(rep.failures) == symplectic.FAILURES_KEPT
+        assert rep.failures_omitted > 100000
+        assert rep == pairwise_duality(bad)
 
     def test_failure_enumerates_witnesses(self, code_m1k1):
         # Corrupt one stabilizer row; the report must name a bad pair.
