@@ -17,7 +17,7 @@ from .bounds import BoundsError, CURVE_NAMES, curve_csv_rows, delta_curve
 from .concat import ConcatError, build_code, check_block_injectivity
 from .distance import (DistanceError, exact_distance,
                        sampled_distance_upper)
-from .field import FieldError, Field, gram_matrix
+from .field import DEFAULT_MAX_DEGREE, FieldError, Field, gram_matrix
 from .rs import RsError
 from .symplectic import RrefError, is_rref, verify_duality
 
@@ -62,8 +62,15 @@ def cmd_construct(args) -> int:
 # ----------------------------------------------------------------------
 
 def header_holds(cf: codefile.CodeFile) -> bool:
-    """The header's m, N, K, n, k satisfy the construction's closed forms."""
+    """The header's m, N, K, n, k satisfy the construction's closed forms.
+
+    An m whose field degree 2m lies outside the field's degree cap fails
+    before N is compared with 2^(2m) - 1, so no header builds a huge or
+    negative shift.
+    """
     m, big_n, big_k = cf.m, cf.big_n, cf.big_k
+    if not 1 <= 2 * m <= DEFAULT_MAX_DEGREE:
+        return False
     return (big_n == (1 << (2 * m)) - 1
             and 0 <= big_k <= big_n // 2
             and cf.n == big_n * (4 * m + 2)

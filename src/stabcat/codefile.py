@@ -181,4 +181,9 @@ def load(path) -> CodeFile:
         text = Path(path).read_text(encoding="ascii")
     except OSError as exc:
         raise CodeFileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # exc.object: the bytes read
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CodeFileError(
+            f"line {lineno}: non-ASCII byte 0x{exc.object[exc.start]:02x}") \
+            from None
     return loads(text)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -103,12 +104,48 @@ class TestVerify:
         assert main(["verify", str(m9_header_path)]) == EXIT_VERIFY_FAIL
         assert "field: FAIL" in capsys.readouterr().out.split("\n")
 
+    @pytest.mark.parametrize("m", ["-1", "4000000000"])
+    def test_hostile_m_fails_header_and_field(self, m1k1_path, tmp_path,
+                                              capsys, m):
+        lines = m1k1_path.read_text().split("\n")
+        assert lines[1] == "m 1"
+        lines[1] = f"m {m}"
+        bad = tmp_path / "hostile_m.code"
+        bad.write_text("\n".join(lines))
+        tracemalloc.start()
+        try:
+            rc = main(["verify", str(bad)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_VERIFY_FAIL
+        out = capsys.readouterr().out.split("\n")
+        assert "header: FAIL" in out and "field: FAIL" in out
+        assert peak < 4 << 20  # a 2^(2m) shift would need gigabytes
+        assert main(["distance", str(bad)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"stabcat: extension degree {2 * int(m)} outside supported "
+            f"range [1, 16]\n")
+
     def test_truncated_file(self, m1k1_path, tmp_path, capsys):
         mutated = tmp_path / "short.code"
         mutated.write_text(
             "\n".join(m1k1_path.read_text().split("\n")[:15]) + "\n")
         assert main(["verify", str(mutated)]) == EXIT_IO
         assert "line" in capsys.readouterr().err
+
+    def test_non_ascii_byte(self, m1k1_path, tmp_path, capsys):
+        data = bytearray(m1k1_path.read_bytes())
+        data[data.index(b"\n", data.index(b"rank_n")) + 3] = 0xff
+        bad = tmp_path / "non_ascii.code"
+        bad.write_bytes(bytes(data))
+        for command in ("verify", "distance", "export"):
+            assert main([command, str(bad)]) == EXIT_IO
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "stabcat: line 11: non-ASCII byte 0xff\n"
 
     def test_missing_file(self, capsys):
         assert main(["verify", "/no/such/file.code"]) == EXIT_IO

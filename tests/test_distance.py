@@ -7,16 +7,22 @@ computed by that enumeration under the recorded field (modulus 0x7,
 basis (0x2, 0x3)).
 """
 
+import dataclasses
+import functools
+import math
 import random
+from itertools import chain
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabcat import _distpure, distance
+from stabcat.concat import designated_half_tuple, get_expander
 from stabcat.distance import (DistanceError, MAX_EXACT_RANK,
                               exact_distance, sampled_distance_upper,
                               verify_counting_claims)
+from stabcat.field import build_field, find_self_dual_basis
 from stabcat.symplectic import (Rref, in_span, row_reduce,
                                 symplectic_weight_packed, xor_rows)
 
@@ -296,6 +302,70 @@ class TestSamplerOracle:
             assert table == one_shot
 
 
+def examine(code, word, memo, exp):
+    """Oracle: (nonzero blocks, distinct designated tuples, max
+    multiplicity) of one word, by a loop over its blocks with a
+    (block, u-bits, v-bits) memo; the per-word loop the class tables
+    replaced."""
+    w = exp.block_width
+    mask = (1 << w) - 1
+    u = word & ((1 << code.n) - 1)
+    v = word >> code.n
+    nonzero = 0
+    counts = {}
+    for i in range(code.big_n):
+        ub = (u >> (i * w)) & mask
+        vb = (v >> (i * w)) & mask
+        if not (ub | vb):
+            continue
+        nonzero += 1
+        key = (i, ub, vb)
+        if key not in memo:
+            memo[key] = distance.designated_half_tuple(exp, i, ub, vb)
+        tup = memo[key]
+        if tup is not None:
+            counts[tup] = counts.get(tup, 0) + 1
+    if counts:
+        return nonzero, len(counts), max(counts.values())
+    return nonzero, 0, 0
+
+
+def count_claims(code, mode, words, seed):
+    """Oracle: the counting report tallied word by word over ``words``
+    (codewords of N \\ S), the first 8 violations in order."""
+    exp = get_expander(code.field, code.basis)
+    blocks_thr = code.big_k + 1
+    distinct_thr = math.ceil((code.big_k + 1) / (1 << code.m))
+    mult_thr = 1 << code.m
+    memo = {}
+    examined = 0
+    min_blocks = min_distinct = code.big_n + 1
+    max_mult = 0
+    violations = []
+    for word in words:
+        nb, nd, mm = examine(code, word, memo, exp)
+        examined += 1
+        min_blocks = min(min_blocks, nb)
+        min_distinct = min(min_distinct, nd)
+        max_mult = max(max_mult, mm)
+        if (nb < blocks_thr or nd < distinct_thr or mm > mult_thr) and \
+                len(violations) < 8:
+            violations.append({"word": word, "nonzero_blocks": nb,
+                               "distinct_tuples": nd, "multiplicity": mm})
+    return distance.CountingReport(
+        mode=mode, examined=examined,
+        claim_blocks=min_blocks >= blocks_thr,
+        claim_distinct=min_distinct >= distinct_thr,
+        claim_mult=max_mult <= mult_thr,
+        min_nonzero_blocks=min_blocks,
+        min_distinct_tuples=min_distinct,
+        max_multiplicity=max_mult,
+        blocks_threshold=blocks_thr,
+        distinct_threshold=distinct_thr,
+        mult_threshold=mult_thr,
+        seed=seed, violations=violations)
+
+
 def in_span_walk(code):
     """Oracle: the exhaustive counting walk before the residue-carrying
     rows, one row XOR and one in_span test per combination index."""
@@ -305,6 +375,19 @@ def in_span_walk(code):
         x ^= gens[(idx & -idx).bit_length() - 1]
         if not in_span(code.s_span, x):
             yield x
+
+
+def residue_walk(code):
+    """The words of N \\ S in Gray order, as one chunked walk over rows
+    carrying their stabilizer residue (equal to ``in_span_walk``, which
+    takes ten times as long)."""
+    shift = 2 * code.n
+    rows = [x | (code.s_span.reduce(x) << shift) for x in code.n_matrix]
+    for _first, high, low in _distpure.gray_chunks(rows, 0,
+                                                   1 << code.rank_n):
+        for z in map(high.__xor__, low):
+            if z >> shift:
+                yield z & ((1 << shift) - 1)
 
 
 def in_span_samples(code, trials, seed):
@@ -319,7 +402,7 @@ def in_span_samples(code, trials, seed):
 class TestCountingOracle:
     def test_exhaustive_m1k1(self, code_m1k1):
         got = verify_counting_claims(code_m1k1, mode="exhaustive")
-        assert got == distance._count_claims(
+        assert got == count_claims(
             code_m1k1, "exhaustive", in_span_walk(code_m1k1), None)
         assert got.examined == 983040
 
@@ -328,8 +411,123 @@ class TestCountingOracle:
         for code in (code_m1k1, code_m2k3):
             got = verify_counting_claims(code, mode="sampled", trials=500,
                                          seed=seed)
-            assert got == distance._count_claims(
+            assert got == count_claims(
                 code, "sampled", in_span_samples(code, 500, seed), seed)
+
+
+def constant_tuple(exp, i, b_bits, c_bits):
+    """Stand-in for designated_half_tuple: every block the same tuple."""
+    return (1,) * (2 * exp.m + 1)
+
+
+# Forced violations: a K above the code's own raises the block and
+# distinct-tuple thresholds; one constant tuple for every block makes a
+# single tuple repeat in every nonzero block.
+FORCED = {
+    "blocks": (True, None),
+    "constant": (False, constant_tuple),
+    "blocks+constant": (True, constant_tuple),
+}
+
+
+def forced_case(code, case, monkeypatch):
+    """The code with the case's K (m=1: K=2; m=2: K=15) and patch."""
+    raise_k, tup = FORCED[case]
+    if raise_k:
+        code = dataclasses.replace(code, big_k=2 if code.m == 1 else 15)
+    if tup is not None:
+        monkeypatch.setattr(distance, "designated_half_tuple", tup)
+    return code
+
+
+class TestCountingViolations:
+    # between them these two cases fail all three claims at m=1
+    @pytest.mark.parametrize("case", ["blocks", "blocks+constant"])
+    def test_exhaustive(self, code_m1k1, case, monkeypatch):
+        code = forced_case(code_m1k1, case, monkeypatch)
+        got = verify_counting_claims(code, mode="exhaustive")
+        assert got == count_claims(code, "exhaustive", residue_walk(code),
+                                   None)
+        assert got.examined == 983040
+        assert len(got.violations) == 8
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("case", FORCED)
+    def test_sampled(self, code_m1k1, code_m2k3, case, seed, monkeypatch):
+        for code in (code_m1k1, code_m2k3):
+            code = forced_case(code, case, monkeypatch)
+            got = verify_counting_claims(code, mode="sampled", trials=300,
+                                         seed=seed)
+            assert got == count_claims(
+                code, "sampled", in_span_samples(code, 300, seed), seed)
+            assert got.violations
+
+    def test_every_claim_fails_somewhere(self, code_m1k1, monkeypatch):
+        failed = set()
+        for case in FORCED:
+            with monkeypatch.context() as mp:
+                code = forced_case(code_m1k1, case, mp)
+                rep = verify_counting_claims(code, mode="sampled",
+                                             trials=300, seed=0)
+            failed |= {name for name in ("blocks", "distinct", "mult")
+                       if not getattr(rep, f"claim_{name}")}
+        assert failed == {"blocks", "distinct", "mult"}
+
+
+@st.composite
+def block_inputs(draw, exp):
+    """(block, a_i, a_{N+i}, s_i, t_i) for a random block of ``exp``."""
+    bits = st.tuples(*[st.integers(0, 1)] * (exp.m + 1))
+    symbol = st.integers(0, exp.field.order - 1)
+    return (draw(st.integers(0, exp.n_blocks - 1)), draw(symbol),
+            draw(symbol), draw(bits), draw(bits))
+
+
+@functools.cache
+def expander(m):
+    f = build_field(2 * m)
+    return get_expander(f, find_self_dual_basis(f))
+
+
+class TestClassTables:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_ids_decode_to_designated_tuples(self, data):
+        exp = expander(data.draw(st.sampled_from((1, 2))))
+        classes = distance.ClassTables(exp)
+        w = exp.block_width
+        ids = {}  # designated tuple -> class id, across blocks
+        for _ in range(data.draw(st.integers(1, 24))):
+            i, a_i, a_ni, s_i, t_i = data.draw(block_inputs(exp))
+            b, c = exp.expand_block(i, a_i, a_ni, s_i, t_i)
+            table = classes.tables[i]
+            cid = table[b | (c << w)] >> table.shift
+            assert 0 <= cid < 1 << classes.field_bits
+            tup = designated_half_tuple(exp, i, b, c)
+            if not (a_i or a_ni or any(s_i) or any(t_i)):
+                assert cid == 0
+            elif tup is None:
+                assert not (a_i or a_ni)
+                assert cid == 1
+            else:
+                assert classes.tuples[cid - 2] == tup
+                assert ids.setdefault(tup, cid) == cid
+
+    def test_signature_matches_walk(self, code_m1k1):
+        # the per-word signature (sampled mode) equals the zipped
+        # per-block walks (exhaustive mode) on every word
+        shift = 2 * code_m1k1.n
+        rows = [x | (code_m1k1.s_span.reduce(x) << shift)
+                for x in code_m1k1.n_matrix]
+        classes = distance.ClassTables(
+            get_expander(code_m1k1.field, code_m1k1.basis))
+        walked = list(chain.from_iterable(
+            distance._walk_signatures(classes, rows, 12)))
+        words = chain.from_iterable(
+            map(high.__xor__, low)
+            for _f, high, low in _distpure.gray_chunks(rows, 0, 1 << 12))
+        assert walked == list(map(classes.signature, words))
+        assert len(walked) == 1 << 12
 
 
 class TestCountingClaims:
