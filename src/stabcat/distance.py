@@ -20,11 +20,12 @@ tuples take at least ceil((K+1)/2^m) distinct nonzero values, and no
 value repeats more than 2^m times.  These facts depend on a word only
 through the class of each block (zero, s/t content only, or its
 designated tuple), so each block has a class table keyed by its bits
-(:class:`ClassTables`), a word is reduced to the signature of its block
-classes, and the claims are evaluated once per distinct signature.  The
-exhaustive check walks the Gray chunks of every block key side by side;
-at m=1 K=1 its 2^20 words have 3,176 distinct signatures, and the
-983,040 words outside S have 2,592.
+(:class:`ClassTables`) and a word is reduced to the signature of its
+block classes.  The exhaustive check walks the Gray chunks of every
+block key side by side and evaluates the claims once per distinct
+signature: at m=1 K=1 its 2^20 words have 3,176 distinct signatures,
+and the 983,040 words outside S have 2,592.  Sampled draws rarely share
+a signature, so the sampled check scores each draw as it comes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import or_
 
 from .concat import (StabilizerCodeL, SymplecticVector,
@@ -239,8 +240,7 @@ class ClassTables:
         self.n = exp.n_blocks * exp.block_width
         # ids run up to 4^(2m+1) + 1: one per quaternary (2m+1)-tuple
         self.field_bits = ((1 << (4 * exp.m + 2)) + 1).bit_length()
-        self.tuples: list = []  # class id - 2 -> designated tuple
-        self._ids: dict = {}
+        self.ids: dict = {}  # designated tuple -> class id
         self.tables = [BlockClasses(self, i) for i in range(exp.n_blocks)]
 
     def classify(self, i: int, key: int) -> int:
@@ -252,19 +252,22 @@ class ClassTables:
                                     key >> w)
         if tup is None:
             return 1
-        cid = self._ids.get(tup)
+        cid = self.ids.get(tup)
         if cid is None:
-            cid = self._ids[tup] = len(self.tuples) + 2
-            self.tuples.append(tup)
+            cid = self.ids[tup] = len(self.ids) + 2
         return cid
 
     def signature(self, x: int) -> int:
         """Signature of a word carrying its stabilizer residue above 2n."""
         n = self.n
         w = self.exp.block_width
+        mask = (1 << w) - 1
         sig = int(x >> (2 * n) != 0)
-        for i, table in enumerate(self.tables):
-            sig |= table[block_key(x, i, n, w)]
+        u, v = x, x >> n  # block_key of each block in turn
+        for table in self.tables:
+            sig |= table[(u & mask) | ((v & mask) << w)]
+            u >>= w
+            v >>= w
         return sig
 
     def outcome(self, sig: int) -> tuple[int, int, int]:
@@ -321,71 +324,86 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
     members are never examined.
 
     Each word is reduced to its signature through per-block class tables
-    (:class:`ClassTables`): in exhaustive mode one Gray walk per block
-    key, zipped chunk by chunk, in sampled mode keys taken per draw.  The
-    signatures are tallied, and the claims are evaluated once per
-    distinct signature.  Only when one violates a claim is the stream
-    walked again, to list the first 8 violating words in walk order.
+    (:class:`ClassTables`).  Exhaustive mode builds the signatures by one
+    Gray walk per block key, zipped chunk by chunk, tallies them, and
+    evaluates the claims once per distinct signature; only when one
+    violates a claim is the walk repeated, to list the first 8 violating
+    words in walk order.  Sampled draws almost never repeat a signature
+    (all 10^5 distinct at m=2 K=3), so each draw is scored as it comes,
+    in one pass over one seeded stream.
     """
     shift = 2 * code.n
     s_span = code.s_span
     rows = [x | (s_span.reduce(x) << shift) for x in code.n_matrix]
     r = code.rank_n
     classes = ClassTables(get_expander(code.field, code.basis))
+    blocks_thr = code.big_k + 1
+    distinct_thr = math.ceil((code.big_k + 1) / (1 << code.m))
+    mult_thr = 1 << code.m
+    word_mask = (1 << shift) - 1
+
+    def violates(outcome):
+        nb, nd, mm = outcome
+        return nb < blocks_thr or nd < distinct_thr or mm > mult_thr
+
+    def violation(word, outcome):
+        nb, nd, mm = outcome
+        return {"word": word & word_mask, "nonzero_blocks": nb,
+                "distinct_tuples": nd, "multiplicity": mm}
+
+    examined = 0
+    min_blocks = min_distinct = code.big_n + 1
+    max_mult = 0
+    violations: list = []
     if mode == "exhaustive":
         if r > MAX_EXACT_RANK:
             raise DistanceError(
                 f"rank(N) = {r} exceeds the exhaustive budget; use "
                 f"sampled mode")
-
-        def signatures():
-            return chain.from_iterable(_walk_signatures(classes, rows, r))
-
-        def words():
-            return chain.from_iterable(
+        tally = Counter(chain.from_iterable(
+            _walk_signatures(classes, rows, r)))
+        bad = set()
+        for sig, count in tally.items():
+            if not sig & 1:
+                continue
+            outcome = nb, nd, mm = classes.outcome(sig)
+            examined += count
+            min_blocks = min(min_blocks, nb)
+            min_distinct = min(min_distinct, nd)
+            max_mult = max(max_mult, mm)
+            if violates(outcome):
+                bad.add(sig)
+        if bad:
+            words = chain.from_iterable(
                 map(high.__xor__, low)
                 for _f, high, low in _distpure.gray_chunks(rows, 0, 1 << r))
+            sigs = chain.from_iterable(_walk_signatures(classes, rows, r))
+            listed = ((word, sig) for word, sig in zip(words, sigs)
+                      if sig in bad)
+            violations = [violation(word, classes.outcome(sig))
+                          for word, sig in islice(listed, 8)]
     elif mode == "sampled":
         if trials is None or trials < 1:
             raise DistanceError("sampled mode needs trials >= 1")
-
-        def words():
-            rng = random.Random(seed)
-            return map(XorTable(rows).combine,
-                       map(rng.getrandbits, repeat(r, trials)))
-
-        def signatures():
-            return map(classes.signature, words())
+        rng = random.Random(seed)
+        for word in map(XorTable(rows).combine,
+                        map(rng.getrandbits, repeat(r, trials))):
+            sig = classes.signature(word)
+            if not sig & 1:
+                continue
+            outcome = nb, nd, mm = classes.outcome(sig)
+            examined += 1
+            min_blocks = min(min_blocks, nb)
+            min_distinct = min(min_distinct, nd)
+            max_mult = max(max_mult, mm)
+            if len(violations) < 8 and violates(outcome):
+                violations.append(violation(word, outcome))
     else:
         raise DistanceError(f"unknown mode {mode!r}")
-
-    tally = Counter(signatures())
-    outcomes = {sig: classes.outcome(sig) for sig in tally if sig & 1}
-    if not outcomes:
+    if not examined:
         raise DistanceError("no codeword outside the stabilizer examined")
-    blocks_thr = code.big_k + 1
-    distinct_thr = math.ceil((code.big_k + 1) / (1 << code.m))
-    mult_thr = 1 << code.m
-    bad = {sig for sig, (nb, nd, mm) in outcomes.items()
-           if nb < blocks_thr or nd < distinct_thr or mm > mult_thr}
-    violations: list = []
-    if bad:
-        word_mask = (1 << shift) - 1
-        for word, sig in zip(words(), signatures()):
-            if sig in bad:
-                nb, nd, mm = outcomes[sig]
-                violations.append({"word": word & word_mask,
-                                   "nonzero_blocks": nb,
-                                   "distinct_tuples": nd,
-                                   "multiplicity": mm})
-                if len(violations) == 8:
-                    break
-    values = outcomes.values()
-    min_blocks = min(nb for nb, _nd, _mm in values)
-    min_distinct = min(nd for _nb, nd, _mm in values)
-    max_mult = max(mm for _nb, _nd, mm in values)
     return CountingReport(
-        mode=mode, examined=sum(tally[sig] for sig in outcomes),
+        mode=mode, examined=examined,
         claim_blocks=min_blocks >= blocks_thr,
         claim_distinct=min_distinct >= distinct_thr,
         claim_mult=max_mult <= mult_thr,

@@ -462,6 +462,31 @@ class TestCountingViolations:
                 code, "sampled", in_span_samples(code, 300, seed), seed)
             assert got.violations
 
+    @pytest.mark.parametrize("case", FORCED)
+    def test_sampled_unseeded(self, code_m1k1, code_m2k3, case,
+                              monkeypatch):
+        # with seed=None each listed word must be a draw whose own
+        # outcome violates a claim, and the aggregates must cover it
+        for code in (code_m1k1, code_m2k3):
+            code = forced_case(code, case, monkeypatch)
+            got = verify_counting_claims(code, mode="sampled", trials=300)
+            assert not got.passed
+            assert 1 <= len(got.violations) <= 8
+            exp = get_expander(code.field, code.basis)
+            for v in got.violations:
+                word = v["word"]
+                assert in_span(code.n_span, word)
+                assert not in_span(code.s_span, word)
+                nb, nd, mm = examine(code, word, {}, exp)
+                assert (v["nonzero_blocks"], v["distinct_tuples"],
+                        v["multiplicity"]) == (nb, nd, mm)
+                assert (nb < got.blocks_threshold
+                        or nd < got.distinct_threshold
+                        or mm > got.mult_threshold)
+                assert got.min_nonzero_blocks <= nb
+                assert got.min_distinct_tuples <= nd
+                assert got.max_multiplicity >= mm
+
     def test_every_claim_fails_somewhere(self, code_m1k1, monkeypatch):
         failed = set()
         for case in FORCED:
@@ -510,7 +535,7 @@ class TestClassTables:
                 assert not (a_i or a_ni)
                 assert cid == 1
             else:
-                assert classes.tuples[cid - 2] == tup
+                assert classes.ids[tup] == cid
                 assert ids.setdefault(tup, cid) == cid
 
     def test_signature_matches_walk(self, code_m1k1):
