@@ -13,9 +13,15 @@ The scan works on lifted words: a packed 2n-bit row x = (u | v) lifts
 to ``x | ((u ^ v) << 2n)``.  The lift is linear, and since
 wt(u|v) = (|u| + |v| + |u ^ v|) / 2 (the GF(4) weight identity of
 Calderbank, Rains, Shor and Sloane, IEEE TIT 1998), the popcount of a
-lifted word is twice its symplectic weight.  A chunk's minimum weight
-is therefore one ``min(map(int.bit_count, ...))``; only a chunk whose
-minimum beats the best so far is walked word by word.
+lifted word is twice its symplectic weight.
+
+A full chunk is first tested as a whole by :class:`PackedChunk`: the
+table's u and v halves sit in one lane per word of two big ints, so the
+supports u OR v of all 2^L words are three XOR/OR operations away and a
+SWAR popcount (Warren, *Hacker's Delight*, section 5-1) gives every
+lane's weight at once; one add, one mask and one compare tell whether
+any word can beat the best so far.  Only such a chunk, or a partial one
+at either end of the range, is walked word by word.
 """
 
 from __future__ import annotations
@@ -66,6 +72,92 @@ def gray_chunks(rows, start: int, stop: int):
         yield base + lo, high, low
 
 
+class PackedChunk:
+    """The words of a chunk table packed into lanes, for the chunk test.
+
+    A chunk of :func:`gray_chunks` over low rows r_0 .. r_(L-1) holds
+    the 2^L XOR combinations of those rows, in an order that does not
+    matter here.  Lane l of ``pu`` (of ``pv``) holds the u (v) half of
+    the XOR of the rows r_j over the set bits j of l; a lane is
+    ``width`` bits, a power of two above n (and at least ``field``), so
+    it can hold a weight.  For a high word h, lane l of
+    ``(pu ^ h_u * ones) | (pv ^ h_v * ones)`` is the support of
+    ``h ^ word_l``.  A masked popcount tree sums it to ``field``-bit
+    counts, and one multiplication adds a lane's fields into its top
+    field; ``field`` starts at a byte and doubles until
+    2^(field-1) > n, so the counts are exact for any n.
+    """
+
+    def __init__(self, rows, n: int):
+        self.n = n
+        self.half = half = (1 << n) - 1
+        field = 8
+        while n >> (field - 1):
+            field *= 2
+        width = max(field, 1 << n.bit_length())
+        self.field = field
+        self.width = width
+        # each row doubles the lanes: the new ones are the old ones ^ row
+        ones = 1  # 1 in the lowest bit of every lane
+        pu = pv = 0
+        for k, g in enumerate(rows):
+            shift = width << k
+            pu |= (pu ^ (g & half) * ones) << shift
+            pv |= (pv ^ ((g >> n) & half) * ones) << shift
+            ones |= ones << shift
+        self.pu = pu
+        self.pv = pv
+        self.ones = ones
+        lane = (1 << width) - 1
+
+        def low_halves(s):  # the low s of every 2s bits, in every lane
+            return lane // ((1 << (2 * s)) - 1) * ((1 << s) - 1) * ones
+
+        self.m1 = low_halves(1)
+        self.m2 = low_halves(2)
+        self.wide = []  # (s, mask) for s = 4, 8, ..., field / 2
+        s = 4
+        while s < field:
+            self.wide.append((s, low_halves(s)))
+            s *= 2
+        #: 1 at the bottom of every field of a lane
+        self.fold = lane // ((1 << field) - 1)
+        self.tops = ones << (width - 1)
+        self.floor = -1
+        self.bias = 0
+
+    def weights(self, high: int) -> int:
+        """The weight of ``high ^ word_l`` in lane l's top field."""
+        half = self.half
+        ones = self.ones
+        x = ((self.pu ^ (high & half) * ones)
+             | (self.pv ^ ((high >> self.n) & half) * ones))
+        x -= (x >> 1) & self.m1  # 2-bit counts
+        x = (x & self.m2) + ((x >> 2) & self.m2)  # 4-bit counts
+        for s, m in self.wide:  # 2s <= 2^s - 1: the sum needs no pre-mask
+            x = (x + (x >> s)) & m
+        # each field now counts its own bits; the product's top field in
+        # a lane sums that lane's width/field counts, and no partial sum
+        # exceeds width < 2^field, so no field carries into the next
+        return x * self.fold
+
+    def lane(self, weights: int, l: int) -> int:
+        """Lane l's weight, read from the result of :meth:`weights`."""
+        return ((weights >> (self.width * (l + 1) - self.field))
+                & ((1 << self.field) - 1))
+
+    def all_at_least(self, high: int, floor: int) -> bool:
+        """Whether every word ``high ^ word_l`` has weight >= floor."""
+        if floor != self.floor:
+            # 2^(field-1) - floor added to a lane's top field sets the
+            # lane's top bit exactly when its weight is >= floor, and
+            # carries into no other lane
+            self.floor = floor
+            self.bias = (((1 << (self.field - 1)) - floor)
+                         << (self.width - self.field)) * self.ones
+        return (self.weights(high) + self.bias) & self.tops == self.tops
+
+
 def gray_scan(gens, n: int, s_pivots, start: int, stop: int):
     """Scan combination indices [start, stop); returns (w, idx, word).
 
@@ -77,14 +169,19 @@ def gray_scan(gens, n: int, s_pivots, start: int, stop: int):
     no candidate outside the excluded span was seen.
     """
     mask = (1 << (2 * n)) - 1
-    bit_count = int.bit_count
+    rows = [lift(g, n) for g in gens]
+    bits = min(len(rows), CHUNK_BITS)  # as gray_chunks splits the index
+    packed = None  # built at the first full chunk, if there is one
     best2 = 2 * n + 1  # lifted weight to beat; above any real word
     best_idx = -1
     best_x = 0
-    for first, high, low in gray_chunks([lift(g, n) for g in gens],
-                                        start, stop):
-        if min(map(bit_count, map(high.__xor__, low))) >= best2:
-            continue
+    for first, high, low in gray_chunks(rows, start, stop):
+        if len(low) == 1 << bits:
+            if packed is None:
+                packed = PackedChunk(rows[:bits], n)
+            # skip unless some word's lifted weight 2w is below best2
+            if packed.all_at_least(high, (best2 + 1) // 2):
+                continue
         for idx, z in enumerate(map(high.__xor__, low), first):
             w2 = z.bit_count()
             if w2 < best2:

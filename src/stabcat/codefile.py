@@ -49,6 +49,8 @@ _DROP_BITS = str.maketrans("", "", "01")
 
 
 def _row_to_line(row: int, n: int) -> str:
+    if not n:  # format(0, "00b") would write "0" for an empty half
+        return "|"
     mask = (1 << n) - 1
     return (f"{format(row & mask, f'0{n}b')[::-1]}|"
             f"{format((row >> n) & mask, f'0{n}b')[::-1]}")

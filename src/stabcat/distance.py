@@ -6,9 +6,12 @@ stabilizer span, and is partitionable into disjoint index ranges whose
 results combine by minimum — the outcome is independent of the
 partition count.  The kernel is :func:`stabcat._distpure.gray_scan`:
 it walks the indices in chunks of 2^10 words, each one XOR of a high
-word with a shared table, on words lifted so that popcount is twice
-the symplectic weight; only a chunk whose minimum beats the best so
-far is walked word by word.
+word with a shared table.  A whole chunk is tested at once on lanes of
+two big ints that hold the table's u and v halves, one lane per word:
+a SWAR popcount gives every word's weight u OR v in a few big-int
+operations.  Only a chunk that holds a word below the best so far, or
+a partial chunk at either end of a range, is walked word by word, on
+words lifted so that popcount is twice the symplectic weight.
 
 Sampled mode draws uniform random normalizer codewords and reports the
 minimum weight seen, an upper bound on the true distance only.

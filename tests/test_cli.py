@@ -232,6 +232,16 @@ class TestDistanceCmd:
         assert out == ("d=2 witness_weight=2 enumerated=1048576 "
                        "method=exact seed=0")
 
+    @pytest.mark.parametrize("parts", ["0", str((1 << 20) + 1)])
+    def test_exact_parts_out_of_range(self, m1k1_path, capsys, parts):
+        # rank(N) = 20 at m=1 K=1: 1..2^20 parts are valid
+        assert main(["distance", str(m1k1_path), "--method", "exact",
+                     "--parts", parts]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"stabcat: invalid partition count {parts}\n"
+
     def test_reducible_modulus(self, m1k1_path, tmp_path, capsys):
         lines = m1k1_path.read_text().split("\n")
         assert lines[6] == "modulus 0x7"

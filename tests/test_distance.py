@@ -2,11 +2,13 @@
 
 The chunked Gray-scan kernel is checked against a brute-force oracle
 that XORs every explicit generator subset and against the per-step
-Gray loop it replaced; the m=1 exact distances are frozen fixtures
-computed by that enumeration under the recorded field (modulus 0x7,
-basis (0x2, 0x3)).
+Gray loop it replaced, and its whole-chunk lane test lane by lane
+against the weight of each word; the m=1 exact distances are frozen
+fixtures computed by that enumeration under the recorded field
+(modulus 0x7, basis (0x2, 0x3)).
 """
 
+import contextlib
 import dataclasses
 import functools
 import math
@@ -115,14 +117,36 @@ def stepwise_gray_scan(gens, n, s_pivots, start, stop):
     return best_w, best_idx, best_x
 
 
+def full_chunks(ngens, chunk_bits, start, stop):
+    """How many whole chunks of gray_chunks lie inside [start, stop)."""
+    size = 1 << min(ngens, chunk_bits)
+    return max(0, stop // size - -(-start // size))
+
+
+@contextlib.contextmanager
+def chunk_test_spy():
+    """Record the outcome of every whole-chunk test of gray_scan."""
+    outcomes = []
+    real = _distpure.PackedChunk.all_at_least
+
+    def spy(self, high, floor):
+        outcomes.append(real(self, high, floor))
+        return outcomes[-1]
+
+    with mock.patch.object(_distpure.PackedChunk, "all_at_least", spy):
+        yield outcomes
+
+
 @st.composite
-def scan_cases(draw):
-    """Random generator lists (zero and repeated rows allowed), an RREF
-    span to exclude, an index range [start, stop) that may cut chunks
-    anywhere, and a chunk width."""
-    n = draw(st.integers(1, 12))
-    word = st.integers(0, (1 << (2 * n)) - 1)
-    gens = draw(st.lists(word, min_size=0, max_size=14))
+def scan_cases(draw, max_n=12, max_gens=14):
+    """Random generator lists (zero, all-ones and repeated rows allowed),
+    an RREF span to exclude, an index range [start, stop) that may cut
+    chunks anywhere, and a chunk width."""
+    n = draw(st.integers(1, max_n))
+    word = st.one_of(st.integers(0, (1 << (2 * n)) - 1),
+                     st.just((1 << (2 * n)) - 1),  # weight n
+                     st.just((1 << n) - 1))  # u all ones, v zero
+    gens = draw(st.lists(word, min_size=0, max_size=max_gens))
     if draw(st.booleans()):  # exclude part of the generators' span
         s_rows = row_reduce(gens[:draw(st.integers(0, len(gens)))])[1]
     else:
@@ -138,10 +162,56 @@ class TestChunkedGrayScan:
     @settings(max_examples=400, deadline=None)
     @given(scan_cases())
     def test_matches_stepwise_scan(self, case):
-        gens, n, s_pivots, start, stop, chunk_bits = case
-        with mock.patch.object(_distpure, "CHUNK_BITS", chunk_bits):
+        self.check_against_stepwise(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_cases(max_n=300, max_gens=8))
+    def test_matches_stepwise_scan_wide(self, case):
+        # lane weights above 255 no longer fit in a byte
+        self.check_against_stepwise(*case)
+
+    @staticmethod
+    def check_against_stepwise(gens, n, s_pivots, start, stop, chunk_bits):
+        with mock.patch.object(_distpure, "CHUNK_BITS", chunk_bits), \
+                chunk_test_spy() as outcomes:
             got = _distpure.gray_scan(gens, n, s_pivots, start, stop)
         assert got == stepwise_gray_scan(gens, n, s_pivots, start, stop)
+        # every whole chunk, and only those, went through the lane test
+        assert len(outcomes) == full_chunks(len(gens), chunk_bits,
+                                            start, stop)
+
+    @pytest.mark.parametrize("chunk_bits", [1, 2, 3, 10])
+    def test_chunks_skipped_on_a_code(self, code_m1k1, chunk_bits):
+        gens = list(code_m1k1.n_matrix)
+        s_pivots = list(zip(code_m1k1.s_span.pivots, code_m1k1.s_span.rows))
+        n = code_m1k1.n
+        stop = 1 << 16
+        with mock.patch.object(_distpure, "CHUNK_BITS", chunk_bits), \
+                chunk_test_spy() as outcomes:
+            got = _distpure.gray_scan(gens, n, s_pivots, 0, stop)
+        assert got == stepwise_gray_scan(gens, n, s_pivots, 0, stop)
+        assert len(outcomes) == stop >> chunk_bits
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_lane_weights(self, data):
+        n = data.draw(st.integers(0, 300))
+        mask = (1 << n) - 1
+        word = st.one_of(st.integers(0, (1 << (2 * n)) - 1),
+                         st.sampled_from([0, mask, (1 << (2 * n)) - 1]))
+        rows = [_distpure.lift(x, n)
+                for x in data.draw(st.lists(word, max_size=5))]
+        high = _distpure.lift(data.draw(word), n)
+        packed = _distpure.PackedChunk(rows, n)
+        lanes = packed.weights(high)
+        expect = []
+        for lane in range(1 << len(rows)):
+            x = high ^ xor_rows(rows, lane)
+            expect.append(((x | x >> n) & mask).bit_count())
+            assert packed.lane(lanes, lane) == expect[-1]
+        for floor in {0, 1, min(expect), min(expect) + 1, n, n + 1}:
+            assert packed.all_at_least(high, floor) == (min(expect) >= floor)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
