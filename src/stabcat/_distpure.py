@@ -166,7 +166,8 @@ def gray_scan(gens, n: int, s_pivots, start: int, stop: int):
     (the membership test below is ``Rref.reduce`` inlined).  The zero
     word is never a candidate.  Returns the best (weight, index,
     codeword) with ties broken by the smallest index, or (-1, -1, 0) if
-    no candidate outside the excluded span was seen.
+    no candidate outside the excluded span was seen.  The scan stops at
+    the first word of weight 1, which no later word can beat.
     """
     mask = (1 << (2 * n)) - 1
     rows = [lift(g, n) for g in gens]
@@ -193,6 +194,8 @@ def gray_scan(gens, n: int, s_pivots, start: int, stop: int):
                     best2 = w2
                     best_idx = idx
                     best_x = z & mask
+                    if w2 == 2:  # weight 1: no later word can beat it
+                        return 1, idx, best_x
     if best_idx < 0:
         return -1, -1, 0
     return best2 // 2, best_idx, best_x

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .field import Field, build_field, find_self_dual_basis
+from .field import Field, build_field, coords, find_self_dual_basis
 from .rs import build_rs_pair, css_generators
 from .symplectic import Rref, RrefError, xor_rows
 
@@ -131,10 +131,7 @@ class BlockExpander:
         self.n_blocks = field.order - 1
         self.block_width = 4 * self.m + 2
         # coords of every field element in the self-dual basis
-        self._coords = [
-            tuple(field.trace(field.mul(x, b)) for b in basis)
-            for x in range(field.order)
-        ]
+        self._coords = [coords(field, basis, x) for x in range(field.order)]
         self._unit_spans: dict[int, Rref] = {}  # block -> unit_span
 
     def coords(self, x: int) -> tuple[int, ...]:
@@ -317,10 +314,6 @@ def expand_block(field: Field, basis, i: int, a_i: int, a_ni: int,
 def expand_codeword(field: Field, basis, inp: ExpansionInput) \
         -> SymplecticVector:
     return get_expander(field, basis).expand(inp)
-
-
-def block_unit_images(field: Field, basis, i: int) -> list[int]:
-    return get_expander(field, basis).unit_images(i)
 
 
 def check_block_injectivity(field: Field, basis, i: int) -> bool:

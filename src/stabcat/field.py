@@ -116,6 +116,11 @@ def _is_primitive(poly: int, degree: int) -> bool:
 class Field:
     """GF(2^two_m) with a fixed primitive defining polynomial.
 
+    The log/exp tables walk the powers of alpha.  The trace table uses
+    that Tr is GF(2)-linear: Tr(x) is the XOR of Tr(alpha^i) over the
+    set bits i of x, so only the two_m values Tr(alpha^i) are computed
+    from squarings.
+
     Attributes:
         two_m: extension degree e over GF(2).
         modulus: defining polynomial as a bit-polynomial of degree e
@@ -165,20 +170,23 @@ class Field:
         object.__setattr__(self, "_exp", exp)
         object.__setattr__(self, "_log", log)
 
-        # Trace table: Tr(x) = sum of x^(2^i) for i < e, always 0 or 1.
-        trace = [0] * order
-        for x in range(order):
+        # Trace table: Tr(x) = sum of x^(2^i) for i < e, always 0 or 1,
+        # and linear, so bit i of tmask is Tr(alpha^i) and Tr(x) is the
+        # parity of x & tmask.
+        tmask = 0
+        for i in range(e):
             acc = 0
-            y = x
+            y = 1 << i
             for _ in range(e):
                 acc ^= y
                 y = _poly_mulmod(y, y, self.modulus)
             if acc not in (0, 1):
                 raise FieldError(
-                    f"trace of {x:#x} is {acc:#x}, not in GF(2); "
+                    f"trace of {1 << i:#x} is {acc:#x}, not in GF(2); "
                     f"modulus 0x{self.modulus:x} is inconsistent")
-            trace[x] = acc
-        object.__setattr__(self, "_trace", trace)
+            tmask |= acc << i
+        object.__setattr__(self, "_trace", [
+            (x & tmask).bit_count() & 1 for x in range(order)])
 
     # -- arithmetic ----------------------------------------------------
 

@@ -6,15 +6,24 @@ alpha^0 .. alpha^(N-1).  The pair is
     R      = evaluations of the monomial span x^1 .. x^K      [N, K, N-K+1]
     Rperp  = evaluations of polynomials of degree < N - K     [N, N-K, K+1]
 
-With these exponent sets Rperp is the exact dual of R under the standard
-coordinatewise inner product, and R is contained in Rperp whenever
-K <= floor(N/2):  <ev(x^a), ev(x^b)> = sum_i alpha^(i(a+b)) vanishes
-unless a + b = 0 mod N, and exponents a in [1, K], b in [0, N-K-1] can
-never sum to 0 or N.  A plain degree-< K span would contain ev(1), which
-pairs with itself to N mod 2 = 1, so it is not even self-orthogonal;
-the shifted exponent window is what makes the CSS construction work.
-Both verifications (duality and containment) are run explicitly at
-construction time rather than assumed.
+Everything about the pair follows from one identity on the monomial
+evaluations ev(x^a) = (alpha^(0*a), ..., alpha^((N-1)*a)).  Because N
+is odd,
+
+    <ev(x^a), ev(x^b)> = sum_i alpha^(i(a+b)) = [a + b = 0 mod N],
+
+so ev(x^0) .. ev(x^(N-1)) are a basis of GF(2^e)^N, the coefficient of
+ev(x^j) in any vector v is the inverse transform c_j = <v, ev(x^-j)>
+(the Mattson-Solomon view, MacWilliams & Sloane 1977, ch. 8), and a
+monomial code is its exponent set.  Rperp is the exact dual of R, since
+exponents a in [1, K], b in [0, N-K-1] never sum to 0 or N, and R lies
+in Rperp whenever K <= floor(N/2), since then [1, K] is inside
+[0, N-K-1].  A plain degree-< K span would contain ev(1), which pairs
+with itself to N mod 2 = 1, so it is not even self-orthogonal; the
+shifted exponent window is what makes the CSS construction work.
+Duality and nesting are checked on the exponent sets, and membership
+(:func:`rs_contains`) reads the coefficients off the inverse transform;
+no field elimination is needed.
 """
 
 from __future__ import annotations
@@ -47,37 +56,10 @@ class RsCode:
     exponents: tuple[int, ...]
     generator: tuple[tuple[int, ...], ...]
     eval_points: tuple[int, ...]
-    # Row-reduced copy of the generator plus its pivot columns, for
-    # membership tests.
-    _reduced: tuple[tuple[int, ...], ...]
-    _pivots: tuple[int, ...]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"RsCode([{self.length}, {self.dim}] over "
                 f"GF(2^{self.field.two_m}))")
-
-
-def _field_rref(field: Field, rows: list[list[int]]):
-    """Reduced row echelon form over the field; returns (rows, pivots)."""
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = field.inverse(mat[r][c])
-        mat[r] = [field.mul(inv, v) for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                coef = mat[i][c]
-                mat[i] = [vi ^ field.mul(coef, vr)
-                          for vi, vr in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return [tuple(row) for row in mat[:r]], pivots
 
 
 def _evaluate_monomial(field: Field, exp: int, n: int) -> tuple[int, ...]:
@@ -87,20 +69,13 @@ def _evaluate_monomial(field: Field, exp: int, n: int) -> tuple[int, ...]:
 
 def _make_code(field: Field, exponents: tuple[int, ...]) -> RsCode:
     n = field.order - 1
-    rows = [_evaluate_monomial(field, e, n) for e in exponents]
-    reduced, pivots = _field_rref(field, [list(r) for r in rows])
-    if len(reduced) != len(rows):
-        raise RsError("monomial evaluations are dependent; "
-                      "this is a bug")  # pragma: no cover
     return RsCode(
         field=field,
         length=n,
         dim=len(exponents),
         exponents=exponents,
-        generator=tuple(rows),
+        generator=tuple(_evaluate_monomial(field, e, n) for e in exponents),
         eval_points=tuple(field.alpha_pow(i) for i in range(n)),
-        _reduced=tuple(reduced),
-        _pivots=tuple(pivots),
     )
 
 
@@ -115,8 +90,11 @@ def dot(field: Field, u, v) -> int:
 def build_rs_pair(field: Field, k: int) -> tuple[RsCode, RsCode]:
     """Build the nested dual pair (R, Rperp) for dimension k.
 
-    Duality and containment are verified on the generator rows; a
-    failure would mean the construction itself is wrong.
+    Duality is verified on the exponents: <R row i, Rperp row j> is 1
+    when a_i + b_j = 0 mod N and 0 otherwise, so the pair is dual iff
+    no exponent b of Rperp is -a mod N for an exponent a of R.  A
+    failure would mean the construction itself is wrong.  Nesting is
+    checked by :func:`css_generators`.
     """
     n = field.order - 1
     if k < 0:
@@ -127,17 +105,13 @@ def build_rs_pair(field: Field, k: int) -> tuple[RsCode, RsCode]:
             f"would fail")
     code = _make_code(field, tuple(range(1, k + 1)))
     dual = _make_code(field, tuple(range(0, n - k)))
-    for i, r in enumerate(code.generator):
-        for j, rp in enumerate(dual.generator):
-            p = dot(field, r, rp)
-            if p != 0:
-                raise RsError(
-                    f"duality violated: <R row {i}, Rperp row {j}> = "
-                    f"{p:#x}")  # pragma: no cover
-        if not rs_contains(dual, r):
+    dual_row = {b: j for j, b in enumerate(dual.exponents)}
+    for i, a in enumerate(code.exponents):
+        j = dual_row.get(-a % n)  # the one b with (a + b) % n == 0
+        if j is not None:
             raise RsError(
-                f"containment violated: R row {i} is outside "
-                f"Rperp")  # pragma: no cover
+                f"duality violated: <R row {i}, Rperp row {j}> = "
+                f"0x1")  # pragma: no cover
     return code, dual
 
 
@@ -157,16 +131,19 @@ def rs_encode(code: RsCode, msg) -> tuple[int, ...]:
 
 
 def rs_contains(code: RsCode, v) -> bool:
-    """True iff v lies in the row space of the generator."""
+    """True iff v lies in the row space of the generator.
+
+    v = sum_j c_j ev(x^j) over j < N, with c_j = <v, ev(x^-j)> (the
+    inverse transform, see the module docstring); v is a codeword iff
+    c_j = 0 for every j outside ``code.exponents``.
+    """
     if len(v) != code.length:
         raise RsError(f"vector length {len(v)} != code length {code.length}")
     f = code.field
-    w = list(v)
-    for row, p in zip(code._reduced, code._pivots):
-        if w[p] != 0:
-            coef = w[p]
-            w = [wi ^ f.mul(coef, ri) for wi, ri in zip(w, row)]
-    return not any(w)
+    n = code.length
+    inside = set(code.exponents)
+    return all(dot(f, v, _evaluate_monomial(f, -j, n)) == 0
+               for j in range(n) if j not in inside)
 
 
 def min_weight_exhaustive(code: RsCode) -> int:
@@ -222,9 +199,14 @@ def symplectic_field_product(field: Field, a, b) -> int:
 
 
 def css_generators(code: RsCode, dual: RsCode) -> CssPair:
-    """Assemble the CSS stabilizer/normalizer generators from (R, Rperp)."""
-    for i, r in enumerate(code.generator):
-        if not rs_contains(dual, r):
+    """Assemble the CSS stabilizer/normalizer generators from (R, Rperp).
+
+    R must lie in Rperp.  Distinct monomial evaluations are linearly
+    independent, so that holds iff every exponent of R is one of Rperp.
+    """
+    inside = set(dual.exponents)
+    for i, (a, r) in enumerate(zip(code.exponents, code.generator)):
+        if a not in inside:
             raise RsError(
                 f"R row {i} = {tuple(hex(v) for v in r)} is not in Rperp; "
                 f"the pair is not nested")

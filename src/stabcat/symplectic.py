@@ -270,6 +270,8 @@ def symplectic_products(s_rows, n_rows, n: int) -> list[int]:
     columns; each slice's columns go into an :class:`XorTable`, and the
     Ω-swapped (v | u) form of each s selects the columns to XOR.
     """
+    if not s_rows:  # nothing to pair; n itself may be huge or negative
+        return []
     mask = (1 << n) - 1
     swapped = [((s >> n) & mask) | ((s & mask) << n) for s in s_rows]
     prods = [0] * len(swapped)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -128,6 +129,29 @@ class TestVerify:
         assert captured.err == (
             f"stabcat: extension degree {2 * int(m)} outside supported "
             f"range [1, 16]\n")
+
+    @pytest.mark.parametrize("n", [10 ** 12, -1])
+    def test_hostile_n_without_rows(self, m1k1_path, tmp_path, capsys, n):
+        # With no rows, nothing but the header check bounds n; the
+        # S·Ω·Nᵀ products of an empty S must not walk 2n columns.
+        lines = m1k1_path.read_text().split("\n")[:10]
+        assert lines[4] == "n 18"
+        lines[4] = f"n {n}"
+        lines[8:] = ["rank_s 0", "rank_n 0"]
+        bad = tmp_path / "no_rows.code"
+        bad.write_text("\n".join(lines) + "\n")
+        start = time.perf_counter()
+        rc = main(["verify", str(bad)])
+        assert time.perf_counter() - start < 1
+        assert rc == EXIT_VERIFY_FAIL
+        out = capsys.readouterr().out.split("\n")
+        assert "header: FAIL" in out
+        assert out[-2] == f"[[{n},2]] rank_s=0 rank_n=0 => FAIL"
+        assert main(["distance", str(bad)]) == EXIT_VERIFY_FAIL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("stabcat: not a valid code: header")
+        assert captured.err.count("\n") == 1
 
     def test_truncated_file(self, m1k1_path, tmp_path, capsys):
         mutated = tmp_path / "short.code"

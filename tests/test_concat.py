@@ -5,7 +5,7 @@ import random
 import pytest
 
 from stabcat.concat import (BlockExpander, ConcatError, ExpansionInput,
-                            SymplecticVector, block_unit_images, build_code,
+                            SymplecticVector, build_code,
                             check_block_injectivity, designated_half_tuple,
                             expand_block, expand_codeword, get_expander,
                             to_quaternary, zero_input)
@@ -247,7 +247,7 @@ def gray_walk_injective(field, basis, i):
     """Oracle: walk all 2^(6m+2) inputs of block i by Gray code over the
     unit-input images; the map is injective iff no image repeats (the
     zero input's image 0 included)."""
-    gens = block_unit_images(field, basis, i)
+    gens = get_expander(field, basis).unit_images(i)
     seen = {0}
     x = 0
     for idx in range(1, 1 << len(gens)):
@@ -270,7 +270,7 @@ class TestInjectivity:
     def test_m4_block0_injective(self):
         f = build_field(8)
         b = find_self_dual_basis(f)
-        assert len(block_unit_images(f, b, 0)) == 26  # 6m+2 inputs
+        assert len(get_expander(f, b).unit_images(0)) == 26  # 6m+2 inputs
         assert check_block_injectivity(f, b, 0)
 
     @pytest.mark.parametrize("two_m", [2, 4])
@@ -296,7 +296,7 @@ class TestInjectivity:
             return real(self, i, a_i, a_ni, s_i, t_i)
 
         monkeypatch.setattr(BlockExpander, "expand_block", fake)
-        gens = block_unit_images(f, b, 1)
+        gens = get_expander(f, b).unit_images(1)
         assert gens[2 * two_m] == gens[0]  # s_{i,1} follows 4m a-coords
         assert check_block_injectivity(f, b, 1) is False
         assert gray_walk_injective(f, b, 1) is False

@@ -176,9 +176,26 @@ class TestChunkedGrayScan:
                 chunk_test_spy() as outcomes:
             got = _distpure.gray_scan(gens, n, s_pivots, start, stop)
         assert got == stepwise_gray_scan(gens, n, s_pivots, start, stop)
-        # every whole chunk, and only those, went through the lane test
+        # every whole chunk up to the end of the scan, and only those,
+        # went through the lane test; a weight-1 word ends the scan
+        # with its chunk
+        if got[0] == 1:
+            size = 1 << min(len(gens), chunk_bits)
+            stop = min(stop, (got[1] // size + 1) * size)
         assert len(outcomes) == full_chunks(len(gens), chunk_bits,
                                             start, stop)
+
+    def test_weight_one_ends_the_scan(self, code_m1k0):
+        # the witness is index 1, in the first chunk: that chunk alone
+        # is tested (and walked), and none of the other 2^14 - 1 is
+        gens = list(code_m1k0.n_matrix)
+        s_pivots = list(zip(code_m1k0.s_span.pivots, code_m1k0.s_span.rows))
+        with chunk_test_spy() as outcomes:
+            w, idx, word = _distpure.gray_scan(gens, code_m1k0.n, s_pivots,
+                                               0, 1 << len(gens))
+        assert (w, idx) == (1, 1)
+        assert word == gens[0]
+        assert outcomes == [False]
 
     @pytest.mark.parametrize("chunk_bits", [1, 2, 3, 10])
     def test_chunks_skipped_on_a_code(self, code_m1k1, chunk_bits):

@@ -6,6 +6,7 @@ rather than trusted from the library's own fast paths.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -54,6 +55,18 @@ def naive_order_of_x(p, degree):
         if order > (1 << degree):
             return 0
     return order
+
+
+def squaring_trace(f, x):
+    """Oracle: Tr(x) = x + x^2 + x^4 + ... + x^(2^(e-1)), from e naive
+    squarings of x itself (no use of the trace's linearity)."""
+    acc = 0
+    for _ in range(f.two_m):
+        acc ^= x
+        x = naive_poly_mul(x, x)
+        while x.bit_length() >= f.modulus.bit_length():
+            x ^= f.modulus << (x.bit_length() - f.modulus.bit_length())
+    return acc
 
 
 class TestBuildField:
@@ -176,6 +189,18 @@ class TestTrace:
         assert f.trace(w) == 1
         assert 1 ^ f.mul(1, 1) == 0
         assert f.trace(1) == 0
+
+    @pytest.mark.parametrize("e", range(2, 13))
+    def test_table_matches_squaring_every_element(self, e):
+        f = build_field(e)
+        assert [f.trace(x) for x in range(f.order)] == \
+            [squaring_trace(f, x) for x in range(f.order)]
+
+    def test_table_matches_squaring_degree16(self):
+        f = build_field(16)
+        rng = random.Random(0)
+        for x in (rng.randrange(f.order) for _ in range(2000)):
+            assert f.trace(x) == squaring_trace(f, x), x
 
     @pytest.mark.parametrize("e", [2, 3, 4, 6, 8])
     def test_linearity_and_frobenius_exhaustive(self, e):

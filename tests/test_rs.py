@@ -3,12 +3,16 @@
 Small-field distances come from the test's own exhaustive codeword
 scans; the GF(16) [15,7] distance combines an explicit weight-9
 codeword (a polynomial with six distinct nonzero roots) with a seeded
-random lower-bound sanity sweep.
+random lower-bound sanity sweep.  Membership and the exponent
+conditions that replace elimination in the library are checked against
+a field Gaussian elimination kept here as the oracle.
 """
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabcat.field import build_field
 from stabcat.rs import (CssPair, RsError, build_rs_pair, css_generators,
@@ -24,6 +28,57 @@ def gf4():
 @pytest.fixture(scope="module")
 def gf16():
     return build_field(4)
+
+
+def field_rref(field, rows):
+    """Reduced row echelon form over the field; returns (rows, pivots)."""
+    mat = [list(r) for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = field.inverse(mat[r][c])
+        mat[r] = [field.mul(inv, v) for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                coef = mat[i][c]
+                mat[i] = [vi ^ field.mul(coef, vr)
+                          for vi, vr in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+@functools.lru_cache(maxsize=None)
+def rs_pair(two_m, k):
+    return build_rs_pair(build_field(two_m), k)
+
+
+@functools.lru_cache(maxsize=None)
+def reduced_generator(code):
+    rows, pivots = field_rref(code.field, code.generator)
+    assert len(rows) == code.dim  # monomial evaluations are independent
+    return rows, pivots
+
+
+def oracle_contains(code, v):
+    """Membership by reduction against the eliminated generator."""
+    f = code.field
+    w = list(v)
+    for row, p in zip(*reduced_generator(code)):
+        if w[p] != 0:
+            coef = w[p]
+            w = [wi ^ f.mul(coef, ri) for wi, ri in zip(w, row)]
+    return not any(w)
+
+
+#: (field degree, K) for every K at GF(4), GF(16) and GF(64)
+EVERY_K = [(two_m, k) for two_m in (2, 4, 6)
+           for k in range((1 << two_m) // 2)]
 
 
 def all_codewords(code):
@@ -195,4 +250,58 @@ class TestCssGenerators:
         # error must name a violating row.
         code, dual = build_rs_pair(gf16, 7)
         with pytest.raises(RsError, match="row 0"):
+            css_generators(dual, code)
+
+
+class TestAgainstElimination:
+    @pytest.mark.parametrize("two_m,k", EVERY_K)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_contains_matches_oracle(self, two_m, k, data):
+        f = build_field(two_m)
+        n = f.order - 1
+        code = rs_pair(two_m, k)[data.draw(st.integers(0, 1))]
+        sym = st.integers(0, f.order - 1)
+        v = list(rs_encode(code, data.draw(
+            st.lists(sym, min_size=code.dim, max_size=code.dim))))
+        kind = data.draw(st.sampled_from(("none", "symbols", "monomial")))
+        if kind == "symbols":  # overwrite a few coordinates
+            for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+                v[i] = data.draw(sym)
+        elif kind == "monomial":  # add c * ev(x^j), inside or outside
+            c = data.draw(sym)
+            j = data.draw(st.integers(0, n - 1))
+            v = [x ^ f.mul(c, f.alpha_pow(i * j)) for i, x in enumerate(v)]
+        assert rs_contains(code, v) == oracle_contains(code, v)
+        if kind == "none":
+            assert rs_contains(code, v)
+
+    @pytest.mark.parametrize("two_m", [2, 4, 6])
+    def test_power_sum_identity(self, two_m):
+        # <ev(x^a), ev(x^b)> = [a + b = 0 mod N], numerically
+        f = build_field(two_m)
+        n = f.order - 1
+        ev = [tuple(f.alpha_pow(i * a) for i in range(n)) for a in range(n)]
+        for a in range(n):
+            for b in range(n):
+                assert dot(f, ev[a], ev[b]) == int((a + b) % n == 0), (a, b)
+
+    @pytest.mark.parametrize(
+        "two_m,k", [(2, k) for k in range(2)] + [(4, k) for k in range(8)]
+        + [(6, k) for k in (0, 1, 10, 31)])
+    def test_exponent_conditions_match_numeric(self, two_m, k):
+        code, dual = rs_pair(two_m, k)
+        f = code.field
+        n = code.length
+        for a, r in zip(code.exponents, code.generator):
+            for b, rp in zip(dual.exponents, dual.generator):
+                assert dot(f, r, rp) == int((a + b) % n == 0) == 0
+            assert oracle_contains(dual, r) == (a in dual.exponents)
+        # the reverse inclusion fails row by row exactly where the
+        # exponent is missing, which css_generators reports
+        for b, rp in zip(dual.exponents, dual.generator):
+            assert oracle_contains(code, rp) == (b in code.exponents)
+        bad = next(i for i, b in enumerate(dual.exponents)
+                   if b not in code.exponents)
+        with pytest.raises(RsError, match=f"R row {bad} "):
             css_generators(dual, code)
