@@ -130,7 +130,6 @@ class BlockExpander:
         self.m = field.two_m // 2
         self.n_blocks = field.order - 1
         self.block_width = 4 * self.m + 2
-        # coords of every field element in the self-dual basis
         self._coords = [coords(field, basis, x) for x in range(field.order)]
         self._unit_spans: dict[int, Rref] = {}  # block -> unit_span
 
