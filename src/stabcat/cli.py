@@ -3,7 +3,9 @@
 Exit codes: 0 success / all checks passed, 1 verification failure
 (``distance`` on a file that fails the header, rank or duality checks
 included), 2 usage error (bad arguments, parameters out of range,
-over-budget request), 3 I/O or parse error.
+over-budget request), 3 I/O or parse error.  Every exit other than 0
+writes exactly one ``stabcat: ...`` line on stderr, except argparse's
+own usage errors (exit 2), which print argparse's usage message.
 """
 
 from __future__ import annotations
@@ -170,7 +172,11 @@ def cmd_verify(args) -> int:
         print(f"[[{report['n']},{report['k']}]] "
               f"rank_s={report['rank_s']} rank_n={report['rank_n']} "
               f"=> {'PASS' if report['passed'] else 'FAIL'}")
-    return EXIT_OK if report["passed"] else EXIT_VERIFY_FAIL
+    if not report["passed"]:
+        _print_err("verification failed: " + ", ".join(
+            name for name, ok in report["checks"].items() if not ok))
+        return EXIT_VERIFY_FAIL
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------------

@@ -105,7 +105,8 @@ def dumps(cf: CodeFile) -> str:
     ]
     lines.extend(_row_to_line(r, cf.n) for r in cf.s_rows)
     lines.extend(_row_to_line(r, cf.n) for r in cf.n_rows)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def loads(text: str) -> CodeFile:

@@ -32,14 +32,26 @@ unit s/t inputs) this yields the stabilizer and normalizer matrices of a
 binary [[2N(2m+1), 2m(N-2K)]] stabilizer code whose duality rests on the
 alpha^-i / alpha^+i twists cancelling inside the trace.
 
+:func:`build_code` never evaluates the equations per generator.  By
+linearity the image of any symbol in either slot of block i is an XOR
+of unit images, so each block gets two symbol tables
+(:meth:`BlockExpander.block_tables`), and a generator row is one table
+lookup per nonzero block.  The rows are the systematic RS generators
+(:attr:`stabcat.rs.RsCode.systematic`), which touch one block of the
+information set plus the fixed tail, and they stream into one lazily
+reduced :class:`~stabcat.symplectic.Rref`.  The canonical RREF is unique
+per row space, so this gives the same matrices as expanding the
+monomial generators one by one.
+
 Bit layout: qubit position p = i*(4m+2) + (j-1) holds (b_{i,j}, c_{i,j})
 as (u_p, v_p).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .field import Field, build_field, coords, find_self_dual_basis
 from .rs import build_rs_pair, css_generators
@@ -131,6 +143,8 @@ class BlockExpander:
         self.n_blocks = field.order - 1
         self.block_width = 4 * self.m + 2
         self._coords = [coords(field, basis, x) for x in range(field.order)]
+        self._coord_bits = [sum(c << j for j, c in enumerate(cs))
+                            for cs in self._coords]
         self._unit_spans: dict[int, Rref] = {}  # block -> unit_span
 
     def coords(self, x: int) -> tuple[int, ...]:
@@ -249,6 +263,28 @@ class BlockExpander:
                 + [image(0, b, zrow, zrow) for b in self.basis]
                 + [image(0, 0, u, zrow) for u in units]
                 + [image(0, 0, zrow, u) for u in units])
+
+    def block_tables(self, i: int) -> tuple:
+        """Block i's symbol tables and unit s/t images.
+
+        Returns (a_table, an_table, st_images): a_table[x] is the image
+        of a_i = x (everything else zero), an_table[x] that of
+        a_{N+i} = x, both packed as in :meth:`unit_images`, and
+        st_images the images of the 2m+2 unit s/t inputs.  The map is
+        linear and x = sum_j coords(x)_j beta_j, so each table entry is
+        the XOR of the unit images its coordinates select.
+        """
+        images = self.unit_images(i)
+        two_m = 2 * self.m
+        # one machine word an entry while an image (2(4m+2) bits) fits
+        store = list if 2 * self.block_width > 64 else partial(array, "Q")
+        slots = []
+        for units in (images[:two_m], images[two_m:2 * two_m]):
+            by_coords = [0]  # index: coordinate bits, bit j -> beta_j
+            for image in units:
+                by_coords += [x ^ image for x in by_coords]
+            slots.append(store(by_coords[c] for c in self._coord_bits))
+        return slots[0], slots[1], images[2 * two_m:]
 
     def unit_span(self, i: int) -> Rref:
         """Span of block i's unit-input images, image j tagged with bit
@@ -379,33 +415,46 @@ def _stored_span(name: str, rows) -> Rref:
         raise RrefError(f"{name} {exc}") from None
 
 
-def _expanded_span(exp: BlockExpander, field_gens) -> Rref:
-    """RREF span of the expansions of a CSS generator set.
+def _expanded_rows(exp: BlockExpander, tables, rs_rows):
+    """Packed rows spanning the expansion of C x C plus every s/t input.
 
-    The expansion is only GF(2)-linear, so each field generator row g is
-    included together with its scalar multiples alpha^e * g for
-    e < 2m — together they span the full field-linear code over GF(2).
-    All unit s and unit t inputs are appended.
+    ``rs_rows`` is a basis of an RS code C as position -> symbol maps
+    (:attr:`RsCode.systematic`).  C x C is spanned by (r | 0) and
+    (0 | r) over those rows, and the expansion is only GF(2)-linear, so
+    each is taken together with its scalar multiples alpha^e for
+    e < 2m, which span its GF(2^(2m))-multiples over GF(2).  A row is
+    assembled from one symbol-table lookup per nonzero block
+    (``tables``: :meth:`BlockExpander.block_tables` of every block).
+    The unit s and t inputs of every block come first; their block-local
+    pivots keep the elimination of the field rows short.  Rows are
+    yielded one at a time, so none is held unreduced.
     """
     f = exp.field
     nb = exp.n_blocks
-    m = exp.m
     w = exp.block_width
     n = nb * w
-    acc = Rref()
-    zrow = (0,) * (m + 1)
-    for g in field_gens:
-        for e in range(f.two_m):
-            scale = f.alpha_pow(e)
-            a = tuple(f.mul(scale, sym) for sym in g)
-            vec = exp.expand(ExpansionInput(
-                a=a, s=(zrow,) * nb, t=(zrow,) * nb))
-            acc.add(vec.packed())
     mask = (1 << w) - 1
-    for i in range(nb):
-        for image in exp.unit_images(i)[4 * m:]:  # the unit s and t inputs
-            acc.add(((image & mask) << (i * w))
-                    | ((image >> w) << (i * w + n)))
+    for i, (_, _, st_images) in enumerate(tables):
+        for image in st_images:
+            yield ((image & mask) << (i * w)) | ((image >> w) << (i * w + n))
+    for row in rs_rows:
+        for slot in (0, 1):  # the a_i slot, then the a_{N+i} slot
+            cells = [(tables[i][slot], i * w, sym) for i, sym in row.items()]
+            for e in range(f.two_m):
+                scale = f.alpha_pow(e)
+                u = v = 0
+                for table, shift, sym in cells:
+                    image = table[f.mul(scale, sym)]
+                    u |= (image & mask) << shift
+                    v |= (image >> w) << shift
+                yield u | (v << n)
+
+
+def _expanded_span(exp: BlockExpander, tables, rs_rows) -> Rref:
+    """RREF span of :func:`_expanded_rows`, one :meth:`Rref.add` a row."""
+    acc = Rref()
+    for x in _expanded_rows(exp, tables, rs_rows):
+        acc.add(x)
     return acc
 
 
@@ -425,13 +474,17 @@ def build_code(m: int, big_k: int) -> StabilizerCodeL:
     exp = get_expander(field, basis)
     big_n = field.order - 1
     code, dual = build_rs_pair(field, big_k)  # validates K range
-    css = css_generators(code, dual)
+    css_generators(code, dual)  # checks that R lies in Rperp
 
     n = big_n * exp.block_width
     k = 2 * m * (big_n - 2 * big_k)
 
-    s_acc = _expanded_span(exp, css.s_gens)
-    n_acc = _expanded_span(exp, css.n_gens)
+    # the tables serve both spans and are dropped before the caller
+    # writes the file, the construct's memory peak
+    tables = [exp.block_tables(i) for i in range(big_n)]
+    s_acc = _expanded_span(exp, tables, code.systematic)
+    n_acc = _expanded_span(exp, tables, dual.systematic)
+    del tables
 
     want_rank_s = 2 * big_n * (m + 1) + 4 * m * big_k
     if s_acc.rank != want_rank_s:

@@ -88,19 +88,25 @@ def _prime_factors(n: int) -> list[int]:
 def _is_irreducible(poly: int, degree: int) -> bool:
     """Rabin irreducibility test for a degree-``degree`` bit-polynomial."""
     # x^(2^degree) == x mod poly, and x^(2^(degree/q)) - x coprime to poly
-    # for every prime divisor q of the degree.
-    x = 2
-    if _poly_powmod(x, 1 << degree, poly) != x:
+    # for every prime divisor q of the degree.  Both sides are reduced:
+    # at degree 1 the class of x is the constant term, not x itself.
+    x = _poly_mod(2, poly)
+    if _poly_powmod(2, 1 << degree, poly) != x:
         return False
     for q in _prime_factors(degree):
-        h = _poly_powmod(x, 1 << (degree // q), poly) ^ x
+        h = _poly_powmod(2, 1 << (degree // q), poly) ^ x
         if _poly_gcd(poly, h) != 1:
             return False
     return True
 
 
 def _is_primitive(poly: int, degree: int) -> bool:
-    """True if the class of x generates the multiplicative group mod poly."""
+    """True if the class of x generates the multiplicative group mod poly.
+
+    A modulus divisible by x makes x a zero divisor, never a generator.
+    """
+    if _poly_mod(2, poly) == 0:
+        return False
     order = (1 << degree) - 1
     for q in _prime_factors(order):
         if _poly_powmod(2, order // q, poly) == 1:

@@ -24,11 +24,19 @@ shifted exponent window is what makes the CSS construction work.
 Duality and nesting are checked on the exponent sets, and membership
 (:func:`rs_contains`) reads the coefficients off the inverse transform;
 no field elimination is needed.
+
+Both codes are MDS, so the first ``dim`` positions are an information
+set, and each code also carries its systematic generator in closed
+form (:func:`systematic_rows`, Lagrange interpolation on those
+positions, MacWilliams & Sloane 1977, ch. 10-11): row j is the unit
+vector e_j on the information set plus a tail on the other N - dim
+positions, stored sparsely.  At K = 0 Rperp is the whole space and its
+rows have no tail at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .field import Field
 
@@ -48,6 +56,8 @@ class RsCode:
         exponents: monomial exponents whose evaluations span the code.
         generator: dim x length matrix; row r is ev(x^exponents[r]).
         eval_points: (alpha^0, ..., alpha^(N-1)).
+        systematic: the same row space in systematic form, one position
+            -> symbol map per row (see :func:`systematic_rows`).
     """
 
     field: Field
@@ -56,6 +66,8 @@ class RsCode:
     exponents: tuple[int, ...]
     generator: tuple[tuple[int, ...], ...]
     eval_points: tuple[int, ...]
+    systematic: tuple[dict[int, int], ...] = dc_field(compare=False,
+                                                      repr=False)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"RsCode([{self.length}, {self.dim}] over "
@@ -67,6 +79,56 @@ def _evaluate_monomial(field: Field, exp: int, n: int) -> tuple[int, ...]:
     return tuple(field.alpha_pow(i * exp) for i in range(n))
 
 
+def systematic_rows(field: Field, exponents: tuple[int, ...]) \
+        -> tuple[dict[int, int], ...]:
+    """Systematic generator of the code spanned by ev(x^e) over ``exponents``.
+
+    The exponents must be a window e0 .. e0+dim-1, so the code is
+    {ev(x^e0 f) : deg f < dim}.  With x_l = alpha^l,
+    P = prod_{l<dim} (x + x_l) and the Lagrange basis
+    L_j = P / ((x + x_j) P'(x_j)), row j is ev(x^e0 x_j^-e0 L_j): 1 at
+    position j, 0 at the other information positions l < dim, and at a
+    tail position t
+
+        alpha^((t-j)*e0) * P(x_t) / ((x_t + x_j) * P'(x_j)).
+
+    Every tail entry is nonzero (P has no root outside the information
+    set).  Returns one {position: symbol} map per row, holding the
+    nonzero entries only; O(dim * (N - dim) + dim^2) field operations,
+    and none of the dim^2 when the tail is empty.
+    """
+    n = field.order - 1
+    dim = len(exponents)
+    if dim == 0:
+        return ()
+    e0 = exponents[0]
+    if exponents != tuple(range(e0, e0 + dim)):
+        raise RsError(f"exponents {exponents} are not one window")
+    if dim == n:
+        return tuple({j: 1} for j in range(dim))
+    mul = field.mul
+    x = [field.alpha_pow(i) for i in range(n)]
+    p_tail = []  # P(x_t) for t >= dim
+    for t in range(dim, n):
+        acc = 1
+        for l in range(dim):
+            acc = mul(acc, x[t] ^ x[l])
+        p_tail.append(acc)
+    rows = []
+    for j in range(dim):
+        dp = 1  # P'(x_j) = prod_{l != j} (x_j + x_l) in characteristic 2
+        for l in range(dim):
+            if l != j:
+                dp = mul(dp, x[j] ^ x[l])
+        inv_dp = field.inverse(dp)
+        row = {j: 1}
+        for t, pt in zip(range(dim, n), p_tail):
+            row[t] = mul(mul(field.alpha_pow((t - j) * e0), pt),
+                         mul(inv_dp, field.inverse(x[t] ^ x[j])))
+        rows.append(row)
+    return tuple(rows)
+
+
 def _make_code(field: Field, exponents: tuple[int, ...]) -> RsCode:
     n = field.order - 1
     return RsCode(
@@ -76,6 +138,7 @@ def _make_code(field: Field, exponents: tuple[int, ...]) -> RsCode:
         exponents=exponents,
         generator=tuple(_evaluate_monomial(field, e, n) for e in exponents),
         eval_points=tuple(field.alpha_pow(i) for i in range(n)),
+        systematic=systematic_rows(field, exponents),
     )
 
 

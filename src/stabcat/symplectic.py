@@ -8,15 +8,18 @@ echelon form: rows sorted by pivot (lowest set bit), every pivot column
 zero elsewhere.  RREF is unique per row space, which the file verifier
 relies on to detect mutated generator files.  :class:`Rref` is the one
 elimination routine: spans, membership tests, the RREF check and the
-inversion of the block map all go through it.  :class:`XorTable` is the
-one way to XOR many subsets of a fixed row list: the distance sampler,
-the sampled counting check, the orthogonality check and the
-containment test (:func:`first_outside`) go through it.
+inversion of the block map all go through it.  It inserts rows into an
+echelon form by collision at their lowest bit and makes them canonical
+only when read, by one back-substitution, so a span built from many
+rows pays for the full reduction once, not once per row.
+:class:`XorTable` is the one way to XOR many subsets of a fixed row
+list: the distance sampler, the sampled counting check, the
+orthogonality check and the containment test (:func:`first_outside`)
+go through it.
 """
 
 from __future__ import annotations
 
-import bisect
 import operator
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, islice
@@ -32,52 +35,102 @@ class RrefError(ValueError):
 
 
 class Rref:
-    """Span over GF(2) kept in canonical reduced row echelon form.
+    """Span over GF(2), read out in canonical reduced row echelon form.
 
     ``Rref(rows)`` takes rows that already are canonical RREF, computes
     their pivots once and checks the shape (RrefError otherwise): every
     row is nonzero, the lowest-bit pivots strictly increase, and each
     row is clear at every other row's pivot.
-    ``Rref()`` starts an empty span; :meth:`add` inserts rows one at a
-    time and keeps the matrix fully reduced.
+    ``Rref()`` starts an empty span.  :meth:`add` inserts a row into an
+    echelon dict keyed by lowest bit, reducing it only by collision with
+    the stored row at its current lowest bit, so the stored rows are
+    echelon but not reduced.  ``rows`` and ``pivots`` are made canonical
+    on first access after an insert, by one back-substitution in
+    descending pivot order that XORs in only the rows at set pivot bits.
     """
 
     def __init__(self, rows=()) -> None:
-        self.rows: list[int] = list(rows)
-        self.pivots: list[int] = [lowest_bit(r) for r in self.rows]
+        rows = list(rows)
+        pivots = [lowest_bit(r) for r in rows]
         pivot_mask = 0
-        for i, p in enumerate(self.pivots):
+        for i, p in enumerate(pivots):
             if p < pivot_mask.bit_length():
                 raise RrefError(f"row {i} is zero or out of pivot order")
             pivot_mask |= 1 << p
-        for i, (p, row) in enumerate(zip(self.pivots, self.rows)):
+        for i, (p, row) in enumerate(zip(pivots, rows)):
             if row & pivot_mask != 1 << p:
                 raise RrefError(f"row {i} has a bit at another row's pivot")
+        self._echelon: dict[int, int] = dict(zip(pivots, rows))
+        self._rows: list[int] | None = rows
+        self._pivots = pivots
+        self._pivot_mask = pivot_mask
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._echelon)
+
+    @property
+    def rows(self) -> list[int]:
+        """The canonical RREF rows, sorted by pivot."""
+        if self._rows is None:
+            self._canonicalize()
+        return self._rows
+
+    @property
+    def pivots(self) -> list[int]:
+        """The pivot (lowest set bit) of each row of ``rows``."""
+        if self._rows is None:
+            self._canonicalize()
+        return self._pivots
+
+    def _canonicalize(self) -> None:
+        echelon = self._echelon
+        pivots = sorted(echelon)
+        mask = 0  # pivots of the rows made canonical so far (all higher)
+        for p in reversed(pivots):
+            row = echelon[p]
+            # each row at a set pivot bit q > p is canonical: clear at
+            # every other pivot, so XORing it in clears bit q alone
+            bits = row & mask
+            while bits:
+                low = bits & -bits
+                row ^= echelon[low.bit_length() - 1]
+                bits ^= low
+            echelon[p] = row
+            mask |= 1 << p
+        self._pivots = pivots
+        self._rows = [echelon[p] for p in pivots]
+        self._pivot_mask = mask
 
     def reduce(self, x: int) -> int:
-        """Residue of x against the current rows (0 iff x is in the span)."""
-        for p, row in zip(self.pivots, self.rows):
-            if (x >> p) & 1:
-                x ^= row
+        """Residue of x against the span (0 iff x is in the span).
+
+        In canonical RREF the coefficient of each row in x is x's bit at
+        that row's pivot, so the residue is x XOR the rows at x's set
+        pivot bits: one XOR per set pivot bit, not one test per row.
+        """
+        if self._rows is None:
+            self._canonicalize()
+        echelon = self._echelon
+        bits = x & self._pivot_mask
+        while bits:
+            low = bits & -bits
+            x ^= echelon[low.bit_length() - 1]
+            bits ^= low
         return x
 
     def add(self, x: int) -> bool:
         """Insert a row; returns True if it enlarged the span."""
-        x = self.reduce(x)
-        if x == 0:
-            return False
-        p = lowest_bit(x)
-        for i, row in enumerate(self.rows):
-            if (row >> p) & 1:
-                self.rows[i] = row ^ x
-        at = bisect.bisect_left(self.pivots, p)
-        self.pivots.insert(at, p)
-        self.rows.insert(at, x)
-        return True
+        echelon = self._echelon
+        while x:
+            p = (x & -x).bit_length() - 1
+            row = echelon.get(p)
+            if row is None:
+                echelon[p] = x
+                self._rows = None
+                return True
+            x ^= row
+        return False
 
 
 def row_reduce(rows) -> tuple[int, list[int]]:

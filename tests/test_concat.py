@@ -1,8 +1,17 @@
-"""Block expansion, code construction, and quaternary view tests."""
+"""Block expansion, code construction, and quaternary view tests.
 
+``build_code`` assembles its rows from per-block symbol tables over the
+systematic RS generators and eliminates them lazily; it is checked here
+against the direct route kept as an oracle: every monomial CSS
+generator times alpha^e through ``BlockExpander.expand``, reduced row
+by row into a fully reduced matrix by the test's own elimination.
+"""
+
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabcat.concat import (BlockExpander, ConcatError, ExpansionInput,
                             SymplecticVector, build_code,
@@ -10,6 +19,7 @@ from stabcat.concat import (BlockExpander, ConcatError, ExpansionInput,
                             expand_block, expand_codeword, get_expander,
                             to_quaternary, zero_input)
 from stabcat.field import build_field, coords, find_self_dual_basis
+from stabcat.rs import build_rs_pair, css_generators
 from stabcat.symplectic import in_span, symplectic_weight
 
 
@@ -224,6 +234,86 @@ class TestBuildCode:
         b = find_self_dual_basis(f)
         with pytest.raises(ConcatError):
             get_expander(f, b)
+
+
+def oracle_insert(rows, x):
+    """Insert x into a fully reduced RREF list (sorted by pivot)."""
+    for row in rows:
+        p = (row & -row).bit_length() - 1
+        if (x >> p) & 1:
+            x ^= row
+    if x == 0:
+        return False
+    p = (x & -x).bit_length() - 1
+    rows[:] = sorted([r ^ x if (r >> p) & 1 else r for r in rows] + [x],
+                     key=lambda r: r & -r)
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_matrices(m, big_k):
+    """(S, N) the direct way: expand each monomial generator g of the CSS
+    pair times alpha^e, e < 2m, then every unit s/t input."""
+    f = build_field(2 * m)
+    basis = find_self_dual_basis(f)
+    exp = get_expander(f, basis)
+    nb = exp.n_blocks
+    css = css_generators(*build_rs_pair(f, big_k))
+    zrow = (0,) * (m + 1)
+    units = [zrow[:j] + (1,) + zrow[j + 1:] for j in range(m + 1)]
+    out = []
+    for gens in (css.s_gens, css.n_gens):
+        rows = []
+        for g in gens:
+            for e in range(2 * m):
+                a = tuple(f.mul(f.alpha_pow(e), sym) for sym in g)
+                oracle_insert(rows, exp.expand(ExpansionInput(
+                    a=a, s=(zrow,) * nb, t=(zrow,) * nb)).packed())
+        for i in range(nb):
+            for unit in units:
+                for s_i, t_i in ((unit, zrow), (zrow, unit)):
+                    st_in = tuple(s_i if j == i else zrow for j in range(nb))
+                    tt_in = tuple(t_i if j == i else zrow for j in range(nb))
+                    oracle_insert(rows, exp.expand(ExpansionInput(
+                        a=(0,) * (2 * nb), s=st_in, t=tt_in)).packed())
+        out.append(tuple(rows))
+    return tuple(out)
+
+
+class TestAgainstDirectRoute:
+    @pytest.mark.parametrize(
+        "m,big_k", [(1, k) for k in range(2)] + [(2, k) for k in range(8)]
+        + [(3, k) for k in (0, 1, 10, 31)])
+    def test_matrices_match(self, m, big_k):
+        code = build_code(m, big_k)
+        s_rows, n_rows = oracle_matrices(m, big_k)
+        assert code.s_matrix == s_rows
+        assert code.n_matrix == n_rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_unit_span_round_trip(self, data):
+        # the tagged span is built by Rref.add and read by reduce and
+        # pivots: its rows are the oracle RREF of the tagged images, and
+        # invert_block undoes expand_block
+        two_m = data.draw(st.sampled_from((2, 4)))
+        f = build_field(two_m)
+        exp = get_expander(f, find_self_dual_basis(f))
+        m = exp.m
+        i = data.draw(st.integers(0, exp.n_blocks - 1))
+        tag = 2 * exp.block_width
+        want = []
+        for j, image in enumerate(exp.unit_images(i)):
+            oracle_insert(want, image | (1 << (tag + j)))
+        span = exp.unit_span(i)
+        assert span.rows == want
+        bit_row = st.tuples(*[st.integers(0, 1)] * (m + 1))
+        a_i, a_ni = data.draw(st.tuples(st.integers(0, f.order - 1),
+                                        st.integers(0, f.order - 1)))
+        s_i, t_i = data.draw(bit_row), data.draw(bit_row)
+        b_bits, c_bits = exp.expand_block(i, a_i, a_ni, s_i, t_i)
+        got = exp.invert_block(i, b_bits, c_bits)
+        assert (got.a_i, got.a_ni, got.s, got.t) == (a_i, a_ni, s_i, t_i)
 
 
 class TestQuaternary:

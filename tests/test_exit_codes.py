@@ -1,0 +1,98 @@
+"""Every documented exit code of every subcommand, driven once each.
+
+Exit codes (``stabcat.cli``): 0 success, 1 verification failure, 2 usage
+error, 3 I/O or parse error.  A run that exits non-zero writes exactly
+one ``stabcat: ...`` line on stderr and never a traceback; a run that
+succeeds writes nothing on stderr.  The program's own usage errors are
+driven here; argparse's (a missing or malformed option) are not.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from stabcat import codefile
+from stabcat.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from stabcat.symplectic import lowest_bit
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Real code files and mutated copies, by name."""
+    d = tmp_path_factory.mktemp("exit_codes")
+    out = {"missing": d / "no_such_dir" / "x.code"}
+    for name, m, big_k in (("m1k1", 1, 1), ("m2k3", 2, 3)):
+        out[name] = d / f"{name}.code"
+        assert main(["construct", "--m", str(m), "--K", str(big_k),
+                     "--out", str(out[name])]) == EXIT_OK
+    cf = codefile.load(out["m1k1"])
+    # a non-pivot bit of stabilizer row 0: still canonical, not the code
+    s_rows = list(cf.s_rows)
+    s_rows[0] ^= 1 << max(set(range(2 * cf.n))
+                          - {lowest_bit(r) for r in s_rows})
+    for name, bad in (("flipped", replace(cf, s_rows=tuple(s_rows))),
+                      ("bad_k", replace(cf, k=cf.k + 4))):  # k != 2m(N-2K)
+        out[name] = d / f"{name}.code"
+        codefile.store(bad, out[name])
+    lines = out["m1k1"].read_text().split("\n")
+    swapped = list(lines)  # stabilizer rows 0 and 1 out of pivot order
+    swapped[10], swapped[11] = lines[11], lines[10]
+    for name, text in (("swapped", swapped), ("truncated", lines[:15])):
+        out[name] = d / f"{name}.code"
+        out[name].write_text("\n".join(text))
+    return out
+
+
+# (argv with {name} placeholders for files, expected exit code)
+MATRIX = [
+    (["construct", "--m", "1", "--K", "1", "--out", "{new}"], EXIT_OK),
+    (["construct", "--m", "1", "--K", "2", "--out", "{new}"], EXIT_USAGE),
+    (["construct", "--m", "0", "--K", "0", "--out", "{new}"], EXIT_USAGE),
+    (["construct", "--m", "9", "--K", "0", "--out", "{new}"], EXIT_USAGE),
+    (["construct", "--m", "1", "--K", "1", "--out", "{missing}"], EXIT_IO),
+    (["verify", "{m1k1}"], EXIT_OK),
+    (["verify", "{flipped}"], EXIT_VERIFY_FAIL),
+    (["verify", "{bad_k}"], EXIT_VERIFY_FAIL),
+    (["verify", "{missing}"], EXIT_IO),
+    (["verify", "{truncated}"], EXIT_IO),
+    (["distance", "{m1k1}", "--method", "exact"], EXIT_OK),
+    (["distance", "{m2k3}", "--method", "sample", "--trials", "50"],
+     EXIT_OK),
+    (["distance", "{flipped}", "--method", "exact"], EXIT_VERIFY_FAIL),
+    (["distance", "{bad_k}", "--method", "exact"], EXIT_VERIFY_FAIL),
+    (["distance", "{m2k3}", "--method", "exact"], EXIT_USAGE),
+    (["distance", "{m1k1}", "--method", "exact", "--parts", "0"],
+     EXIT_USAGE),
+    (["distance", "{missing}"], EXIT_IO),
+    (["distance", "{swapped}"], EXIT_IO),
+    (["bounds", "--curve", "ours", "--steps", "3"], EXIT_OK),
+    (["bounds", "--curve", "ours_finite_m", "--steps", "3"], EXIT_USAGE),
+    (["export", "{m1k1}"], EXIT_OK),
+    (["export", "{missing}"], EXIT_IO),
+    (["export", "{truncated}"], EXIT_IO),
+]
+
+
+def test_matrix_covers_every_documented_code():
+    want = {"construct": {0, 2, 3}, "verify": {0, 1, 3},
+            "distance": {0, 1, 2, 3}, "bounds": {0, 2}, "export": {0, 3}}
+    got = {}
+    for argv, code in MATRIX:
+        got.setdefault(argv[0], set()).add(code)
+    assert got == want
+
+
+@pytest.mark.parametrize("argv,code", MATRIX,
+                         ids=lambda x: x if isinstance(x, int)
+                         else " ".join(x).replace("{", "").replace("}", ""))
+def test_exit_code(argv, code, files, tmp_path, capsys):
+    paths = {k: str(v) for k, v in files.items()}
+    paths["new"] = str(tmp_path / "new.code")
+    assert main([a.format(**paths) for a in argv]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+        assert err.startswith("stabcat: "), err

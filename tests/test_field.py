@@ -5,6 +5,7 @@ helpers (naive polynomial trial division, naive repeated multiplication)
 rather than trusted from the library's own fast paths.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -124,6 +125,28 @@ class TestBuildField:
             Field(4, 0b11111)  # (x+1)^4-ish, reducible
         with pytest.raises(FieldError):
             Field(8, 0x11b)  # irreducible but x is not primitive
+
+    def test_degree1_gf2(self):
+        # x + 1 is the one irreducible modulus of degree 1; x itself is
+        # irreducible but makes x a zero divisor, not a generator.
+        f = Field(1, 0x3)
+        assert (f.order, f.alpha) == (2, 1)
+        assert [f.trace(x) for x in range(2)] == [0, 1]
+        assert f.mul(1, 1) == f.inverse(1) == f.power(1, 5) == 1
+        assert _is_irreducible(0x3, 1) and _is_primitive(0x3, 1)
+        assert not _is_primitive(0x2, 1)
+        with pytest.raises(FieldError, match="not primitive"):
+            Field(1, 0x2)
+
+    def test_tables_pinned(self):
+        # exp/log/trace tables of build_field(e), e = 2..16, as a sha256
+        h = hashlib.sha256()
+        for e in range(2, DEFAULT_MAX_DEGREE + 1):
+            f = build_field(e)
+            h.update(repr((e, f.modulus, f._exp, f._log,
+                           f._trace)).encode())
+        assert h.hexdigest() == ("9e3871063ca8f0a827ae6ba0563e07f4"
+                                 "bbbd2db8bb299d2fc428ca3a529a719f")
 
     def test_degree_cap_before_tables(self):
         # A primitive degree-17 modulus passes every other check, so only

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from stabcat.field import build_field
 from stabcat.rs import (CssPair, RsError, build_rs_pair, css_generators,
                         dot, min_weight_exhaustive, rs_contains, rs_encode,
-                        symplectic_field_product)
+                        symplectic_field_product, systematic_rows)
 
 
 @pytest.fixture(scope="module")
@@ -305,3 +305,53 @@ class TestAgainstElimination:
                    if b not in code.exponents)
         with pytest.raises(RsError, match=f"R row {bad} "):
             css_generators(dual, code)
+
+
+def lagrange_entry(code, j, t):
+    """Row j of the systematic generator at position t, as the product
+    x_t^e0 x_j^-e0 prod_{l != j, l < dim} (x_t + x_l) / (x_j + x_l)."""
+    f = code.field
+    x = code.eval_points
+    e0 = code.exponents[0]
+    acc = f.mul(f.power(x[t], e0), f.power(x[j], -e0))
+    for l in range(code.dim):
+        if l != j:
+            acc = f.mul(acc, f.mul(x[t] ^ x[l], f.inverse(x[j] ^ x[l])))
+    return acc
+
+
+#: (field degree, K, rows checked): every K and row at GF(4) and GF(16),
+#: sampled K and rows at GF(64) and GF(256)
+SYSTEMATIC_CASES = (
+    [(two_m, k, None) for two_m in (2, 4)
+     for k in range((1 << two_m) // 2)]
+    + [(6, k, 3) for k in (0, 1, 10, 31)]
+    + [(8, k, 2) for k in (0, 1, 60, 127)])
+
+
+class TestSystematicRows:
+    @pytest.mark.parametrize("two_m,k,sample", SYSTEMATIC_CASES)
+    def test_rows_span_code_systematically(self, two_m, k, sample):
+        for code in rs_pair(two_m, k):
+            n, dim = code.length, code.dim
+            rows = code.systematic
+            # dim rows that are the unit vectors on the information set
+            # 0..dim-1 are independent, so lying in the code they span it
+            assert len(rows) == dim
+            picked = range(dim) if sample is None else \
+                sorted(random.Random(two_m * 1000 + k).sample(
+                    range(dim), min(sample, dim)))
+            for j in picked:
+                row = rows[j]
+                v = [row.get(i, 0) for i in range(n)]
+                assert v[:dim] == [int(i == j) for i in range(dim)]
+                assert all(v[dim:])  # MDS: no zero outside the info set
+                assert set(row) == {j, *range(dim, n)}
+                for t in range(dim, n):
+                    assert v[t] == lagrange_entry(code, j, t), (j, t)
+                assert rs_contains(code, v)
+
+    def test_exponents_must_be_one_window(self, gf16):
+        assert systematic_rows(gf16, ()) == ()
+        with pytest.raises(RsError, match="window"):
+            systematic_rows(gf16, (1, 3))

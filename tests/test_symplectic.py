@@ -176,6 +176,60 @@ class TestInSpan:
         assert (acc.rank, acc.rows) == row_reduce(rows)
 
 
+def naive_rref(rows):
+    """Oracle RREF: Gaussian elimination column by column, lowest first."""
+    rows = [r for r in rows if r]
+    out = []
+    width = max(rows, default=0).bit_length()
+    for c in range(width):
+        pick = next((r for r in rows if (r >> c) & 1), None)
+        if pick is None:
+            continue
+        rows = [r ^ pick if (r >> c) & 1 else r for r in rows if r != pick]
+        rows = [r for r in rows if r]
+        out = [r ^ pick if (r >> c) & 1 else r for r in out] + [pick]
+    return out
+
+
+def naive_residue(red, x):
+    for row in red:
+        if (x >> ((row & -row).bit_length() - 1)) & 1:
+            x ^= row
+    return x
+
+
+class TestLazyRref:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 24).flatmap(lambda w: st.lists(st.tuples(
+        st.sampled_from(("add", "reduce", "rows")),
+        st.integers(0, (1 << w) - 1)), max_size=30)))
+    def test_interleaved_ops_match_naive(self, ops):
+        # add, reduce and the canonical read-out in any order: each read
+        # agrees with re-eliminating every row inserted so far
+        acc = Rref()
+        inserted = []
+        for op, x in ops:
+            red = naive_rref(inserted)
+            if op == "add":
+                assert acc.add(x) == (naive_residue(red, x) != 0)
+                inserted.append(x)
+                assert acc.rank == len(naive_rref(inserted))
+            elif op == "reduce":
+                assert acc.reduce(x) == naive_residue(red, x)
+            else:
+                assert acc.rows == red
+                assert acc.pivots == [(r & -r).bit_length() - 1
+                                      for r in red]
+        assert row_reduce(inserted) == (len(acc.rows), acc.rows)
+
+    def test_rows_list_not_mutated_by_later_adds(self):
+        acc = Rref()
+        acc.add(0b011)
+        before = acc.rows
+        acc.add(0b010)
+        assert before == [0b011] and acc.rows == [0b001, 0b010]
+
+
 @st.composite
 def rows_and_bits(draw):
     """A row list (0-40 rows, 1-300 bits wide) and a selector for it."""
