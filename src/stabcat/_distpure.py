@@ -1,4 +1,4 @@
-"""Chunked Gray-code walk over lifted words, and the exact-scan kernel.
+"""Chunked Gray-code walk, the exact-scan kernel and the sampler batches.
 
 Both exhaustive walks over normalizer combinations (the exact distance
 scan and the exhaustive counting check) go through :func:`gray_chunks`.
@@ -22,9 +22,19 @@ SWAR popcount (Warren, *Hacker's Delight*, section 5-1) gives every
 lane's weight at once; one add, one mask and one compare tell whether
 any word can beat the best so far.  Only such a chunk, or a partial one
 at either end of the range, is walked word by word.
+
+The distance sampler evaluates its trials bit-sliced (Biham, "A fast new
+DES implementation in software", FSE 1997), ``BATCH`` at a time: bit t
+of every batch int belongs to trial t.  :func:`draw` takes a batch's
+selectors from one ``getrandbits`` call, :func:`lane_vectors` transposes
+them into one int per normalizer row, and :func:`weight_planes` XORs
+those into the words' columns and counts every trial's weight at once.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import or_, xor
 
 from .symplectic import xor_rows
 
@@ -199,3 +209,122 @@ def gray_scan(gens, n: int, s_pivots, start: int, stop: int):
     if best_idx < 0:
         return -1, -1, 0
     return best2 // 2, best_idx, best_x
+
+
+# ----------------------------------------------------------------------
+# Bit-sliced sampler batches
+# ----------------------------------------------------------------------
+
+#: trials the sampler evaluates together, one bit lane of each batch int
+#: per trial; a multiple of 8.  Larger batches are barely faster and
+#: raise the sampler's memory above the rest of ``distance``'s at m=3
+BATCH = 2048
+
+#: (shift, mask) steps of the 8x8 bit transpose (a swap network, as in
+#: Hacker's Delight 7-3) applied to every 8-byte group of an 8·BATCH-bit
+#: int at once: bit k of byte j moves to bit j of byte k
+_TRANSPOSE = [
+    (shift, int.from_bytes(mask.to_bytes(8, "little") * (BATCH // 8),
+                           "little"))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                        (28, 0x00000000F0F0F0F0))]
+
+
+def draw(rng, r: int, count: int) -> bytes:
+    """The selectors of ``count`` trials, from one ``rng.getrandbits``.
+
+    ``getrandbits(r)`` takes W = ceil(r/32) 32-bit words and fills its
+    result from the least significant end, keeping only the top bits of
+    a partial last word (and of the single word when r <= 32).  One
+    ``getrandbits(32·W·count)`` takes the same words in the same order,
+    so trial t's words are the 4W bytes from byte 4W·t, and the
+    generator is left as ``count`` separate draws would leave it.  See
+    :func:`byte_layout` and :func:`selector` for where each bit sits.
+    """
+    words = (r + 31) // 32
+    return rng.getrandbits(32 * words * count).to_bytes(4 * words * count,
+                                                        "little")
+
+
+def selector(buf: bytes, t: int, r: int) -> int:
+    """Trial t's ``getrandbits(r)``, read from a :func:`draw` buffer."""
+    size = 4 * ((r + 31) // 32)  # bytes per trial
+    bits = int.from_bytes(buf[size * t:size * (t + 1)], "little")
+    split = max(8 * size - 32, 0)  # selector bits below stay in place
+    pad = 8 * size - r             # low bits of the last word, unused
+    return bits & ((1 << split) - 1) | bits >> (split + pad) << split
+
+
+def byte_layout(r: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """(byte offset in a slot, [(bit in that byte, selector bit i)]).
+
+    Selector bit i sits at bit i of a trial's 32·W-bit slot, or at bit
+    i + 32·W - r when it falls in a partial last word.
+    """
+    words = (r + 31) // 32
+    layout: dict[int, list[tuple[int, int]]] = {}
+    for i in range(r):
+        b = i if i < 32 * (words - 1) else i + 32 * words - r
+        layout.setdefault(b >> 3, []).append((b & 7, i))
+    return list(layout.items())
+
+
+def lane_vectors(buf: bytes, layout, r: int, count: int) -> list[int]:
+    """One int per row: bit t of entry i is trial t's selector bit i.
+
+    ``layout`` is :func:`byte_layout` (r).  The byte at one offset of
+    every trial's slot is one strided slice, read as an int with trial t
+    in byte t.  An 8x8 bit transpose of every 8-byte group turns it into
+    eight interleaved lane vectors, split apart again by strided slices.
+    """
+    size = 4 * ((r + 31) // 32)  # bytes per trial
+    groups = (count + 7) // 8
+    lanes = [0] * r
+    for offset, bits in layout:
+        x = int.from_bytes(buf[offset::size], "little")
+        for shift, mask in _TRANSPOSE:
+            swap = (x ^ (x >> shift)) & mask
+            x ^= swap ^ (swap << shift)
+        interleaved = x.to_bytes(8 * groups, "little")
+        for k, i in bits:
+            lanes[i] = int.from_bytes(interleaved[k::8], "little")
+    return lanes
+
+
+def weight_planes(lanes: list[int], supports, n: int) -> list[int]:
+    """Bit-sliced weights of a batch's words, column by column.
+
+    Column c of the words is the XOR of the lane vectors of the rows in
+    ``supports[c]``.  Bit t of ``planes[k]`` is bit k of the symplectic
+    weight of trial t's word: a ripple counter adds ``u_j | v_j`` for
+    every position j, so only two columns are held at a time.
+    """
+    def column(rows_at):
+        return reduce(xor, map(lanes.__getitem__, rows_at)) if rows_at \
+            else 0
+
+    planes: list[int] = []
+    for carry in map(or_, map(column, supports[:n]),
+                     map(column, supports[n:])):
+        for k, plane in enumerate(planes):
+            planes[k] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    return planes
+
+
+def below(planes: list[int], w: int, every: int) -> int:
+    """The lanes of ``every`` whose bit-sliced weight is below w."""
+    lt, eq = 0, every
+    for k in range(max(len(planes), w.bit_length()) - 1, -1, -1):
+        plane = planes[k] if k < len(planes) else 0
+        if w >> k & 1:
+            lt |= eq & ~plane
+            eq &= plane
+        else:
+            eq &= ~plane
+    return lt

@@ -4,8 +4,8 @@ Exit codes: 0 success / all checks passed, 1 verification failure
 (``distance`` on a file that fails the header, rank or duality checks
 included), 2 usage error (bad arguments, parameters out of range,
 over-budget request), 3 I/O or parse error.  Every exit other than 0
-writes exactly one ``stabcat: ...`` line on stderr, except argparse's
-own usage errors (exit 2), which print argparse's usage message.
+writes exactly one ``stabcat: ...`` line on stderr, argparse's own
+usage errors (a missing or malformed option) included.
 """
 
 from __future__ import annotations
@@ -98,8 +98,9 @@ def verify_code_file(cf: codefile.CodeFile) -> dict:
     rank closed forms, symplectic orthogonality of every stabilizer row
     to every normalizer row (S·Ω·Nᵀ = 0, by table lookups),
     stabilizer-in-normalizer containment, and per-block injectivity of
-    the expansion (for m <= 3, see ``INJECTIVITY_BUDGET_BITS``).  The
-    field is built once and shared by the field check and the code.
+    the expansion (for m <= 3, see ``INJECTIVITY_BUDGET_BITS``), over
+    the field's 2^(2m) - 1 blocks.  The field is built once and shared
+    by the field check and the code.
     """
     checks: dict = {}
     details: dict = {}
@@ -143,9 +144,11 @@ def verify_code_file(cf: codefile.CodeFile) -> dict:
 
     if checks["field"] and checks["basis"]:
         if 6 * m + 2 <= INJECTIVITY_BUDGET_BITS:
+            # one block per nonzero field element, however many blocks
+            # the header claims
             checks["block_injectivity"] = all(
                 check_block_injectivity(field, cf.basis, i)
-                for i in range(big_n))
+                for i in range(field.order - 1))
         else:
             details["block_injectivity"] = "skipped: over budget"
 
@@ -289,8 +292,21 @@ def cmd_export(args) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one ``stabcat:`` line.
+
+    argparse would print the usage text and a ``prog: error:`` line;
+    sub-command parsers are made of the same class.  ``--help`` is
+    unchanged.
+    """
+
+    def error(self, message: str):
+        _print_err(message)
+        self.exit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stabcat",
         description="Concatenated quantum stabilizer codes from "
                     "Reed-Solomon codes: construction, verification, "

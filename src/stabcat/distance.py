@@ -14,7 +14,14 @@ a partial chunk at either end of a range, is walked word by word, on
 words lifted so that popcount is twice the symplectic weight.
 
 Sampled mode draws uniform random normalizer codewords and reports the
-minimum weight seen, an upper bound on the true distance only.
+minimum weight seen, an upper bound on the true distance only.  It is
+reproducible per seed and prefix-stable.  The draws are evaluated
+bit-sliced, ``BATCH`` at a time with one bit lane per draw, from one
+``getrandbits`` call that gives the same bits as per-draw calls: each
+column of the batch's words is one XOR of row lane vectors, and a
+bit-sliced counter gives every draw's weight at once.  Only the draws
+below the best weight so far are rebuilt and tested against the
+stabilizer span, in draw order.
 
 The module also verifies the structural weight-counting facts the
 asymptotic distance bound rests on: every normalizer-coset codeword has
@@ -42,8 +49,10 @@ from operator import or_
 
 from .concat import (StabilizerCodeL, SymplecticVector,
                      designated_half_tuple, get_expander)
-from .symplectic import XorTable, in_span, symplectic_weight_packed
+from .symplectic import (XorTable, column_supports, in_span,
+                         symplectic_weight_packed, xor_rows)
 from . import _distpure
+from ._distpure import BATCH
 
 HAVE_COMPILED = False  # always False; perfbench/run.py's env probe reads it
 
@@ -131,28 +140,50 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
 
     Reproducible per seed, and prefix-stable: the first T trials of a
     longer run coincide with a T-trial run on the same seed, so more
-    trials never increase the bound.  Each trial is one
-    ``getrandbits(rank N)`` combined through an :class:`XorTable` over
-    the normalizer rows, built once per call; the first minimum-weight
-    sample outside the stabilizer span is the witness.
+    trials never increase the bound.  Trial t's word is the XOR of the
+    normalizer rows selected by the t-th ``getrandbits(rank N)`` of
+    ``random.Random(seed)``; the first minimum-weight word outside the
+    stabilizer span is the witness.
+
+    The trials are evaluated bit-sliced, ``BATCH`` at a time, one bit
+    lane per trial (see :mod:`stabcat._distpure`).  Each of the 2n
+    columns of a batch's words is the XOR of the lane vectors of the
+    rows with that column set, over supports found once per call
+    (:func:`column_supports`), and a bit-sliced counter gives every
+    trial's weight.  Only the lanes below the best weight so far are
+    rebuilt, in trial order, by :func:`xor_rows` and tested against the
+    stabilizer span: exactly the trials that a trial-by-trial loop would
+    test.
     """
     if trials < 1:
         raise DistanceError("trials must be >= 1")
     rng = random.Random(seed)
+    rows = code.n_matrix
     r = code.rank_n
     n = code.n
-    mask = (1 << n) - 1
-    combine = XorTable(code.n_matrix).combine
+    supports = column_supports(rows, 2 * n)
+    layout = _distpure.byte_layout(r)
     s_span = code.s_span
     best = None  # (w, trial, word)
-    for trial in range(trials):
-        x = combine(rng.getrandbits(r))
-        w = ((x | (x >> n)) & mask).bit_count()
-        if best is not None and w >= best[0]:
-            continue
-        if in_span(s_span, x):
-            continue
-        best = (w, trial, x)
+    for first in range(0, trials, BATCH):
+        count = min(BATCH, trials - first)
+        buf = _distpure.draw(rng, r, count)
+        planes = _distpure.weight_planes(
+            _distpure.lane_vectors(buf, layout, r, count), supports, n)
+        every = (1 << count) - 1
+        todo = every if best is None else \
+            _distpure.below(planes, best[0], every)
+        while todo:
+            low = todo & -todo
+            t = low.bit_length() - 1
+            x = xor_rows(rows, _distpure.selector(buf, t, r))
+            if in_span(s_span, x):
+                todo ^= low
+                continue
+            w = symplectic_weight_packed(x, n)
+            best = (w, first + t, x)
+            todo = _distpure.below(planes, w, every) >> (t + 1) << (t + 1)
+        del buf  # before the next batch is drawn
     if best is None:
         raise DistanceError(
             f"no sample left the stabilizer span after {trials} trials")

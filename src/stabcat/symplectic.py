@@ -13,9 +13,10 @@ echelon form by collision at their lowest bit and makes them canonical
 only when read, by one back-substitution, so a span built from many
 rows pays for the full reduction once, not once per row.
 :class:`XorTable` is the one way to XOR many subsets of a fixed row
-list: the distance sampler, the sampled counting check, the
+list one subset at a time: the sampled counting check, the
 orthogonality check and the containment test (:func:`first_outside`)
-go through it.
+go through it.  The distance sampler combines a whole batch of subsets
+at once, column by column, over :func:`column_supports`.
 """
 
 from __future__ import annotations
@@ -145,8 +146,9 @@ def xor_rows(rows, bits: int) -> int:
     """XOR of rows[j] over the set bits j of ``bits`` (bit 0 -> rows[0]).
 
     The one-shot form, for a row list combined once or a few times (the
-    start word of a Gray scan, inverting one block).  A row list that
-    is combined many times gets an :class:`XorTable` instead.
+    start word of a Gray scan, inverting one block, rebuilding one
+    sampler candidate).  A row list that is combined many times gets an
+    :class:`XorTable` instead.
     """
     x = 0
     while bits:
@@ -191,6 +193,25 @@ class XorTable:
                              self.lo, self.hi):
             x ^= lo[b & 15] ^ hi[b >> 4]
         return x
+
+
+def column_supports(rows, width: int) -> list[list[int]]:
+    """For each column c < width, the indices j of the rows with bit c set.
+
+    Read row by row, with ``str.find`` over each row's bit string, so no
+    transposed copy of the matrix is held; bits at or above ``width``
+    are ignored.
+    """
+    supports: list[list[int]] = [[] for _ in range(width)]
+    low = (1 << width) - 1
+    for j, x in enumerate(rows):
+        bits = format(x & low, "b")
+        top = len(bits) - 1
+        c = bits.find("1")
+        while c >= 0:
+            supports[top - c].append(j)
+            c = bits.find("1", c + 1)
+    return supports
 
 
 def in_span(span: Rref, x: int) -> bool:

@@ -338,24 +338,78 @@ class TestSampledDistance:
 
 
 def one_shot_sampler(code, trials, seed):
-    """Oracle: the sampler loop before XorTable, one xor_rows per trial;
-    returns (d, witness word, trials enumerated)."""
+    """Oracle: the sampler as a trial-by-trial loop, one xor_rows per
+    trial; returns (d, witness word, trials enumerated, stabilizer span
+    tests made), with d and the witness None when no sample left S."""
     rng = random.Random(seed)
     r = code.rank_n
     gens = code.n_matrix
     s_span = code.s_span
     best = None  # (w, trial, word)
+    tests = 0
     for trial in range(trials):
         x = xor_rows(gens, rng.getrandbits(r))
         if best is not None and \
                 symplectic_weight_packed(x, code.n) >= best[0]:
             continue
+        tests += 1
         if in_span(s_span, x):
             continue
         w = symplectic_weight_packed(x, code.n)
         if best is None or w < best[0]:
             best = (w, trial, x)
-    return best[0], best[2], trials
+    if best is None:
+        return None, None, trials, tests
+    return best[0], best[2], trials, tests
+
+
+def counted_sampler(code, trials, seed):
+    """The sampler's (d, witness word, trials enumerated, stabilizer
+    span tests made), in the oracle's form; ``in_span`` is counted as the
+    benchmark's layer trace counts it, less the two witness checks."""
+    calls = []
+
+    def counting(span, x):
+        calls.append(span)
+        return in_span(span, x)
+
+    with mock.patch.object(distance, "in_span", counting):
+        try:
+            rep = sampled_distance_upper(code, trials=trials, seed=seed)
+        except DistanceError:
+            return None, None, trials, len(calls)
+    assert calls[-2:] == [code.n_span, code.s_span]  # _validate_witness
+    return rep.d, rep.witness.packed(), rep.enumerated, len(calls) - 2
+
+
+@dataclasses.dataclass
+class RowsCode:
+    """What the sampler reads of a code, over any normalizer row list."""
+
+    n: int
+    n_matrix: tuple
+    s_span: Rref
+    n_span: Rref
+
+    @property
+    def rank_n(self):
+        return len(self.n_matrix)
+
+
+@st.composite
+def row_codes(draw):
+    """Rows that are rarely canonical (dependent, repeated or zero rows
+    included), with a stabilizer spanned by a prefix of them; the ranks
+    sit on either side of the 32-bit word boundaries of a draw."""
+    r = draw(st.sampled_from([0, 1, 2, 7, 8, 9, 20, 31, 32, 33, 63, 64,
+                              65, 95, 96, 97]))
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.integers(0, (1 << (2 * n)) - 1),
+                         min_size=r, max_size=r))
+    s = draw(st.integers(0, r))
+    return RowsCode(n=n, n_matrix=tuple(rows),
+                    s_span=Rref(row_reduce(rows[:s])[1]),
+                    n_span=Rref(row_reduce(rows)[1]))
 
 
 class OneShotTable:
@@ -368,13 +422,60 @@ class OneShotTable:
         return xor_rows(self.rows, bits)
 
 
+BATCH = _distpure.BATCH
+
+
 class TestSamplerOracle:
     @pytest.mark.parametrize("seed", range(5))
     def test_same_draws_as_one_shot_loop(self, code_m1k1, code_m2k3, seed):
         for code in (code_m1k1, code_m2k3):
-            rep = sampled_distance_upper(code, trials=500, seed=seed)
-            got = (rep.d, rep.witness.packed(), rep.enumerated)
-            assert got == one_shot_sampler(code, 500, seed)
+            for trials in (500, 2 * BATCH + 3):
+                assert counted_sampler(code, trials, seed) == \
+                    one_shot_sampler(code, trials, seed)
+
+    @pytest.mark.parametrize("trials", [1, BATCH - 1, BATCH, BATCH + 1,
+                                        2 * BATCH + 3])
+    def test_batch_edges(self, code_m1k1, code_m2k3, trials):
+        for code in (code_m1k1, code_m2k3):
+            assert counted_sampler(code, trials, 7) == \
+                one_shot_sampler(code, trials, 7)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(code=row_codes(),
+           trials=st.sampled_from([1, 3, 64, BATCH - 1, BATCH + 1]),
+           seed=st.integers(0, 3))
+    def test_any_rows(self, code, trials, seed):
+        assert counted_sampler(code, trials, seed) == \
+            one_shot_sampler(code, trials, seed)
+
+    @pytest.mark.parametrize("r", [0, 1, 5, 8, 31, 32, 33, 63, 64, 65,
+                                   100, 186])
+    def test_bulk_draw_is_per_trial_draws(self, r):
+        one, bulk = random.Random(r), random.Random(r)
+        want = [one.getrandbits(r) for _ in range(37)]
+        buf = _distpure.draw(bulk, r, 37)
+        assert [_distpure.selector(buf, t, r) for t in range(37)] == want
+        assert bulk.getstate() == one.getstate()
+        lanes = _distpure.lane_vectors(buf, _distpure.byte_layout(r), r,
+                                         37)
+        assert lanes == [sum((sel >> i & 1) << t
+                             for t, sel in enumerate(want))
+                         for i in range(r)]
+
+    @given(weights=st.lists(st.integers(0, 40), min_size=1, max_size=40),
+           w=st.integers(0, 70))
+    def test_bit_sliced_weights(self, weights, w):
+        # one lane per weight: lane t has weights[t] positions set
+        n = 40
+        columns = [sum(int(j < wt) << t for t, wt in enumerate(weights))
+                   for j in range(n)] + [0] * n
+        planes = _distpure.weight_planes(
+            columns, [[c] for c in range(2 * n)], n)
+        every = (1 << len(weights)) - 1
+        assert [sum((p >> t & 1) << k for k, p in enumerate(planes))
+                for t in range(len(weights))] == weights
+        assert _distpure.below(planes, w, every) == \
+            sum(1 << t for t, wt in enumerate(weights) if wt < w)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sampled_counting_unchanged(self, code_m1k1, code_m2k3, seed,

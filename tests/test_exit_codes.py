@@ -3,8 +3,10 @@
 Exit codes (``stabcat.cli``): 0 success, 1 verification failure, 2 usage
 error, 3 I/O or parse error.  A run that exits non-zero writes exactly
 one ``stabcat: ...`` line on stderr and never a traceback; a run that
-succeeds writes nothing on stderr.  The program's own usage errors are
-driven here; argparse's (a missing or malformed option) are not.
+succeeds writes nothing on stderr.  The program's own usage errors and
+argparse's (a missing or malformed option, which exit through
+``SystemExit``) are both driven here; ``--help`` still exits 0 with
+argparse's help text.
 """
 
 from dataclasses import replace
@@ -31,7 +33,9 @@ def files(tmp_path_factory):
     s_rows[0] ^= 1 << max(set(range(2 * cf.n))
                           - {lowest_bit(r) for r in s_rows})
     for name, bad in (("flipped", replace(cf, s_rows=tuple(s_rows))),
-                      ("bad_k", replace(cf, k=cf.k + 4))):  # k != 2m(N-2K)
+                      ("bad_k", replace(cf, k=cf.k + 4)),  # k != 2m(N-2K)
+                      # verify checks the field's 3 blocks, not 10^9
+                      ("big_n", replace(cf, big_n=10 ** 9))):
         out[name] = d / f"{name}.code"
         codefile.store(bad, out[name])
     lines = out["m1k1"].read_text().split("\n")
@@ -53,6 +57,7 @@ MATRIX = [
     (["verify", "{m1k1}"], EXIT_OK),
     (["verify", "{flipped}"], EXIT_VERIFY_FAIL),
     (["verify", "{bad_k}"], EXIT_VERIFY_FAIL),
+    (["verify", "{big_n}"], EXIT_VERIFY_FAIL),
     (["verify", "{missing}"], EXIT_IO),
     (["verify", "{truncated}"], EXIT_IO),
     (["distance", "{m1k1}", "--method", "exact"], EXIT_OK),
@@ -60,6 +65,7 @@ MATRIX = [
      EXIT_OK),
     (["distance", "{flipped}", "--method", "exact"], EXIT_VERIFY_FAIL),
     (["distance", "{bad_k}", "--method", "exact"], EXIT_VERIFY_FAIL),
+    (["distance", "{big_n}", "--method", "sample"], EXIT_VERIFY_FAIL),
     (["distance", "{m2k3}", "--method", "exact"], EXIT_USAGE),
     (["distance", "{m1k1}", "--method", "exact", "--parts", "0"],
      EXIT_USAGE),
@@ -96,3 +102,42 @@ def test_exit_code(argv, code, files, tmp_path, capsys):
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.endswith("\n"), err
         assert err.startswith("stabcat: "), err
+
+
+# argparse's own usage errors: (argv, text the one stderr line holds)
+ARGPARSE_ERRORS = [
+    (["construct", "--m", "1"],
+     "the following arguments are required: --K, --out"),
+    (["distance", "x", "--method", "bogus"],
+     "argument --method: invalid choice: 'bogus'"),
+    (["construct", "--m", "x", "--K", "1", "--out", "y"],
+     "argument --m: invalid int value: 'x'"),
+    (["distance", "x", "--trials"], "argument --trials: expected one"),
+    (["verify", "x", "--bogus"], "unrecognized arguments: --bogus"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+]
+
+
+@pytest.mark.parametrize("argv,text", ARGPARSE_ERRORS,
+                         ids=lambda x: " ".join(x) if isinstance(x, list)
+                         else None)
+def test_argparse_error_is_one_line(argv, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+    assert err.startswith("stabcat: ") and text in err, err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["construct", "--help"],
+                                  ["distance", "--help"]],
+                         ids=" ".join)
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: stabcat") and err == ""

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from stabcat import symplectic
 from stabcat.concat import SymplecticVector, build_code
 from stabcat.symplectic import (DualityReport, Rref, RrefError, XorTable,
-                                first_outside, in_span, is_rref, row_reduce,
-                                symplectic_product,
+                                column_supports, first_outside, in_span,
+                                is_rref, row_reduce, symplectic_product,
                                 symplectic_product_packed, symplectic_weight,
                                 verify_duality, xor_rows)
 
@@ -261,6 +261,16 @@ class TestXorTable:
         table = XorTable(rows)
         for bits in range(1 << 9):
             assert table.combine(bits) == xor_rows(rows, bits)
+
+
+class TestColumnSupports:
+    @given(rows=st.lists(st.integers(0, (1 << 80) - 1), max_size=12),
+           width=st.integers(0, 90))
+    def test_matches_bit_tests(self, rows, width):
+        # bits at or above width are ignored
+        assert column_supports(rows, width) == [
+            [j for j, x in enumerate(rows) if x >> c & 1]
+            for c in range(width)]
 
 
 def pairwise_duality(code) -> DualityReport:
