@@ -1,0 +1,143 @@
+"""Per-block tables, and the block-local stabilizer cosets of N.
+
+A block's table maps its key (:func:`block_key`) to a class id; the
+exhaustive counting check in :mod:`stabcat.distance` reads one per
+block.  That check does not visit every word of N: it splits N into the
+block-local stabilizer words T0 = sum T0_i (:func:`block_local`) and a
+complement of them, and every word that shares a complement part f
+takes, in block i, each key of f's coset modulo T0_i, independently of
+the other blocks.  :class:`CosetClasses` holds each coset's set of
+classes, and its :meth:`~CosetClasses.outcome` gives the claims'
+extremes over all 2^dim(T0) such words at once.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+from itertools import chain
+
+from .symplectic import Rref, lowest_bit, xor_rows
+
+
+def block_key(x: int, i: int, n: int, width: int) -> int:
+    """Block i's bits of the packed word x: ``ub | (vb << width)``.
+
+    GF(2)-linear in x, so the keys of a Gray walk over rows are the Gray
+    walk over the rows' keys.
+    """
+    mask = (1 << width) - 1
+    sh = i * width
+    return ((x >> sh) & mask) | (((x >> (n + sh)) & mask) << width)
+
+
+class BlockClasses(dict):
+    """Class table of one block: key -> class id, shifted into its field.
+
+    Keys are :func:`block_key` values.  A key missing from the table is
+    classified on first lookup by the owner's ``classify``
+    (:meth:`stabcat.distance.ClassTables.classify` or
+    :meth:`CosetClasses.classify`).
+    """
+
+    def __init__(self, owner, i: int) -> None:
+        super().__init__()
+        self.owner = owner
+        self.i = i
+        self.shift = 1 + i * owner.field_bits
+
+    def __missing__(self, key: int) -> int:
+        self[key] = value = self.owner.classify(self.i, key) << self.shift
+        return value
+
+
+def block_local(rows, n_blocks: int, n: int, w: int) -> list[list[int]]:
+    """Per block, a basis of the words of span(rows) in S that vanish
+    outside it.
+
+    ``rows`` carry their stabilizer residue above bit 2n.  One
+    :class:`Rref` per block takes each row with the block's bits cleared
+    (the outside bits and the residue low) and its tag ``1 << (4n + j)``
+    high; an echelon row with no bit below 4n tags a combination of the
+    rows that is zero outside the block and in S.
+    """
+    tag = 4 * n
+    mask = (1 << w) - 1
+    local = []
+    for i in range(n_blocks):
+        outside = ~((mask << (i * w)) | (mask << (n + i * w)))
+        acc = Rref()
+        for j, x in enumerate(rows):
+            acc.add((x & outside) | (1 << (tag + j)))
+        local.append([xor_rows(rows, t >> tag) for t in acc.rows
+                      if lowest_bit(t) >= tag])
+    return local
+
+
+class CosetClasses:
+    """Block tables over the cosets of the block-local stabilizer words.
+
+    ``local[i]`` spans T0_i (:func:`block_local`).  Block i's table maps
+    a key to the id of the set of classes that ``classes``
+    (:class:`stabcat.distance.ClassTables`) gives the keys of its coset
+    key + key_i(T0_i); sets are interned, so equal sets share an id.
+    The tables read like those of ``classes``, so the same signature walk
+    reads either.
+    """
+
+    def __init__(self, classes, local) -> None:
+        self.classes = classes
+        self.n = n = classes.n
+        self.exp = classes.exp
+        w = classes.exp.block_width
+        # one id per distinct set, at most one per coset of each block
+        self.field_bits = (len(local) << 2 * w).bit_length()
+        self.spans = []
+        for i, words in enumerate(local):
+            span = [0]
+            for t in words:
+                key = block_key(t, i, n, w)
+                span += [s ^ key for s in span]
+            self.spans.append(span)
+        self.ids: dict = {}  # class set -> id
+        self.sets: list = []  # id -> class set
+        self.tables = [BlockClasses(self, i) for i in range(len(local))]
+
+    def classify(self, i: int, key: int) -> int:
+        """Id of the class set of the coset of block i's ``key``."""
+        table = self.classes.tables[i]
+        got = frozenset(table[key ^ s] >> table.shift for s in self.spans[i])
+        cid = self.ids.get(got)
+        if cid is None:
+            cid = self.ids[got] = len(self.sets)
+            self.sets.append(got)
+        return cid
+
+    def outcome(self, sig: int) -> tuple[int, int, int]:
+        """(min nonzero blocks, min distinct tuples, max multiplicity)
+        over the words of a signature.
+
+        Each block takes any class of its set, whatever the others take:
+        zero wherever it can, a tuple shared with as many blocks as hold
+        it, and for the blocks that must take a tuple (no class 0 or 1)
+        the fewest tuples that meet all of their sets.
+        """
+        mask = (1 << self.field_bits) - 1
+        sets = [self.sets[(sig >> t.shift) & mask] for t in self.tables]
+        counts = Counter(chain.from_iterable(s - {0, 1} for s in sets))
+        forced = [s for s in sets if s.isdisjoint((0, 1))]
+        return (sum(0 not in s for s in sets), min_hitting_set(forced),
+                max(counts.values(), default=0))
+
+
+def min_hitting_set(sets) -> int | float:
+    """Fewest elements meeting every one of ``sets`` (inf if one is empty).
+
+    Branches on the elements of the smallest set: exact, and exponential
+    only in the number of sets.
+    """
+    if not sets:
+        return 0
+    first = min(sets, key=len)
+    return 1 + min((min_hitting_set([s for s in sets if x not in s])
+                    for x in first), default=math.inf)

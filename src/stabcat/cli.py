@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import codefile
@@ -241,6 +242,13 @@ def cmd_distance(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_bounds(args) -> int:
+    if args.steps < 1:
+        _print_err(f"--steps must be at least 1, got {args.steps}")
+        return EXIT_USAGE
+    if not (math.isfinite(args.r_min) and math.isfinite(args.r_max)):
+        _print_err(f"--R-min and --R-max must be finite, got "
+                   f"{args.r_min:g} and {args.r_max:g}")
+        return EXIT_USAGE
     grid = [args.r_min + (args.r_max - args.r_min) * i / (args.steps - 1)
             for i in range(args.steps)] if args.steps > 1 else [args.r_min]
     try:

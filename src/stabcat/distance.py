@@ -30,12 +30,17 @@ tuples take at least ceil((K+1)/2^m) distinct nonzero values, and no
 value repeats more than 2^m times.  These facts depend on a word only
 through the class of each block (zero, s/t content only, or its
 designated tuple), so each block has a class table keyed by its bits
-(:class:`ClassTables`) and a word is reduced to the signature of its
-block classes.  The exhaustive check walks the Gray chunks of every
-block key side by side and evaluates the claims once per distinct
-signature: at m=1 K=1 its 2^20 words have 3,176 distinct signatures,
-and the 983,040 words outside S have 2,592.  Sampled draws rarely share
-a signature, so the sampled check scores each draw as it comes.
+(:class:`ClassTables`).  The exhaustive check does not visit every
+word.  Let T0_i be the words of N in S that vanish outside block i, and
+F, the field parts, a complement of T0 = sum T0_i in N.  Each word of N
+is f + sum t_i for one f in F and one t_i in each T0_i: it lies in S iff
+f does, and block i's bits range over f's coset modulo T0_i whatever
+the other blocks hold.  So the claims over the 2^dim(T0) words of one f
+follow from one set of classes per block (:mod:`stabcat._cosets`), and
+the F words are walked in Gray chunks as signatures of those sets.  At
+m=1 K=1 there are 256 field parts, 240 of them outside S, each standing
+for 2^12 words.  Sampled draws rarely share a signature, so the sampled
+check scores each draw as it comes.
 """
 
 from __future__ import annotations
@@ -44,14 +49,16 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from itertools import chain, islice, repeat
 from operator import or_
 
 from .concat import (StabilizerCodeL, SymplecticVector,
                      designated_half_tuple, get_expander)
-from .symplectic import (XorTable, column_supports, in_span,
-                         symplectic_weight_packed, xor_rows)
+from .symplectic import (Rref, XorTable, column_supports, in_span,
+                         row_reduce, symplectic_weight_packed, xor_rows)
 from . import _distpure
+from ._cosets import BlockClasses, CosetClasses, block_key, block_local
 from ._distpure import BATCH
 
 HAVE_COMPILED = False  # always False; perfbench/run.py's env probe reads it
@@ -228,35 +235,6 @@ class CountingReport:
         return self.claim_blocks and self.claim_distinct and self.claim_mult
 
 
-def block_key(x: int, i: int, n: int, width: int) -> int:
-    """Block i's bits of the packed word x: ``ub | (vb << width)``.
-
-    GF(2)-linear in x, so the keys of a Gray walk over rows are the Gray
-    walk over the rows' keys.
-    """
-    mask = (1 << width) - 1
-    sh = i * width
-    return ((x >> sh) & mask) | (((x >> (n + sh)) & mask) << width)
-
-
-class BlockClasses(dict):
-    """Class table of one block: key -> class id, shifted into its field.
-
-    Keys are :func:`block_key` values.  A key missing from the table is
-    classified on first lookup by :meth:`ClassTables.classify`.
-    """
-
-    def __init__(self, owner: "ClassTables", i: int) -> None:
-        super().__init__()
-        self.owner = owner
-        self.i = i
-        self.shift = 1 + i * owner.field_bits
-
-    def __missing__(self, key: int) -> int:
-        self[key] = value = self.owner.classify(self.i, key) << self.shift
-        return value
-
-
 class ClassTables:
     """Per-block class tables and the word signatures built from them.
 
@@ -321,9 +299,10 @@ class ClassTables:
         return nonzero, len(counts), max(counts.values(), default=0)
 
 
-def _walk_signatures(classes: ClassTables, rows, r: int):
+def _walk_signatures(classes, rows, r: int):
     """Signatures of the words at Gray indices [0, 2^r) of ``rows``.
 
+    ``classes`` is a :class:`ClassTables` or a :class:`CosetClasses`.
     One :func:`~stabcat._distpure.gray_chunks` walk per block key and one
     for the stabilizer residue; their chunks cover the same indices, so
     each chunk's signatures are built by ``map`` at C speed.
@@ -348,23 +327,28 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
                            seed: int | None = None) -> CountingReport:
     """Check the three counting claims over codewords of N \\ S.
 
-    Exhaustive mode walks every normalizer combination in Gray order
-    (same budget as :func:`exact_distance`) through
-    :func:`stabcat._distpure.gray_chunks`; sampled mode draws ``trials``
-    seeded uniform normalizer codewords through an :class:`XorTable`.
+    Exhaustive mode covers every normalizer combination (same budget as
+    :func:`exact_distance`); sampled mode draws ``trials`` seeded uniform
+    normalizer codewords through an :class:`XorTable`.
     Both combine normalizer rows that carry their stabilizer residue
     ``s_span.reduce(x)`` above bit 2n.  The residue is linear in x, so a
     combined word lies in S iff its bits from 2n up are zero; stabilizer
     members are never examined.
 
     Each word is reduced to its signature through per-block class tables
-    (:class:`ClassTables`).  Exhaustive mode builds the signatures by one
-    Gray walk per block key, zipped chunk by chunk, tallies them, and
-    evaluates the claims once per distinct signature; only when one
-    violates a claim is the walk repeated, to list the first 8 violating
-    words in walk order.  Sampled draws almost never repeat a signature
-    (all 10^5 distinct at m=2 K=3), so each draw is scored as it comes,
-    in one pass over one seeded stream.
+    (:class:`ClassTables`).  Exhaustive mode finds the block-local
+    stabilizer words T0 (:func:`~stabcat._cosets.block_local`) and
+    reduces the rows by ``Rref.reduce`` against them to a basis of the
+    field parts F, whose block keys are then coset representatives
+    modulo T0.  It walks the 2^dim(F) field parts in Gray chunks, one
+    walk per block key, to signatures of per-block class sets
+    (:class:`~stabcat._cosets.CosetClasses`), tallies them, and
+    evaluates the claims once per distinct signature, which stands for
+    2^dim(T0) words per field part.  Only when a claim fails is every
+    word of N walked, to list the first 8 violating words in walk order.
+    Sampled draws almost never repeat a signature (all 10^5 distinct at
+    m=2 K=3), so each draw is scored as it comes, in one pass over one
+    seeded stream.
     """
     shift = 2 * code.n
     s_span = code.s_span
@@ -394,27 +378,32 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
             raise DistanceError(
                 f"rank(N) = {r} exceeds the exhaustive budget; use "
                 f"sampled mode")
+        local = block_local(rows, len(classes.tables), code.n,
+                            classes.exp.block_width)
+        t0 = Rref()
+        for t in chain.from_iterable(local):
+            t0.add(t)
+        f_rows = row_reduce(map(t0.reduce, rows))[1]
+        cosets = CosetClasses(classes, local)
         tally = Counter(chain.from_iterable(
-            _walk_signatures(classes, rows, r)))
-        bad = set()
+            _walk_signatures(cosets, f_rows, len(f_rows))))
         for sig, count in tally.items():
             if not sig & 1:
                 continue
-            outcome = nb, nd, mm = classes.outcome(sig)
-            examined += count
+            nb, nd, mm = cosets.outcome(sig)
+            examined += count << t0.rank
             min_blocks = min(min_blocks, nb)
             min_distinct = min(min_distinct, nd)
             max_mult = max(max_mult, mm)
-            if violates(outcome):
-                bad.add(sig)
-        if bad:
+        if violates((min_blocks, min_distinct, max_mult)):
+            outcome = cache(classes.outcome)
             words = chain.from_iterable(
                 map(high.__xor__, low)
                 for _f, high, low in _distpure.gray_chunks(rows, 0, 1 << r))
             sigs = chain.from_iterable(_walk_signatures(classes, rows, r))
             listed = ((word, sig) for word, sig in zip(words, sigs)
-                      if sig in bad)
-            violations = [violation(word, classes.outcome(sig))
+                      if sig & 1 and violates(outcome(sig)))
+            violations = [violation(word, outcome(sig))
                           for word, sig in islice(listed, 8)]
     elif mode == "sampled":
         if trials is None or trials < 1:

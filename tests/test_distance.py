@@ -13,13 +13,14 @@ import dataclasses
 import functools
 import math
 import random
-from itertools import chain
+from collections import Counter
+from itertools import chain, combinations, islice
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from stabcat import _distpure, distance
+from stabcat import _cosets, _distpure, distance
 from stabcat.concat import designated_half_tuple, get_expander
 from stabcat.distance import (DistanceError, MAX_EXACT_RANK,
                               exact_distance, sampled_distance_upper,
@@ -522,9 +523,7 @@ def count_claims(code, mode, words, seed):
     """Oracle: the counting report tallied word by word over ``words``
     (codewords of N \\ S), the first 8 violations in order."""
     exp = get_expander(code.field, code.basis)
-    blocks_thr = code.big_k + 1
-    distinct_thr = math.ceil((code.big_k + 1) / (1 << code.m))
-    mult_thr = 1 << code.m
+    blocks_thr, distinct_thr, mult_thr = thresholds(code)
     memo = {}
     examined = 0
     min_blocks = min_distinct = code.big_n + 1
@@ -540,6 +539,21 @@ def count_claims(code, mode, words, seed):
                 len(violations) < 8:
             violations.append({"word": word, "nonzero_blocks": nb,
                                "distinct_tuples": nd, "multiplicity": mm})
+    return claims_report(code, mode, examined,
+                         (min_blocks, min_distinct, max_mult), violations,
+                         seed)
+
+
+def thresholds(code):
+    """(blocks, distinct, multiplicity) thresholds of the claims."""
+    return (code.big_k + 1, math.ceil((code.big_k + 1) / (1 << code.m)),
+            1 << code.m)
+
+
+def claims_report(code, mode, examined, extremes, violations, seed):
+    """The CountingReport of (min blocks, min distinct, max mult)."""
+    min_blocks, min_distinct, max_mult = extremes
+    blocks_thr, distinct_thr, mult_thr = thresholds(code)
     return distance.CountingReport(
         mode=mode, examined=examined,
         claim_blocks=min_blocks >= blocks_thr,
@@ -685,6 +699,179 @@ class TestCountingViolations:
             failed |= {name for name in ("blocks", "distinct", "mult")
                        if not getattr(rep, f"claim_{name}")}
         assert failed == {"blocks", "distinct", "mult"}
+
+
+def tally_counting(code):
+    """Oracle: the exhaustive check before the block-local decomposition.
+
+    Every word of N gets its signature from the class tables, by
+    ``distance._walk_signatures``; the signatures are tallied and the
+    claims evaluated once per distinct signature, and only when one
+    violates a claim does a second walk list the first 8 such words.
+    """
+    shift = 2 * code.n
+    rows = [x | (code.s_span.reduce(x) << shift) for x in code.n_matrix]
+    r = code.rank_n
+    classes = distance.ClassTables(get_expander(code.field, code.basis))
+    blocks_thr, distinct_thr, mult_thr = thresholds(code)
+
+    def violates(outcome):
+        nb, nd, mm = outcome
+        return nb < blocks_thr or nd < distinct_thr or mm > mult_thr
+
+    tally = Counter(chain.from_iterable(
+        distance._walk_signatures(classes, rows, r)))
+    examined = 0
+    min_blocks = min_distinct = code.big_n + 1
+    max_mult = 0
+    bad = set()
+    for sig, count in tally.items():
+        if not sig & 1:
+            continue
+        outcome = nb, nd, mm = classes.outcome(sig)
+        examined += count
+        min_blocks = min(min_blocks, nb)
+        min_distinct = min(min_distinct, nd)
+        max_mult = max(max_mult, mm)
+        if violates(outcome):
+            bad.add(sig)
+    violations = []
+    if bad:
+        words = chain.from_iterable(
+            map(high.__xor__, low)
+            for _f, high, low in _distpure.gray_chunks(rows, 0, 1 << r))
+        sigs = chain.from_iterable(
+            distance._walk_signatures(classes, rows, r))
+        listed = ((word, sig) for word, sig in zip(words, sigs)
+                  if sig in bad)
+        for word, sig in islice(listed, 8):
+            nb, nd, mm = classes.outcome(sig)
+            violations.append({"word": word & ((1 << shift) - 1),
+                               "nonzero_blocks": nb, "distinct_tuples": nd,
+                               "multiplicity": mm})
+    return claims_report(code, "exhaustive", examined,
+                         (min_blocks, min_distinct, max_mult), violations,
+                         None)
+
+
+def block_local_bases(code):
+    """Oracle: per block, the canonical RREF of the stabilizer words
+    that vanish outside it, found by walking all 2^rank(S) words."""
+    w = 4 * code.m + 2
+    mask = (1 << w) - 1
+    outside = [~((mask << (i * w)) | (mask << (code.n + i * w)))
+               for i in range(code.big_n)]
+    spans = [Rref() for _ in outside]
+    for _f, high, low in _distpure.gray_chunks(list(code.s_matrix), 0,
+                                               1 << code.rank_s):
+        for x in map(high.__xor__, low):
+            for out, span in zip(outside, spans):
+                if x and not x & out:
+                    span.add(x)
+    return [span.rows for span in spans]
+
+
+def cut_stabilizer(code, keep):
+    """The code with S cut to C + span(keep), where C is a complement in
+    S of the block-local words and ``keep`` some of those words."""
+    local = Rref()
+    for t in chain.from_iterable(block_local_bases(code)):
+        local.add(t)
+    complement = [x for x in code.s_matrix if local.add(x)]
+    return dataclasses.replace(
+        code, s_matrix=tuple(row_reduce(complement + keep)[1]))
+
+
+# which block-local words (per-block bases) a cut stabilizer keeps
+CUTS = {
+    "all": lambda bases: [],
+    "some": lambda bases: bases[0] + bases[1][:1],
+}
+
+
+@pytest.fixture(scope="module")
+def cut_codes(code_m1k1):
+    bases = block_local_bases(code_m1k1)
+    return {name: cut_stabilizer(code_m1k1, keep(bases))
+            for name, keep in CUTS.items()}
+
+
+class TestBlockLocalDecomposition:
+    def test_exhaustive_m1k0(self, code_m1k0):
+        rep = verify_counting_claims(code_m1k0, mode="exhaustive")
+        assert rep.examined == 16773120
+        assert (rep.min_nonzero_blocks, rep.min_distinct_tuples,
+                rep.max_multiplicity) == (1, 1, 2)
+        assert (rep.blocks_threshold, rep.distinct_threshold,
+                rep.mult_threshold) == (1, 1, 2)
+        assert rep.passed
+        assert not rep.violations
+
+    def test_block_local_words(self, code_m1k1, cut_codes):
+        dims = []
+        for code in (code_m1k1, *cut_codes.values()):
+            shift = 2 * code.n
+            rows = [x | (code.s_span.reduce(x) << shift)
+                    for x in code.n_matrix]
+            local = _cosets.block_local(rows, code.big_n, code.n,
+                                        4 * code.m + 2)
+            want = block_local_bases(code)
+            assert [row_reduce(words)[1] for words in local] == want
+            dims.append([len(b) for b in want])
+        assert dims == [[4, 4, 4], [0, 0, 0], [4, 1, 0]]
+
+    def test_coset_class_sets(self, code_m1k1):
+        # each key's set is the classes of every key of its coset, the
+        # coset spanned by brute force from the block-local words
+        code = code_m1k1
+        exp = get_expander(code.field, code.basis)
+        w = exp.block_width
+        classes = distance.ClassTables(exp)
+        rows = [x | (code.s_span.reduce(x) << (2 * code.n))
+                for x in code.n_matrix]
+        cosets = _cosets.CosetClasses(classes, _cosets.block_local(
+            rows, code.big_n, code.n, w))
+        for i, basis in enumerate(block_local_bases(code)):
+            local = {0}
+            n_keys = {0}
+            for t in basis:
+                local |= {k ^ _cosets.block_key(t, i, code.n, w)
+                          for k in local}
+            for x in code.n_matrix:
+                n_keys |= {k ^ _cosets.block_key(x, i, code.n, w)
+                           for k in n_keys}
+            table, coset_table = classes.tables[i], cosets.tables[i]
+            for key in n_keys:
+                want = {table[key ^ t] >> table.shift for t in local}
+                got = coset_table[key] >> coset_table.shift
+                assert cosets.sets[got] == want
+
+    @pytest.mark.parametrize("case", [None, *FORCED])
+    @pytest.mark.parametrize("cut", CUTS)
+    def test_cut_stabilizer(self, cut_codes, cut, case, monkeypatch):
+        code = cut_codes[cut]
+        if case is not None:
+            code = forced_case(code, case, monkeypatch)
+        got = verify_counting_claims(code, mode="exhaustive")
+        assert got == tally_counting(code)
+        # the words of S outside the cut span fail the block claim
+        assert not got.claim_blocks
+        assert len(got.violations) == 8
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(0, 5), max_size=4),
+                    max_size=5))
+    @example([])
+    @example([frozenset()])
+    @example([frozenset({3})])
+    @example([frozenset({1}), frozenset()])
+    def test_min_hitting_set(self, sets):
+        universe = sorted(frozenset().union(*sets))
+        want = next((k for k in range(len(universe) + 1)
+                     if any(all(s.intersection(h) for s in sets)
+                            for h in combinations(universe, k))),
+                    math.inf)
+        assert _cosets.min_hitting_set(sets) == want
 
 
 @st.composite

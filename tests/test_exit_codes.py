@@ -73,6 +73,13 @@ MATRIX = [
     (["distance", "{swapped}"], EXIT_IO),
     (["bounds", "--curve", "ours", "--steps", "3"], EXIT_OK),
     (["bounds", "--curve", "ours_finite_m", "--steps", "3"], EXIT_USAGE),
+    (["bounds", "--curve", "ours_finite_m", "--m", "2", "--steps", "0"],
+     EXIT_USAGE),
+    (["bounds", "--curve", "ours_finite_m", "--m", "2", "--steps", "-3"],
+     EXIT_USAGE),
+    (["bounds", "--curve", "ours", "--R-min", "nan"], EXIT_USAGE),
+    (["bounds", "--curve", "ours", "--R-max", "inf"], EXIT_USAGE),
+    (["bounds", "--curve", "ours", "--R-min=-inf"], EXIT_USAGE),
     (["export", "{m1k1}"], EXIT_OK),
     (["export", "{missing}"], EXIT_IO),
     (["export", "{truncated}"], EXIT_IO),
