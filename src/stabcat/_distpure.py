@@ -27,8 +27,9 @@ The distance sampler evaluates its trials bit-sliced (Biham, "A fast new
 DES implementation in software", FSE 1997), ``BATCH`` at a time: bit t
 of every batch int belongs to trial t.  :func:`draw` takes a batch's
 selectors from one ``getrandbits`` call, :func:`lane_vectors` transposes
-them into one int per normalizer row, and :func:`weight_planes` XORs
-those into the words' columns and counts every trial's weight at once.
+them into one int per normalizer row (``symplectic.transpose_bytes``,
+as verify does), and :func:`weight_planes` XORs those into the words'
+columns and counts every trial's weight at once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import or_, xor
 
-from .symplectic import xor_rows
+from .symplectic import transpose_bytes, xor_rows
 
 #: low bits of the combination index handled per chunk; the table holds
 #: 2^CHUNK_BITS words, and larger tables raise peak memory for no gain
@@ -220,16 +221,6 @@ def gray_scan(gens, n: int, s_pivots, start: int, stop: int):
 #: raise the sampler's memory above the rest of ``distance``'s at m=3
 BATCH = 2048
 
-#: (shift, mask) steps of the 8x8 bit transpose (a swap network, as in
-#: Hacker's Delight 7-3) applied to every 8-byte group of an 8·BATCH-bit
-#: int at once: bit k of byte j moves to bit j of byte k
-_TRANSPOSE = [
-    (shift, int.from_bytes(mask.to_bytes(8, "little") * (BATCH // 8),
-                           "little"))
-    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
-                        (28, 0x00000000F0F0F0F0))]
-
-
 def draw(rng, r: int, count: int) -> bytes:
     """The selectors of ``count`` trials, from one ``rng.getrandbits``.
 
@@ -239,7 +230,7 @@ def draw(rng, r: int, count: int) -> bytes:
     ``getrandbits(32·W·count)`` takes the same words in the same order,
     so trial t's words are the 4W bytes from byte 4W·t, and the
     generator is left as ``count`` separate draws would leave it.  See
-    :func:`byte_layout` and :func:`selector` for where each bit sits.
+    :func:`lane_vectors` and :func:`selector` for where each bit sits.
     """
     words = (r + 31) // 32
     return rng.getrandbits(32 * words * count).to_bytes(4 * words * count,
@@ -255,40 +246,17 @@ def selector(buf: bytes, t: int, r: int) -> int:
     return bits & ((1 << split) - 1) | bits >> (split + pad) << split
 
 
-def byte_layout(r: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    """(byte offset in a slot, [(bit in that byte, selector bit i)]).
-
-    Selector bit i sits at bit i of a trial's 32·W-bit slot, or at bit
-    i + 32·W - r when it falls in a partial last word.
-    """
-    words = (r + 31) // 32
-    layout: dict[int, list[tuple[int, int]]] = {}
-    for i in range(r):
-        b = i if i < 32 * (words - 1) else i + 32 * words - r
-        layout.setdefault(b >> 3, []).append((b & 7, i))
-    return list(layout.items())
-
-
-def lane_vectors(buf: bytes, layout, r: int, count: int) -> list[int]:
+def lane_vectors(buf: bytes, r: int) -> list[int]:
     """One int per row: bit t of entry i is trial t's selector bit i.
 
-    ``layout`` is :func:`byte_layout` (r).  The byte at one offset of
-    every trial's slot is one strided slice, read as an int with trial t
-    in byte t.  An 8x8 bit transpose of every 8-byte group turns it into
-    eight interleaved lane vectors, split apart again by strided slices.
+    A :func:`draw` buffer holds one 32·W-bit row per trial; selector
+    bit i is column i of it, or column i + 32·W - r in a partial last
+    word.
     """
-    size = 4 * ((r + 31) // 32)  # bytes per trial
-    groups = (count + 7) // 8
-    lanes = [0] * r
-    for offset, bits in layout:
-        x = int.from_bytes(buf[offset::size], "little")
-        for shift, mask in _TRANSPOSE:
-            swap = (x ^ (x >> shift)) & mask
-            x ^= swap ^ (swap << shift)
-        interleaved = x.to_bytes(8 * groups, "little")
-        for k, i in bits:
-            lanes[i] = int.from_bytes(interleaved[k::8], "little")
-    return lanes
+    words = (r + 31) // 32
+    cols = transpose_bytes(buf, 4 * words)
+    split = max(32 * words - 32, 0)  # selector bits below stay in place
+    return cols[:split] + cols[split + 32 * words - r:]
 
 
 def weight_planes(lanes: list[int], supports, n: int) -> list[int]:

@@ -270,15 +270,19 @@ def cmd_bounds(args) -> int:
 # export
 # ----------------------------------------------------------------------
 
-_PAULI = ("I", "X", "Z", "Y")  # index u + 2v
+_PAULI = str.maketrans("0123", "IXZY")  # digit u + 2v
 
 
 def pauli_string(row: int, n: int) -> str:
-    """Map a packed (u | v) row to its length-n Pauli label string."""
-    u = row & ((1 << n) - 1)
-    v = row >> n
-    return "".join(
-        _PAULI[((u >> p) & 1) | (((v >> p) & 1) << 1)] for p in range(n))
+    """Map a packed (u | v) row to its length-n Pauli label string.
+
+    Read as hex digits, position 0 first, u + 2v holds u_p + 2v_p at p.
+    """
+    mask = (1 << n) - 1
+    u = int(format(row & mask, f"0{n}b")[::-1], 16)
+    v = int(format((row >> n) & mask, f"0{n}b")[::-1], 16)
+    # [:n] also holds for n = 0, whose strings are "0"
+    return format(u + 2 * v, f"0{n}x")[:n].translate(_PAULI)
 
 
 def cmd_export(args) -> int:
@@ -305,8 +309,15 @@ class _Parser(argparse.ArgumentParser):
 
     argparse would print the usage text and a ``prog: error:`` line;
     sub-command parsers are made of the same class.  ``--help`` is
-    unchanged.
+    unchanged.  Every negative float (``-1e-3``, ``-inf``) is a value.
     """
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None  # a value
 
     def error(self, message: str):
         _print_err(message)

@@ -155,9 +155,9 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     The trials are evaluated bit-sliced, ``BATCH`` at a time, one bit
     lane per trial (see :mod:`stabcat._distpure`).  Each of the 2n
     columns of a batch's words is the XOR of the lane vectors of the
-    rows with that column set, over supports found once per call
-    (:func:`column_supports`), and a bit-sliced counter gives every
-    trial's weight.  Only the lanes below the best weight so far are
+    rows with that column set, over supports read once per call from the
+    transposed normalizer (:func:`column_supports`), and a bit-sliced
+    counter gives every trial's weight.  Only the lanes below the best weight so far are
     rebuilt, in trial order, by :func:`xor_rows` and tested against the
     stabilizer span: exactly the trials that a trial-by-trial loop would
     test.
@@ -169,14 +169,13 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     r = code.rank_n
     n = code.n
     supports = column_supports(rows, 2 * n)
-    layout = _distpure.byte_layout(r)
     s_span = code.s_span
     best = None  # (w, trial, word)
     for first in range(0, trials, BATCH):
         count = min(BATCH, trials - first)
         buf = _distpure.draw(rng, r, count)
         planes = _distpure.weight_planes(
-            _distpure.lane_vectors(buf, layout, r, count), supports, n)
+            _distpure.lane_vectors(buf, r), supports, n)
         every = (1 << count) - 1
         todo = every if best is None else \
             _distpure.below(planes, best[0], every)

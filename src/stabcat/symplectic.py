@@ -15,13 +15,14 @@ rows pays for the full reduction once, not once per row.
 :class:`XorTable` is the one way to XOR many subsets of a fixed row
 list one subset at a time: the sampled counting check, the
 orthogonality check and the containment test (:func:`first_outside`)
-go through it.  The distance sampler combines a whole batch of subsets
-at once, column by column, over :func:`column_supports`.
+go through it.  :func:`transpose` is the one way to read columns out of
+a row list: the containment test, the orthogonality check and the
+distance sampler's batches all go through its byte-level core.
 """
 
 from __future__ import annotations
 
-import operator
+import re
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, islice
 
@@ -195,23 +196,55 @@ class XorTable:
         return x
 
 
+def transpose_bytes(buf: bytes, size: int) -> list[int]:
+    """Columns of the rows of ``size`` little-endian bytes in ``buf``.
+
+    Entry c has bit j = bit c of row j.  One byte offset of every row is
+    read as one int, row j in byte j, whose 8-byte groups are transposed
+    at once; strided slices then split out the 8 columns.
+    """
+    if not size:
+        return []
+    groups = (len(buf) // size + 7) // 8
+    # the 8x8 bit transpose (a swap network, as in Hacker's Delight 7-3)
+    # of every 8-byte group: bit k of byte j moves to bit j of byte k
+    swaps = [(shift, int.from_bytes(mask.to_bytes(8, "little") * groups,
+                                    "little"))
+             for shift, mask in ((7, 0x00AA00AA00AA00AA),
+                                 (14, 0x0000CCCC0000CCCC),
+                                 (28, 0x00000000F0F0F0F0))]
+    cols = []
+    for offset in range(size):
+        x = int.from_bytes(buf[offset::size], "little")
+        for shift, mask in swaps:
+            swap = (x ^ (x >> shift)) & mask
+            x ^= swap ^ (swap << shift)
+        interleaved = x.to_bytes(8 * groups, "little")
+        cols += [int.from_bytes(interleaved[k::8], "little")
+                 for k in range(8)]
+    return cols
+
+
+def transpose(rows, width: int) -> list[int]:
+    """Columns 0..width-1 of ``rows``: entry c has bit j = bit c of rows[j].
+
+    Bits at or above ``width`` are ignored.  Transposing the reordered
+    columns back permutes the columns of every row.
+    """
+    size = (width + 7) // 8
+    low = (1 << width) - 1
+    buf = b"".join([(x & low).to_bytes(size, "little") for x in rows])
+    return transpose_bytes(buf, size)[:width]
+
+
 def column_supports(rows, width: int) -> list[list[int]]:
     """For each column c < width, the indices j of the rows with bit c set.
 
-    Read row by row, with ``str.find`` over each row's bit string, so no
-    transposed copy of the matrix is held; bits at or above ``width``
-    are ignored.
+    Read from the set bits of each :func:`transpose` column; bits at or
+    above ``width`` are ignored.
     """
-    supports: list[list[int]] = [[] for _ in range(width)]
-    low = (1 << width) - 1
-    for j, x in enumerate(rows):
-        bits = format(x & low, "b")
-        top = len(bits) - 1
-        c = bits.find("1")
-        while c >= 0:
-            supports[top - c].append(j)
-            c = bits.find("1", c + 1)
-    return supports
+    return [[m.start() for m in re.finditer("1", format(col, "b")[::-1])]
+            for col in transpose(rows, width)]
 
 
 def in_span(span: Rref, x: int) -> bool:
@@ -224,22 +257,16 @@ def first_outside(span: Rref, rows) -> int | None:
 
     In canonical RREF the coefficient of each span row in x is x's bit
     at that row's pivot, so x lies in the span iff it equals the XOR of
-    the rows its pivot bits select.  The pivot bits are gathered from
-    x's bit string and combined through one :class:`XorTable`, so many
-    rows cost one table instead of one :meth:`Rref.reduce` each.
+    the rows its pivot bits select.  The pivot columns of ``rows``,
+    transposed back, are these selectors, and one :class:`XorTable`
+    combines them, so many rows cost one table, not one reduce each.
     """
-    if not span.rows:
-        return next((i for i, x in enumerate(rows) if x), None)
+    cols = transpose(rows, span.pivots[-1] + 1 if span.pivots else 0)
+    selectors = transpose([cols[p] for p in span.pivots], len(rows))
+    del cols  # not held alongside the table, about four times the span
     combine = XorTable(span.rows).combine
-    width = span.pivots[-1] + 1
-    low = (1 << width) - 1
-    # string index width-1-p holds bit p; the last pivot comes first, so
-    # that the joined pivot bits read as the selector, row j at bit j
-    gather = operator.itemgetter(*[width - 1 - p
-                                   for p in reversed(span.pivots)])
-    for i, x in enumerate(rows):
-        bits = "".join(gather(format(x & low, f"0{width}b")))
-        if combine(int(bits, 2)) != x:
+    for i, (x, bits) in enumerate(zip(rows, selectors)):
+        if combine(bits) != x:
             return i
     return None
 
@@ -319,29 +346,16 @@ class DualityReport:
 FAILURES_KEPT = 8
 
 #: columns of N per table in :func:`symplectic_products`; bounds the
-#: transposed strings and the table to about 1024 columns at a time
+#: transposed columns and the table to about 1024 columns at a time
 COLUMN_SLICE = 1024
-
-
-def _columns(rows, lo: int, width: int) -> list[int]:
-    """Columns lo..lo+width-1 of ``rows``, column c with bit j = rows[j]_c."""
-    if not rows:
-        return [0] * width
-    mask = (1 << width) - 1
-    # last row first, so that row j lands at bit j of each column; the
-    # strings list column lo+width-1 first
-    strings = [format((r >> lo) & mask, f"0{width}b") for r in reversed(rows)]
-    cols = [int("".join(c), 2) for c in zip(*strings)]
-    cols.reverse()
-    return cols
 
 
 def symplectic_products(s_rows, n_rows, n: int) -> list[int]:
     """S·Ω·Nᵀ: for each row s of S, the bit vector over j of <s, N_j>.
 
     Bit j of entry i is ``symplectic_product_packed(s_rows[i],
-    n_rows[j], n)``.  N is transposed in slices of ``COLUMN_SLICE``
-    columns; each slice's columns go into an :class:`XorTable`, and the
+    n_rows[j], n)``.  :func:`transpose` reads N in ``COLUMN_SLICE``-wide
+    slices; each slice's columns go into an :class:`XorTable`, and the
     Ω-swapped (v | u) form of each s selects the columns to XOR.
     """
     if not s_rows:  # nothing to pair; n itself may be huge or negative
@@ -351,7 +365,8 @@ def symplectic_products(s_rows, n_rows, n: int) -> list[int]:
     prods = [0] * len(swapped)
     for lo in range(0, 2 * n, COLUMN_SLICE):
         width = min(COLUMN_SLICE, 2 * n - lo)
-        combine = XorTable(_columns(n_rows, lo, width)).combine
+        combine = XorTable(
+            transpose([x >> lo for x in n_rows], width)).combine
         sel = (1 << width) - 1
         for i, s in enumerate(swapped):
             prods[i] ^= combine((s >> lo) & sel)

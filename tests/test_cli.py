@@ -7,6 +7,7 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from stabcat import cli, codefile
 from stabcat import field as field_mod
@@ -413,7 +414,22 @@ class TestBoundsCmd:
         assert exc.value.code == EXIT_USAGE
 
 
+def pauli_loop(row: int, n: int) -> str:
+    """Oracle: the Pauli label position by position, index u_p + 2v_p."""
+    u = row & ((1 << n) - 1)
+    v = row >> n
+    return "".join(
+        "IXZY"[((u >> p) & 1) | (((v >> p) & 1) << 1)] for p in range(n))
+
+
 class TestExport:
+    @given(st.data())
+    def test_pauli_string_matches_loop(self, data):
+        # rows may carry bits above 2n, which neither form reads
+        n = data.draw(st.integers(0, 90))
+        row = data.draw(st.integers(0, (1 << (2 * n + 8)) - 1))
+        assert pauli_string(row, n) == pauli_loop(row, n)
+
     def test_pauli_map_trivials(self):
         assert pauli_string(0, 4) == "IIII"
         # u = e_1, v = e_1 at position 0

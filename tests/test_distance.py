@@ -457,8 +457,7 @@ class TestSamplerOracle:
         buf = _distpure.draw(bulk, r, 37)
         assert [_distpure.selector(buf, t, r) for t in range(37)] == want
         assert bulk.getstate() == one.getstate()
-        lanes = _distpure.lane_vectors(buf, _distpure.byte_layout(r), r,
-                                         37)
+        lanes = _distpure.lane_vectors(buf, r)
         assert lanes == [sum((sel >> i & 1) << t
                              for t, sel in enumerate(want))
                          for i in range(r)]

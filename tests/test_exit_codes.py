@@ -80,6 +80,7 @@ MATRIX = [
     (["bounds", "--curve", "ours", "--R-min", "nan"], EXIT_USAGE),
     (["bounds", "--curve", "ours", "--R-max", "inf"], EXIT_USAGE),
     (["bounds", "--curve", "ours", "--R-min=-inf"], EXIT_USAGE),
+    (["bounds", "--curve", "ours", "--R-min", "-inf"], EXIT_USAGE),
     (["export", "{m1k1}"], EXIT_OK),
     (["export", "{missing}"], EXIT_IO),
     (["export", "{truncated}"], EXIT_IO),
@@ -137,6 +138,30 @@ def test_argparse_error_is_one_line(argv, text, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.endswith("\n"), err
     assert err.startswith("stabcat: ") and text in err, err
+
+
+# negative float values given as the next argument: (option, value, exit
+# code); argparse alone reads -1e-3 and -inf as options
+NEGATIVE_VALUES = [
+    ("--R-min", "-1e-3", EXIT_OK),
+    ("--R-max", "-1E-3", EXIT_OK),
+    ("--R-min", "-.25e+1", EXIT_OK),
+    ("--R-min", "-inf", EXIT_USAGE),
+    ("--R-max", "-nan", EXIT_USAGE),
+]
+
+
+@pytest.mark.parametrize("option,value,code", NEGATIVE_VALUES,
+                         ids=lambda x: x if isinstance(x, str) else None)
+def test_negative_value_after_option(option, value, code, capsys):
+    head = ["bounds", "--curve", "ours", "--steps", "3"]
+    assert main(head + [f"{option}={value}"]) == code
+    joined = capsys.readouterr()
+    assert main(head + [option, value]) == code
+    assert capsys.readouterr() == joined
+    if code == EXIT_USAGE:
+        assert joined.err.startswith(
+            "stabcat: --R-min and --R-max must be finite, got "), joined.err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["construct", "--help"],

@@ -13,7 +13,7 @@ from stabcat.symplectic import (DualityReport, Rref, RrefError, XorTable,
                                 column_supports, first_outside, in_span,
                                 is_rref, row_reduce, symplectic_product,
                                 symplectic_product_packed, symplectic_weight,
-                                verify_duality, xor_rows)
+                                transpose, verify_duality, xor_rows)
 
 
 class TestSymplecticProduct:
@@ -261,6 +261,38 @@ class TestXorTable:
         table = XorTable(rows)
         for bits in range(1 << 9):
             assert table.combine(bits) == xor_rows(rows, bits)
+
+
+@st.composite
+def bit_matrices(draw):
+    """0-40 rows (any count, not only multiples of 8) and a width of
+    0-300 bits; rows may have bits at or above the width."""
+    width = draw(st.integers(0, 300))
+    rows = draw(st.lists(st.integers(0, (1 << (width + 20)) - 1),
+                         max_size=40))
+    return rows, width
+
+
+class TestTranspose:
+    @settings(max_examples=300, deadline=None)
+    @given(bit_matrices())
+    def test_matches_bit_tests(self, case):
+        rows, width = case
+        assert transpose(rows, width) == [
+            sum((x >> c & 1) << j for j, x in enumerate(rows))
+            for c in range(width)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_column_permutation(self, data):
+        # transpose -> reorder -> transpose permutes every row's columns
+        rows, width = data.draw(bit_matrices())
+        perm = data.draw(st.permutations(range(width)))
+        cols = transpose(rows, width)
+        permuted = transpose([cols[p] for p in perm], len(rows))
+        assert permuted == [
+            sum((x >> p & 1) << c for c, p in enumerate(perm))
+            for x in rows]
 
 
 class TestColumnSupports:
