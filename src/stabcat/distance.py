@@ -156,7 +156,7 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     lane per trial (see :mod:`stabcat._distpure`).  Each of the 2n
     columns of a batch's words is the XOR of the lane vectors of the
     rows with that column set, over supports read once per call from the
-    transposed normalizer (:func:`column_supports`), and a bit-sliced
+    normalizer's rows (:func:`column_supports`), and a bit-sliced
     counter gives every trial's weight.  Only the lanes below the best weight so far are
     rebuilt, in trial order, by :func:`xor_rows` and tested against the
     stabilizer span: exactly the trials that a trial-by-trial loop would
