@@ -230,20 +230,11 @@ def draw(rng, r: int, count: int) -> bytes:
     ``getrandbits(32·W·count)`` takes the same words in the same order,
     so trial t's words are the 4W bytes from byte 4W·t, and the
     generator is left as ``count`` separate draws would leave it.  See
-    :func:`lane_vectors` and :func:`selector` for where each bit sits.
+    :func:`lane_vectors` for where each bit sits.
     """
     words = (r + 31) // 32
     return rng.getrandbits(32 * words * count).to_bytes(4 * words * count,
                                                         "little")
-
-
-def selector(buf: bytes, t: int, r: int) -> int:
-    """Trial t's ``getrandbits(r)``, read from a :func:`draw` buffer."""
-    size = 4 * ((r + 31) // 32)  # bytes per trial
-    bits = int.from_bytes(buf[size * t:size * (t + 1)], "little")
-    split = max(8 * size - 32, 0)  # selector bits below stay in place
-    pad = 8 * size - r             # low bits of the last word, unused
-    return bits & ((1 << split) - 1) | bits >> (split + pad) << split
 
 
 def lane_vectors(buf: bytes, r: int) -> list[int]:

@@ -16,6 +16,7 @@ corrections.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -256,13 +257,26 @@ def chen_delta_t(t: int) -> Fraction:
     return Fraction(2 * ((1 << t) - 3), 3 * (2 * t + 1) * ((1 << t) - 1))
 
 
+def _pow2(k: int, q: int = 1) -> int:
+    """2^k, capped where it stops changing the curves' floats.
+
+    A curve reads 2^k only through a ratio within a relative 2^(3-k) of
+    its limit: 1.0 or 0.5, or chen's 2/q with q = 3(2t+1) odd.  Such a
+    limit lies at least 2^-(mant_dig + 2) / q (relative) from every
+    rounding boundary between floats, so from k = bit_length(q) +
+    mant_dig + 5 on the ratio rounds as its limit does, and a huge m or
+    t costs no 2^k-bit integer.
+    """
+    return 1 << min(k, q.bit_length() + sys.float_info.mant_dig + 5)
+
+
 def _ours_delta(rate: float) -> float:
     return 0.25 * entropy4_inv(0.25) * (1.0 - 2.0 * rate)
 
 
 def _ours_finite_delta(rate: float, m: int) -> float:
-    q = 1 << (2 * m)
-    scale = (q - (1 << m)) / (q - 1)
+    p = _pow2(m)
+    scale = p / (p + 1)  # (4^m - 2^m) / (4^m - 1)
     return scale * 0.25 * (1.0 - (2 * m + 1) * rate / m) * \
         entropy4_inv(m / (4 * m + 2))
 
@@ -274,8 +288,19 @@ def delta_curve(name: str, rate_grid, m: int | None = None,
     Out-of-domain grid points are omitted (collected in ``omitted``),
     never clamped.  Parameter requirements: ``m`` for ours_finite_m,
     ashikhmin, matsumoto, and baseline_rs; ``t`` for chen; none for
-    ours.
+    ours.  A parameter too large for float arithmetic (baseline_rs's
+    N = 2^(2m) - 1 from m = 512 on) is a BoundsError.
     """
+    try:
+        return _delta_curve(name, rate_grid, m, t)
+    except OverflowError:
+        what = "t" if name == "chen" else "m"
+        raise BoundsError(f"{name} needs a smaller {what}: the curve "
+                          f"overflows float arithmetic") from None
+
+
+def _delta_curve(name: str, rate_grid, m: int | None,
+                 t: int | None) -> BoundCurve:
     if name not in CURVE_NAMES:
         raise BoundsError(f"unknown curve {name!r}; choose from "
                           f"{', '.join(CURVE_NAMES)}")
@@ -304,7 +329,7 @@ def delta_curve(name: str, rate_grid, m: int | None = None,
         params = {"m": m}
         # R = 1 - 1/(2^(m-1) - 1) - (10/3) m delta for 0 < delta < 1/18,
         # inverted algebraically (linear in delta).
-        r0 = 1.0 - 1.0 / ((1 << (m - 1)) - 1)
+        r0 = 1.0 - 1.0 / (_pow2(m - 1) - 1)
         for r in rate_grid:
             delta = (r0 - r) * 3.0 / (10.0 * m)
             if 0.0 < delta < 1.0 / 18.0:
@@ -314,7 +339,12 @@ def delta_curve(name: str, rate_grid, m: int | None = None,
     elif name == "chen":
         if t is None:
             raise BoundsError("chen needs t >= 3")
-        dt = float(chen_delta_t(t))
+        if t < 3:
+            raise BoundsError(f"t must be >= 3, got {t}")
+        # float(chen_delta_t(t)) without the t-bit integers
+        d = 3 * (2 * t + 1)
+        p = _pow2(t, d)
+        dt = 2 * (p - 3) / (d * (p - 1))
         params = {"t": t}
         # R = 3t (delta_t - delta); the source constraint is the open
         # interval 0 < delta < delta_t, but both endpoint rows (the
@@ -330,8 +360,9 @@ def delta_curve(name: str, rate_grid, m: int | None = None,
         if m is None or m < 2:
             raise BoundsError("matsumoto needs m >= 2")
         params = {"m": m}
-        r0 = 1.0 - 2.0 / ((1 << m) - 1)
-        dmax = (0.5 - 1.0 / ((1 << m) - 1)) / (2.0 * m)
+        p = _pow2(m)
+        r0 = 1.0 - 2.0 / (p - 1)
+        dmax = (0.5 - 1.0 / (p - 1)) / (2.0 * m)
         for r in rate_grid:
             delta = (r0 - r) * 3.0 / (10.0 * m)
             if 0.0 < delta <= dmax:
@@ -342,6 +373,9 @@ def delta_curve(name: str, rate_grid, m: int | None = None,
         if m is None or m < 1:
             raise BoundsError("baseline_rs needs m >= 1")
         params = {"m": m}
+        # N as a float first: past the float range that overflows, before
+        # the 2m-bit integer N is built
+        n_float = math.ldexp(1.0, 2 * m) - 1.0
         big_n = (1 << (2 * m)) - 1
         # Rate axis carries the fixed symbol rate (N - 2K)/N of the
         # unconcatenated construction; the distance/length ratio
@@ -350,7 +384,7 @@ def delta_curve(name: str, rate_grid, m: int | None = None,
             if not 0.0 <= r <= 1.0:
                 omitted.append(r)
                 continue
-            big_k = math.floor((1.0 - r) * big_n / 2.0)
+            big_k = math.floor((1.0 - r) * n_float / 2.0)
             if big_k < 0 or big_k > big_n // 2:
                 omitted.append(r)
                 continue

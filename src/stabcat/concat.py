@@ -26,7 +26,13 @@ by the four equation groups
 injective per block.  :meth:`BlockExpander.expand_block` is the only
 encoding of these equations; injectivity and inversion both use the span
 of a block's 6m+2 unit-input images, each tagged with its input index
-above the image bits (:meth:`BlockExpander.unit_span`).  Applied to the
+above the image bits (:meth:`BlockExpander.unit_span`).  A block's input
+is one bit vector in that order: the 2m basis coordinates of a_i, those
+of a_{N+i}, then s_i and t_i, and :meth:`BlockExpander.invert_block`
+returns it as the tag that the reduction leaves.  No field element is
+rebuilt from it: in the self-dual basis x_j = Tr(x beta_j), so the
+coordinates of sum_j c_j beta_j are c itself, and the tag's low 4m bits
+are the symbol pair's coordinates.  Applied to the
 generator span of the CSS pair S = R x R, N = Rperp x Rperp (plus all
 unit s/t inputs) this yields the stabilizer and normalizer matrices of a
 binary [[2N(2m+1), 2m(N-2K)]] stabilizer code whose duality rests on the
@@ -142,84 +148,42 @@ class BlockExpander:
         self.m = field.two_m // 2
         self.n_blocks = field.order - 1
         self.block_width = 4 * self.m + 2
-        self._coords = [coords(field, basis, x) for x in range(field.order)]
-        self._coord_bits = [sum(c << j for j, c in enumerate(cs))
-                            for cs in self._coords]
+        # bit j-1 of _coord_bits[x] is x's beta_j coordinate
+        self._coord_bits = [
+            sum(c << j for j, c in enumerate(coords(field, basis, x)))
+            for x in range(field.order)]
         self._unit_spans: dict[int, Rref] = {}  # block -> unit_span
 
-    def coords(self, x: int) -> tuple[int, ...]:
-        return self._coords[x]
+    def _twist(self, e: int, c: int) -> int:
+        """Coordinate bits of e * sum_j c_j beta_j (c as coordinate bits)."""
+        return self._coord_bits[self.field.mul(e, xor_rows(self.basis, c))]
 
     def expand_block(self, i: int, a_i: int, a_ni: int,
                      s_i, t_i) -> tuple[int, int]:
-        """Bits (b-block, c-block) of block i, each 4m+2 wide, LSB = j=1."""
-        f = self.field
+        """Bits (b-block, c-block) of block i, each 4m+2 wide, LSB = j=1.
+
+        Each 2m-bit equation group is one alpha^-i or alpha^+i twist of a
+        coordinate-bit vector assembled from a_i, a_{N+i}, s_i and t_i.
+        """
         m = self.m
-        ca = self._coords[a_i]
-        ca_n = self._coords[a_ni]
-        a_inv_i = f.alpha_pow(-i)
-        a_pow_i = f.alpha_pow(i)
-
-        # First b-group: alpha^-i applied to the s-twisted first half of
-        # a_{N+i}'s coordinates.
-        w1 = self.basis[0] if (ca_n[0] ^ s_i[m]) else 0
-        for j in range(1, m):
-            if ca_n[j]:
-                w1 ^= self.basis[j]
-        for j in range(m):
-            if s_i[j]:
-                w1 ^= self.basis[m + j]
-        x1 = f.mul(a_inv_i, w1)
-
-        w2 = self.basis[0] if (ca_n[m] ^ t_i[m]) else 0
-        for j in range(1, m):
-            if ca_n[m + j]:
-                w2 ^= self.basis[j]
-        for j in range(m):
-            if t_i[j]:
-                w2 ^= self.basis[m + j]
-        x2 = f.mul(a_inv_i, w2)
-
-        y1 = self.basis[m] if s_i[m] else 0
-        for j in range(m):
-            if ca[j]:
-                y1 ^= self.basis[j]
-        y1 = f.mul(a_pow_i, y1)
-
-        y2 = self.basis[m] if t_i[m] else 0
-        for j in range(m):
-            if ca[m + j]:
-                y2 ^= self.basis[j]
-        y2 = f.mul(a_pow_i, y2)
-
-        cx1 = self._coords[x1]
-        cx2 = self._coords[x2]
-        cy1 = self._coords[y1]
-        cy2 = self._coords[y2]
-
-        b_bits = 0
-        for j in range(2 * m):
-            if cx1[j]:
-                b_bits |= 1 << j
-        if ca[0] ^ s_i[0]:
-            b_bits |= 1 << (2 * m)
-        for j in range(2 * m):
-            if cx2[j]:
-                b_bits |= 1 << (2 * m + 1 + j)
-        if ca[m] ^ t_i[0]:
-            b_bits |= 1 << (4 * m + 1)
-
-        c_bits = 0
-        for j in range(2 * m):
-            if cy1[j]:
-                c_bits |= 1 << j
-        if s_i[m]:
-            c_bits |= 1 << (2 * m)
-        for j in range(2 * m):
-            if cy2[j]:
-                c_bits |= 1 << (2 * m + 1 + j)
-        if t_i[m]:
-            c_bits |= 1 << (4 * m + 1)
+        low = (1 << m) - 1
+        ca = self._coord_bits[a_i]
+        can = self._coord_bits[a_ni]
+        s = sum(bit << j for j, bit in enumerate(s_i))
+        t = sum(bit << j for j, bit in enumerate(t_i))
+        s_top, t_top = s >> m, t >> m  # s_{i,m+1}, t_{i,m+1}
+        down = self.field.alpha_pow(-i)
+        up = self.field.alpha_pow(i)
+        # b-groups: the s/t-twisted halves of a_{N+i}'s coordinates
+        x1 = self._twist(down, ((can & low) ^ s_top) | ((s & low) << m))
+        x2 = self._twist(down, ((can >> m) ^ t_top) | ((t & low) << m))
+        # c-groups: the halves of a_i's coordinates
+        y1 = self._twist(up, (ca & low) | (s_top << m))
+        y2 = self._twist(up, (ca >> m) | (t_top << m))
+        b_bits = (x1 | (((ca ^ s) & 1) << (2 * m)) | (x2 << (2 * m + 1))
+                  | ((((ca >> m) ^ t) & 1) << (4 * m + 1)))
+        c_bits = (y1 | (s_top << (2 * m)) | (y2 << (2 * m + 1))
+                  | (t_top << (4 * m + 1)))
         return b_bits, c_bits
 
     def expand(self, inp: ExpansionInput) -> SymplecticVector:
@@ -228,8 +192,10 @@ class BlockExpander:
         if len(inp.a) != 2 * nb:
             raise ConcatError(
                 f"field vector length {len(inp.a)} != 2N = {2 * nb}")
-        if len(inp.s) != nb or len(inp.t) != nb:
-            raise ConcatError("s/t arrays must have one row per block")
+        if len(inp.s) != nb or len(inp.t) != nb or any(
+                len(row) != self.m + 1 for row in inp.s + inp.t):
+            raise ConcatError(
+                "s/t arrays must have one row of m+1 bits per block")
         w = self.block_width
         u = 0
         v = 0
@@ -297,11 +263,15 @@ class BlockExpander:
             acc.add(image | (1 << (tag + j)))
         return acc
 
-    def invert_block(self, i: int, b_bits: int, c_bits: int) -> "BlockData":
-        """Recover (a_i, a_{N+i}, s_i, t_i) from block i's bits.
+    def invert_block(self, i: int, b_bits: int, c_bits: int) -> int:
+        """Block i's input bits, in :meth:`unit_images` order.
 
-        Raises ConcatError if the bits are not in the image of the block
-        map (cannot happen for blocks of genuine expanded codewords).
+        Bits 0..2m-1 are a_i's basis coordinates, bits 2m..4m-1 those of
+        a_{N+i}, then the m+1 bits of s_i and the m+1 bits of t_i: the
+        tag that reducing the block bits against :meth:`unit_span`
+        leaves.  Raises ConcatError if the bits are not in the image of
+        the block map (cannot happen for blocks of genuine expanded
+        codewords).
         """
         span = self._unit_spans.get(i)
         if span is None:
@@ -310,24 +280,7 @@ class BlockExpander:
         x = span.reduce(b_bits | (c_bits << w))
         if x & ((1 << (2 * w)) - 1):
             raise ConcatError(f"block {i} bits are not a valid expansion")
-        tag = x >> (2 * w)
-        m = self.m
-        half = (1 << (2 * m)) - 1
-        return BlockData(
-            a_i=xor_rows(self.basis, tag & half),
-            a_ni=xor_rows(self.basis, (tag >> (2 * m)) & half),
-            s=tuple((tag >> (4 * m + j)) & 1 for j in range(m + 1)),
-            t=tuple((tag >> (5 * m + 1 + j)) & 1 for j in range(m + 1)))
-
-
-@dataclass(frozen=True)
-class BlockData:
-    """Per-block expansion input recovered by :meth:`invert_block`."""
-
-    a_i: int
-    a_ni: int
-    s: tuple[int, ...]
-    t: tuple[int, ...]
+        return x >> (2 * w)
 
 
 _EXPANDERS: dict[tuple[int, int, tuple[int, ...]], BlockExpander] = {}
@@ -521,13 +474,18 @@ def designated_half_tuple(exp: BlockExpander, i: int, b_bits: int,
     the first nonzero half designates the corresponding (2m+1)-position
     half-block.  Returns None when the symbol pair is zero (the block
     carries only s/t content and is not designated).
+
+    Both tests read the input bits of :meth:`BlockExpander.invert_block`
+    directly, which hold the coordinates themselves (self-dual basis):
+    the pair is zero iff bits 0..4m-1 are, and the first half is nonzero
+    iff one of bits 0..m-1 (a_i) or 2m..3m-1 (a_{N+i}) is set.
     """
-    data = exp.invert_block(i, b_bits, c_bits)
-    if data.a_i == 0 and data.a_ni == 0:
-        return None
+    tag = exp.invert_block(i, b_bits, c_bits)
     m = exp.m
-    first_half = exp.coords(data.a_i)[:m] + exp.coords(data.a_ni)[:m]
-    off = 0 if any(first_half) else 2 * m + 1
+    if not tag & ((1 << (4 * m)) - 1):
+        return None
+    low = (1 << m) - 1
+    off = 0 if tag & (low | (low << (2 * m))) else 2 * m + 1
     return tuple(
         (((b_bits >> (off + j)) & 1) | (((c_bits >> (off + j)) & 1) << 1))
         for j in range(2 * m + 1))

@@ -49,14 +49,14 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from functools import cache
-from itertools import chain, islice, repeat
-from operator import or_
+from functools import cache, reduce
+from itertools import chain, compress, islice, repeat
+from operator import or_, xor
 
 from .concat import (StabilizerCodeL, SymplecticVector,
                      designated_half_tuple, get_expander)
 from .symplectic import (Rref, XorTable, column_supports, in_span,
-                         row_reduce, symplectic_weight_packed, xor_rows)
+                         row_reduce, symplectic_weight_packed)
 from . import _distpure
 from ._cosets import BlockClasses, CosetClasses, block_key, block_local
 from ._distpure import BATCH
@@ -157,8 +157,9 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     columns of a batch's words is the XOR of the lane vectors of the
     rows with that column set, over supports read once per call from the
     normalizer's rows (:func:`column_supports`), and a bit-sliced
-    counter gives every trial's weight.  Only the lanes below the best weight so far are
-    rebuilt, in trial order, by :func:`xor_rows` and tested against the
+    counter gives every trial's weight.  Only the lanes below the best
+    weight so far are rebuilt, in trial order, as the XOR of the rows
+    whose lane vector has the trial's bit set, and tested against the
     stabilizer span: exactly the trials that a trial-by-trial loop would
     test.
     """
@@ -173,23 +174,23 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     best = None  # (w, trial, word)
     for first in range(0, trials, BATCH):
         count = min(BATCH, trials - first)
-        buf = _distpure.draw(rng, r, count)
-        planes = _distpure.weight_planes(
-            _distpure.lane_vectors(buf, r), supports, n)
+        lanes = _distpure.lane_vectors(_distpure.draw(rng, r, count), r)
+        planes = _distpure.weight_planes(lanes, supports, n)
         every = (1 << count) - 1
         todo = every if best is None else \
             _distpure.below(planes, best[0], every)
         while todo:
             low = todo & -todo
             t = low.bit_length() - 1
-            x = xor_rows(rows, _distpure.selector(buf, t, r))
+            # row j is selected iff bit t of its lane vector is set
+            x = reduce(xor, compress(rows, [v >> t & 1 for v in lanes]), 0)
             if in_span(s_span, x):
                 todo ^= low
                 continue
             w = symplectic_weight_packed(x, n)
             best = (w, first + t, x)
             todo = _distpure.below(planes, w, every) >> (t + 1) << (t + 1)
-        del buf  # before the next batch is drawn
+        del lanes  # before the next batch is drawn
     if best is None:
         raise DistanceError(
             f"no sample left the stabilizer span after {trials} trials")

@@ -1,6 +1,7 @@
 """Entropy, volume-bound, weight-oracle, parameter, and curve tests."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -272,3 +273,74 @@ class TestCurves:
         assert rows[0][2] == "chen" and rows[0][3] == "t=3"
         # 12 significant digits
         assert rows[0][1] == f"{10 / 147:.12g}"
+
+
+def full_size_point(name, r, m=None, t=None):
+    """Oracle: a curve's (delta, in domain) at rate r from the closed
+    forms on full-size integers 2^m, 2^(2m) and 2^t."""
+    if name == "ours_finite_m":
+        q = 1 << (2 * m)
+        scale = (q - (1 << m)) / (q - 1)
+        return (scale * 0.25 * (1.0 - (2 * m + 1) * r / m)
+                * entropy4_inv(m / (4 * m + 2)),
+                0.0 <= r <= 0.5 and (2 * m + 1) * r / m <= 1.0)
+    if name == "ashikhmin":
+        d = (1.0 - 1.0 / ((1 << (m - 1)) - 1) - r) * 3.0 / (10.0 * m)
+        return d, 0.0 < d < 1.0 / 18.0
+    if name == "matsumoto":
+        d = (1.0 - 2.0 / ((1 << m) - 1) - r) * 3.0 / (10.0 * m)
+        return d, 0.0 < d <= (0.5 - 1.0 / ((1 << m) - 1)) / (2.0 * m)
+    dt = float(chen_delta_t(t))
+    d = dt - r / (3.0 * t)
+    return d, 0.0 <= d <= dt and r >= 0.0
+
+
+class TestLargeParameters:
+    GRID = [-0.05, 0.0, 1 / 6, 0.2, 0.3, 0.45, 0.5]
+
+    @pytest.mark.parametrize("name,values", [
+        ("ours_finite_m", range(1, 130)),
+        ("ashikhmin", range(2, 1024)),  # 2^1023 is the last float power
+        ("matsumoto", range(2, 1024)),
+        ("chen", list(range(3, 130)) + [1000, 5000])])
+    def test_same_floats_as_full_size_integers(self, name, values):
+        # the capped powers of two change no float, on either side of
+        # the cap
+        key = "t" if name == "chen" else "m"
+        for v in values:
+            curve = delta_curve(name, self.GRID, **{key: v})
+            want = {}
+            for r in self.GRID:
+                d, inside = full_size_point(name, r, **{key: v})
+                if inside:
+                    want[r] = d
+            assert dict(curve.points) == want, (name, v)
+
+    @pytest.mark.parametrize("name,key,value,rejected", [
+        ("ours_finite_m", "m", 10 ** 9, False),
+        ("ashikhmin", "m", 10 ** 9, False),
+        ("matsumoto", "m", 10 ** 9, False),
+        ("chen", "t", 10 ** 9, False),
+        ("baseline_rs", "m", 10 ** 9, True),
+        ("ashikhmin", "m", 10 ** 400, True),
+        ("chen", "t", 10 ** 400, True)])
+    def test_huge_parameter_small_memory(self, name, key, value, rejected):
+        # a curve either evaluates or is a BoundsError, and neither
+        # builds a 2^m- or 2^t-bit integer
+        tracemalloc.start()
+        try:
+            if rejected:
+                with pytest.raises(BoundsError, match="needs a smaller"):
+                    delta_curve(name, [0.1, 0.3], **{key: value})
+            else:
+                assert delta_curve(name, [0.1, 0.3], **{key: value}).points
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, peak
+
+    def test_baseline_float_limit(self):
+        # N = 2^(2m) - 1 is a float up to m = 511
+        assert delta_curve("baseline_rs", [0.2], m=511).points
+        with pytest.raises(BoundsError, match="baseline_rs needs a smaller"):
+            delta_curve("baseline_rs", [0.2], m=512)

@@ -45,6 +45,14 @@ def random_input(rng, f, m):
                 for _ in range(nb)))
 
 
+def input_bits(f, basis, a_i, a_ni, s_i, t_i):
+    """Oracle: a block's input as one bit vector in unit-input order (the
+    basis coordinates of a_i, then of a_{N+i}, then s_i, then t_i)."""
+    bits = coords(f, basis, a_i) + coords(f, basis, a_ni) + tuple(s_i) \
+        + tuple(t_i)
+    return sum(bit << j for j, bit in enumerate(bits))
+
+
 def xor_inputs(x, y):
     return ExpansionInput(
         a=tuple(p ^ q for p, q in zip(x.a, y.a)),
@@ -185,6 +193,12 @@ class TestExpandCodeword:
         bad = ExpansionInput(a=(0,) * 4, s=((0, 0),) * 3, t=((0, 0),) * 3)
         with pytest.raises(ConcatError):
             expand_codeword(f, b, bad)
+        # an s/t row holds m+1 bits, no more and no fewer
+        for row in ((0,), (0, 0, 1)):
+            bad = ExpansionInput(a=(0,) * 6, s=((0, 0), row, (0, 0)),
+                                 t=((0, 0),) * 3)
+            with pytest.raises(ConcatError):
+                expand_codeword(f, b, bad)
 
 
 class TestBuildCode:
@@ -312,8 +326,8 @@ class TestAgainstDirectRoute:
                                         st.integers(0, f.order - 1)))
         s_i, t_i = data.draw(bit_row), data.draw(bit_row)
         b_bits, c_bits = exp.expand_block(i, a_i, a_ni, s_i, t_i)
-        got = exp.invert_block(i, b_bits, c_bits)
-        assert (got.a_i, got.a_ni, got.s, got.t) == (a_i, a_ni, s_i, t_i)
+        assert exp.invert_block(i, b_bits, c_bits) == \
+            input_bits(f, exp.basis, a_i, a_ni, s_i, t_i)
 
 
 class TestQuaternary:
@@ -418,11 +432,9 @@ class TestInversion:
             for i in range(exp.n_blocks):
                 bb = (vec.u >> (i * exp.block_width)) & mask
                 cb = (vec.v >> (i * exp.block_width)) & mask
-                data = exp.invert_block(i, bb, cb)
-                assert data.a_i == inp.a[i]
-                assert data.a_ni == inp.a[exp.n_blocks + i]
-                assert data.s == inp.s[i]
-                assert data.t == inp.t[i]
+                assert exp.invert_block(i, bb, cb) == input_bits(
+                    f, basis, inp.a[i], inp.a[exp.n_blocks + i], inp.s[i],
+                    inp.t[i])
 
     def test_exhaustive_m1_oracle(self, gf4):
         # Image set of every block from all 2^8 inputs through
@@ -440,13 +452,12 @@ class TestInversion:
                             bits = expand_block(f, basis, i, a_i, a_ni,
                                                 s_i, t_i)
                             assert bits not in image
-                            image[bits] = (a_i, a_ni, s_i, t_i)
+                            image[bits] = input_bits(f, basis, a_i, a_ni,
+                                                     s_i, t_i)
             for bb in range(64):
                 for cb in range(64):
                     if (bb, cb) in image:
-                        data = exp.invert_block(i, bb, cb)
-                        assert (data.a_i, data.a_ni, data.s, data.t) == \
-                            image[bb, cb]
+                        assert exp.invert_block(i, bb, cb) == image[bb, cb]
                     else:
                         with pytest.raises(ConcatError):
                             exp.invert_block(i, bb, cb)
@@ -480,3 +491,28 @@ class TestInversion:
                 else:
                     assert tup is not None and len(tup) == 3
                     assert any(tup)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_designated_half_value(self, data):
+        # the expected tuple from the inputs alone: the first half when
+        # the first m coordinates of a_i or a_{N+i} are nonzero, else the
+        # second; its value is u_p + 2 v_p over that half's positions
+        m = data.draw(st.sampled_from((1, 2)))
+        f = build_field(2 * m)
+        basis = find_self_dual_basis(f)
+        exp = get_expander(f, basis)
+        i = data.draw(st.integers(0, exp.n_blocks - 1))
+        symbol = st.integers(0, f.order - 1)
+        bit_row = st.tuples(*[st.integers(0, 1)] * (m + 1))
+        a_i, a_ni, s_i, t_i = data.draw(
+            st.tuples(symbol, symbol, bit_row, bit_row))
+        bb, cb = exp.expand_block(i, a_i, a_ni, s_i, t_i)
+        want = None
+        if a_i or a_ni:
+            first = coords(f, basis, a_i)[:m] + coords(f, basis, a_ni)[:m]
+            off = 0 if any(first) else 2 * m + 1
+            want = tuple(((bb >> p) & 1) + 2 * ((cb >> p) & 1)
+                         for p in range(off, off + 2 * m + 1))
+            assert any(want)
+        assert designated_half_tuple(exp, i, bb, cb) == want

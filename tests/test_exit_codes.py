@@ -81,6 +81,18 @@ MATRIX = [
     (["bounds", "--curve", "ours", "--R-max", "inf"], EXIT_USAGE),
     (["bounds", "--curve", "ours", "--R-min=-inf"], EXIT_USAGE),
     (["bounds", "--curve", "ours", "--R-min", "-inf"], EXIT_USAGE),
+    (["bounds", "--curve", "ashikhmin", "--m", "1100", "--steps", "3"],
+     EXIT_OK),
+    (["bounds", "--curve", "matsumoto", "--m", "1024", "--R-min", "0.2",
+      "--steps", "3"], EXIT_OK),
+    (["bounds", "--curve", "baseline_rs", "--m", "512"], EXIT_USAGE),
+    # huge values, none of which builds a 2^m- or 2^t-bit integer
+    (["bounds", "--curve", "ours_finite_m", "--m", "1000000000",
+      "--R-max", "0.4", "--steps", "3"], EXIT_OK),
+    (["bounds", "--curve", "chen", "--t", "1000000000", "--steps", "3"],
+     EXIT_OK),
+    (["bounds", "--curve", "baseline_rs", "--m", "1000000000"], EXIT_USAGE),
+    (["bounds", "--curve", "ashikhmin", "--m", "9" * 400], EXIT_USAGE),
     (["export", "{m1k1}"], EXIT_OK),
     (["export", "{missing}"], EXIT_IO),
     (["export", "{truncated}"], EXIT_IO),
