@@ -35,6 +35,7 @@ columns and counts every trial's weight at once.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 from operator import or_, xor
 
 from .symplectic import transpose_bytes, xor_rows
@@ -254,11 +255,15 @@ def weight_planes(lanes: list[int], supports, n: int) -> list[int]:
     """Bit-sliced weights of a batch's words, column by column.
 
     Column c of the words is the XOR of the lane vectors of the rows in
-    ``supports[c]``.  Bit t of ``planes[k]`` is bit k of the symplectic
-    weight of trial t's word: a ripple counter adds ``u_j | v_j`` for
-    every position j, so only two columns are held at a time.
+    ``supports[c]``, a list of row indices or a byte mask over the rows
+    (``symplectic.column_supports``).  Bit t of ``planes[k]`` is bit k
+    of the symplectic weight of trial t's word: a ripple counter adds
+    ``u_j | v_j`` for every position j, so only two columns are held at
+    a time.
     """
     def column(rows_at):
+        if isinstance(rows_at, bytes):  # ends at a set bit: never empty
+            return reduce(xor, compress(lanes, rows_at))
         return reduce(xor, map(lanes.__getitem__, rows_at)) if rows_at \
             else 0
 

@@ -16,7 +16,7 @@ line at a time (a ``\\r`` stays part of its line), and parses each row as
 it arrives; :func:`dumps` and :func:`loads` run the same generator and
 parser on a string.  Neither holds a copy of the whole text: for the
 84 MB file of m=4 K=0, ``construct`` peaks at about 26 MB of resident
-memory and ``verify`` at about 46 MB, where building, decoding and
+memory and ``verify`` at about 30 MB, where building, decoding and
 splitting the whole text took about 185 MB.
 """
 

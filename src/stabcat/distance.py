@@ -156,12 +156,13 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     lane per trial (see :mod:`stabcat._distpure`).  Each of the 2n
     columns of a batch's words is the XOR of the lane vectors of the
     rows with that column set, over supports read once per call from the
-    normalizer's rows (:func:`column_supports`), and a bit-sliced
-    counter gives every trial's weight.  Only the lanes below the best
-    weight so far are rebuilt, in trial order, as the XOR of the rows
-    whose lane vector has the trial's bit set, and tested against the
-    stabilizer span: exactly the trials that a trial-by-trial loop would
-    test.
+    normalizer's transposed columns (:func:`column_supports`: a list of
+    row indices for a sparse column, a byte mask for a dense one), and a
+    bit-sliced counter gives every trial's weight.  Only the lanes below
+    the best weight so far are rebuilt, in trial order, as the XOR of the
+    rows whose lane vector has the trial's bit set, and tested against
+    the stabilizer span: exactly the trials that a trial-by-trial loop
+    would test.
     """
     if trials < 1:
         raise DistanceError("trials must be >= 1")

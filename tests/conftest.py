@@ -16,3 +16,8 @@ def code_m1k0():
 @pytest.fixture(scope="session")
 def code_m2k3():
     return build_code(2, 3)
+
+
+@pytest.fixture(scope="session")
+def code_m3k10():
+    return build_code(3, 10)

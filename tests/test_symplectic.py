@@ -1,7 +1,10 @@
 """Packed GF(2) linear algebra and symplectic form tests."""
 
 import random
+import tracemalloc
 from dataclasses import replace
+from functools import reduce
+from operator import xor
 from unittest import mock
 
 import pytest
@@ -11,7 +14,8 @@ from stabcat import symplectic
 from stabcat.concat import SymplecticVector, build_code
 from stabcat.symplectic import (DualityReport, Rref, RrefError, XorTable,
                                 column_supports, first_outside, in_span,
-                                is_rref, row_reduce, symplectic_product,
+                                is_rref, row_reduce, selected,
+                                symplectic_product,
                                 symplectic_product_packed, symplectic_weight,
                                 transpose, verify_duality, xor_rows)
 
@@ -295,14 +299,97 @@ class TestTranspose:
             for x in rows]
 
 
+def loop_limit(width):
+    """The most set bits that ``selected`` reads by its bit loop, for a
+    selector ``width`` bits wide."""
+    return 128 * width // (width + 1024)
+
+
+@st.composite
+def selections(draw):
+    """Items for widths 0-300 and a selector with no bit, one bit, a few
+    (up to just past the loop/mask switch), many or all of them set,
+    and sometimes bits at or above the width."""
+    width = draw(st.integers(0, 300))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    items = [rng.getrandbits(90) for _ in range(width)]
+    kind = draw(st.sampled_from(["none", "one", "sparse", "dense", "all"]))
+    count = {"none": 0, "one": min(1, width),
+             "sparse": min(width, rng.randint(1, loop_limit(width) + 2)),
+             "dense": rng.randint(min(width, loop_limit(width) + 1), width),
+             "all": width}[kind]
+    bits = sum(1 << c for c in rng.sample(range(width), count))
+    if draw(st.booleans()):
+        bits |= draw(st.integers(1, 1 << 40)) << width
+    return items, bits
+
+
+class TestSelected:
+    @settings(max_examples=400, deadline=None)
+    @given(selections())
+    def test_matches_xor_rows(self, case):
+        items, bits = case
+        inside = bits & ((1 << len(items)) - 1)
+        assert reduce(xor, selected(items, bits), 0) == \
+            xor_rows(items, inside)
+        assert list(selected(items, bits)) == [
+            x for c, x in enumerate(items) if inside >> c & 1]
+
+    @pytest.mark.parametrize("width", [1, 64, 300, 1764])
+    def test_both_sides_of_the_switch(self, width):
+        rng = random.Random(width)
+        items = [rng.getrandbits(200) for _ in range(width)]
+        for count in (loop_limit(width), loop_limit(width) + 1):
+            if not 0 < count <= width:
+                continue
+            # the top bit set, so that the selector is ``width`` wide
+            bits = 1 << (width - 1) | sum(
+                1 << c for c in rng.sample(range(width - 1), count - 1))
+            # the bit loop returns a list, the byte mask an iterator
+            assert isinstance(selected(items, bits), list) == \
+                (count <= loop_limit(width))
+            assert reduce(xor, selected(items, bits), 0) == \
+                xor_rows(items, bits)
+
+
+def entry_rows(entry):
+    """The row indices that a ``column_supports`` entry selects."""
+    if isinstance(entry, bytes):
+        return [j for j, b in enumerate(entry) if b]
+    return entry
+
+
 class TestColumnSupports:
-    @given(rows=st.lists(st.integers(0, (1 << 80) - 1), max_size=12),
-           width=st.integers(0, 90))
-    def test_matches_bit_tests(self, rows, width):
-        # bits at or above width are ignored
-        assert column_supports(rows, width) == [
-            [j for j, x in enumerate(rows) if x >> c & 1]
-            for c in range(width)]
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_bit_tests(self, data):
+        # columns from empty to full, so that both forms occur; bits at
+        # or above width are ignored; narrow slices force many slices
+        nrows = data.draw(st.integers(0, 60))
+        width = data.draw(st.integers(0, 90))
+        rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+        cols = [sum(1 << j for j in range(nrows) if rng.random() < p)
+                for p in rng.choices((0, 0.02, 0.1, 0.5, 1), k=width)]
+        rows = [x | rng.getrandbits(20) << width
+                for x in transpose(cols, nrows)]
+        slice_width = data.draw(st.sampled_from((1, 7, 64, 1024)))
+        with mock.patch.object(symplectic, "COLUMN_SLICE", slice_width):
+            supports = column_supports(rows, width)
+        assert len(supports) == width
+        for c, entry in enumerate(supports):
+            want = [j for j, x in enumerate(rows) if x >> c & 1]
+            assert entry_rows(entry) == want
+            # the smaller form: 8 bytes per index or 1 byte per row
+            assert isinstance(entry, list) == \
+                (8 * len(want) <= (want[-1] + 1 if want else 0))
+
+    def test_both_forms_on_a_code(self, code_m2k3):
+        rows = code_m2k3.n_matrix
+        supports = column_supports(rows, 2 * code_m2k3.n)
+        assert {type(e) for e in supports} == {list, bytes}
+        for c, entry in enumerate(supports):
+            assert entry_rows(entry) == [
+                j for j, x in enumerate(rows) if x >> c & 1]
 
 
 def pairwise_duality(code) -> DualityReport:
@@ -453,3 +540,31 @@ class TestVerifyDuality:
         rep = verify_duality(bad)
         assert not rep.passed
         assert any(f[0] == "orthogonality" for f in rep.failures)
+
+
+def test_duality_and_supports_memory(code_m3k10):
+    """No table over N at m=3 K=10 (N: 1140 x 1764 bits).  Traced peaks,
+    where the four-Russians tables and one int per set bit took 1.28 MB
+    (``first_outside``), 1.29 MB (``verify_duality``) and 1.19 MB held
+    by the supports."""
+    code = code_m3k10
+    span = code.n_span
+    span.rows  # canonical before tracing
+    tracemalloc.start()
+    try:
+        assert first_outside(span, code.s_matrix) is None
+        outside = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert verify_duality(code).passed
+        duality = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        supports = column_supports(code.n_matrix, 2 * code.n)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(supports) == 2 * code.n
+    assert outside < 100_000
+    assert duality < 1_000_000
+    assert held - before < 600_000
+    assert peak - before < 800_000
