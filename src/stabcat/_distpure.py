@@ -28,8 +28,9 @@ DES implementation in software", FSE 1997), ``BATCH`` at a time: bit t
 of every batch int belongs to trial t.  :func:`draw` takes a batch's
 selectors from one ``getrandbits`` call, :func:`lane_vectors` transposes
 them into one int per normalizer row (``symplectic.transpose_bytes``,
-as verify does), and :func:`weight_planes` XORs those into the words'
-columns and counts every trial's weight at once.
+as verify does), :func:`columns` XORs those into the words' columns,
+and :func:`weight_planes` counts every trial's weight at once from
+them.  The sampled counting check reads the same columns.
 """
 
 from __future__ import annotations
@@ -251,15 +252,13 @@ def lane_vectors(buf: bytes, r: int) -> list[int]:
     return cols[:split] + cols[split + 32 * words - r:]
 
 
-def weight_planes(lanes: list[int], supports, n: int) -> list[int]:
-    """Bit-sliced weights of a batch's words, column by column.
+def columns(lanes: list[int], supports):
+    """The batch's word columns, one per entry of ``supports``, lazily.
 
-    Column c of the words is the XOR of the lane vectors of the rows in
-    ``supports[c]``, a list of row indices or a byte mask over the rows
-    (``symplectic.column_supports``).  Bit t of ``planes[k]`` is bit k
-    of the symplectic weight of trial t's word: a ripple counter adds
-    ``u_j | v_j`` for every position j, so only two columns are held at
-    a time.
+    Bit t of a column is trial t's bit there: the XOR of the lane
+    vectors of the rows in its entry, a list of row indices or a byte
+    mask over the rows (``symplectic.column_supports``).  Each column is
+    formed only when the iterator reaches it.
     """
     def column(rows_at):
         if isinstance(rows_at, bytes):  # ends at a set bit: never empty
@@ -267,9 +266,20 @@ def weight_planes(lanes: list[int], supports, n: int) -> list[int]:
         return reduce(xor, map(lanes.__getitem__, rows_at)) if rows_at \
             else 0
 
+    return map(column, supports)
+
+
+def weight_planes(lanes: list[int], supports, n: int) -> list[int]:
+    """Bit-sliced weights of a batch's words, column by column.
+
+    ``supports`` holds the 2n columns' entries (:func:`columns`).  Bit t
+    of ``planes[k]`` is bit k of the symplectic weight of trial t's
+    word: a ripple counter adds ``u_j | v_j`` for every position j, so
+    only two columns are held at a time.
+    """
     planes: list[int] = []
-    for carry in map(or_, map(column, supports[:n]),
-                     map(column, supports[n:])):
+    for carry in map(or_, columns(lanes, supports[:n]),
+                     columns(lanes, supports[n:])):
         for k, plane in enumerate(planes):
             planes[k] = plane ^ carry
             carry &= plane
@@ -279,6 +289,11 @@ def weight_planes(lanes: list[int], supports, n: int) -> list[int]:
             if carry:
                 planes.append(carry)
     return planes
+
+
+def trial_word(rows, lanes: list[int], t: int) -> int:
+    """Trial t's word: the XOR of the rows whose lane vector has bit t."""
+    return reduce(xor, compress(rows, [v >> t & 1 for v in lanes]), 0)
 
 
 def below(planes: list[int], w: int, every: int) -> int:

@@ -464,16 +464,19 @@ def build_code(m: int, big_k: int) -> StabilizerCodeL:
 # Half-block bookkeeping for the weight-counting checks
 # ----------------------------------------------------------------------
 
-def designated_half_tuple(exp: BlockExpander, i: int, b_bits: int,
-                          c_bits: int) -> tuple[int, ...] | None:
-    """Quaternary (2m+1)-tuple of the designated half of block i.
+def designated_half(exp: BlockExpander, i: int, b_bits: int,
+                    c_bits: int) -> int | None:
+    """The designated (2m+1)-position half of block i, as one int.
 
     A block whose underlying symbol pair (a_i | a_{N+i}) is nonzero has
     at least one nonzero half of the coordinate data
     (a_{i,1..m} | a_{N+i,1..m}) or (a_{i,m+1..2m} | a_{N+i,m+1..2m});
     the first nonzero half designates the corresponding (2m+1)-position
     half-block.  Returns None when the symbol pair is zero (the block
-    carries only s/t content and is not designated).
+    carries only s/t content and is not designated).  Otherwise the int
+    holds the half-block's 2m+1 b-bits, then its 2m+1 c-bits: a
+    one-to-one code for the quaternary tuple whose entry j is b-bit j
+    plus twice c-bit j.
 
     Both tests read the input bits of :meth:`BlockExpander.invert_block`
     directly, which hold the coordinates themselves (self-dual basis):
@@ -485,7 +488,7 @@ def designated_half_tuple(exp: BlockExpander, i: int, b_bits: int,
     if not tag & ((1 << (4 * m)) - 1):
         return None
     low = (1 << m) - 1
-    off = 0 if tag & (low | (low << (2 * m))) else 2 * m + 1
-    return tuple(
-        (((b_bits >> (off + j)) & 1) | (((c_bits >> (off + j)) & 1) << 1))
-        for j in range(2 * m + 1))
+    half = 2 * m + 1
+    off = 0 if tag & (low | (low << (2 * m))) else half
+    mask = (1 << half) - 1
+    return ((b_bits >> off) & mask) | (((c_bits >> off) & mask) << half)

@@ -40,7 +40,9 @@ follow from one set of classes per block (:mod:`stabcat._cosets`), and
 the F words are walked in Gray chunks as signatures of those sets.  At
 m=1 K=1 there are 256 field parts, 240 of them outside S, each standing
 for 2^12 words.  Sampled draws rarely share a signature, so the sampled
-check scores each draw as it comes.
+check does not tally them: it takes the sampler's draws, a batch at a
+time, reads each block's keys and the stabilizer residue off the
+batch's columns, and scores the signatures in draw order.
 """
 
 from __future__ import annotations
@@ -50,13 +52,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import cache, reduce
-from itertools import chain, compress, islice, repeat
-from operator import or_, xor
+from itertools import chain, islice, repeat
+from operator import and_, or_, rshift
 
-from .concat import (StabilizerCodeL, SymplecticVector,
-                     designated_half_tuple, get_expander)
-from .symplectic import (Rref, XorTable, column_supports, in_span,
-                         row_reduce, symplectic_weight_packed)
+from .concat import (StabilizerCodeL, SymplecticVector, designated_half,
+                     get_expander)
+from .symplectic import (Rref, byte_mask, column_supports, in_span,
+                         row_reduce, symplectic_weight_packed, transpose)
 from . import _distpure
 from ._cosets import BlockClasses, CosetClasses, block_key, block_local
 from ._distpure import BATCH
@@ -124,10 +126,8 @@ def exact_distance(code: StabilizerCodeL, parts: int = 1) -> DistanceReport:
     s_pivots = list(zip(s_span.pivots, s_span.rows))
     total = 1 << r
     best = None  # (w, idx, word)
-    bounds = [total * i // parts for i in range(parts + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo == hi:
-            continue
+    for part in range(parts):
+        lo, hi = total * part // parts, total * (part + 1) // parts
         w, idx, word = _distpure.gray_scan(gens, code.n, s_pivots, lo, hi)
         if w >= 0 and (best is None or (w, idx) < best[:2]):
             best = (w, idx, word)
@@ -183,8 +183,7 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
         while todo:
             low = todo & -todo
             t = low.bit_length() - 1
-            # row j is selected iff bit t of its lane vector is set
-            x = reduce(xor, compress(rows, [v >> t & 1 for v in lanes]), 0)
+            x = _distpure.trial_word(rows, lanes, t)
             if in_span(s_span, x):
                 todo ^= low
                 continue
@@ -237,15 +236,15 @@ class CountingReport:
 
 
 class ClassTables:
-    """Per-block class tables and the word signatures built from them.
+    """Per-block class tables, from which word signatures are built.
 
     Class ids: 0 for a zero block, 1 for a nonzero block without a
-    designated tuple (s/t content only), 2 and up for a designated tuple
-    as given by :func:`designated_half_tuple`, interned across blocks so
-    that equal tuples get equal ids.  A word's signature has bit 0 set
-    iff the word lies outside S, and block i's class id in the
-    ``field_bits`` bits from bit ``1 + i * field_bits``; the counting
-    claims depend on a word only through its signature.
+    designated half (s/t content only), and 2 + h for a block whose
+    designated half is h (:func:`designated_half`), so equal tuples get
+    equal ids in every block.  A word's signature has bit 0 set iff the
+    word lies outside S, and block i's class id in the ``field_bits``
+    bits from bit ``1 + i * field_bits`` (:func:`_signatures`); the
+    counting claims depend on a word only through its signature.
     """
 
     def __init__(self, exp) -> None:
@@ -253,7 +252,6 @@ class ClassTables:
         self.n = exp.n_blocks * exp.block_width
         # ids run up to 4^(2m+1) + 1: one per quaternary (2m+1)-tuple
         self.field_bits = ((1 << (4 * exp.m + 2)) + 1).bit_length()
-        self.ids: dict = {}  # designated tuple -> class id
         self.tables = [BlockClasses(self, i) for i in range(exp.n_blocks)]
 
     def classify(self, i: int, key: int) -> int:
@@ -261,27 +259,8 @@ class ClassTables:
         if not key:
             return 0
         w = self.exp.block_width
-        tup = designated_half_tuple(self.exp, i, key & ((1 << w) - 1),
-                                    key >> w)
-        if tup is None:
-            return 1
-        cid = self.ids.get(tup)
-        if cid is None:
-            cid = self.ids[tup] = len(self.ids) + 2
-        return cid
-
-    def signature(self, x: int) -> int:
-        """Signature of a word carrying its stabilizer residue above 2n."""
-        n = self.n
-        w = self.exp.block_width
-        mask = (1 << w) - 1
-        sig = int(x >> (2 * n) != 0)
-        u, v = x, x >> n  # block_key of each block in turn
-        for table in self.tables:
-            sig |= table[(u & mask) | ((v & mask) << w)]
-            u >>= w
-            v >>= w
-        return sig
+        half = designated_half(self.exp, i, key & ((1 << w) - 1), key >> w)
+        return 1 if half is None else 2 + half
 
     def outcome(self, sig: int) -> tuple[int, int, int]:
         """(nonzero blocks, distinct designated tuples, max multiplicity)."""
@@ -300,13 +279,28 @@ class ClassTables:
         return nonzero, len(counts), max(counts.values(), default=0)
 
 
+def _signatures(tables, outside, keys) -> list[int]:
+    """Signatures of a run of words, in the run's order.
+
+    ``outside`` gives each word's 0/1 bit (1 iff the word lies outside
+    S), and the i-th item of ``keys`` gives block i's key of each word.
+    Every block's class is read from its table by ``map`` at C speed and
+    the signatures are listed after each block, so lazy ``keys`` have
+    one block's keys made at a time.
+    """
+    sigs = outside
+    for table, block_keys in zip(tables, keys):
+        sigs = list(map(or_, sigs, map(table.__getitem__, block_keys)))
+    return sigs
+
+
 def _walk_signatures(classes, rows, r: int):
     """Signatures of the words at Gray indices [0, 2^r) of ``rows``.
 
     ``classes`` is a :class:`ClassTables` or a :class:`CosetClasses`.
     One :func:`~stabcat._distpure.gray_chunks` walk per block key and one
     for the stabilizer residue; their chunks cover the same indices, so
-    each chunk's signatures are built by ``map`` at C speed.
+    each chunk's signatures come from :func:`_signatures`.
     """
     n = classes.n
     w = classes.exp.block_width
@@ -316,11 +310,8 @@ def _walk_signatures(classes, rows, r: int):
                                     0, total)
               for i in range(len(classes.tables))]
     for (_f, high, low), *blocks in zip(*walks):
-        sigs = map(bool, map(high.__xor__, low))
-        for table, (_f, high, low) in zip(classes.tables, blocks):
-            sigs = map(or_, sigs,
-                       map(table.__getitem__, map(high.__xor__, low)))
-        yield sigs
+        yield _signatures(classes.tables, map(bool, map(high.__xor__, low)),
+                          [map(high.__xor__, low) for _f, high, low in blocks])
 
 
 def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
@@ -330,7 +321,8 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
 
     Exhaustive mode covers every normalizer combination (same budget as
     :func:`exact_distance`); sampled mode draws ``trials`` seeded uniform
-    normalizer codewords through an :class:`XorTable`.
+    normalizer codewords, the same draws as
+    :func:`sampled_distance_upper`'s for the seed.
     Both combine normalizer rows that carry their stabilizer residue
     ``s_span.reduce(x)`` above bit 2n.  The residue is linear in x, so a
     combined word lies in S iff its bits from 2n up are zero; stabilizer
@@ -348,8 +340,14 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
     2^dim(T0) words per field part.  Only when a claim fails is every
     word of N walked, to list the first 8 violating words in walk order.
     Sampled draws almost never repeat a signature (all 10^5 distinct at
-    m=2 K=3), so each draw is scored as it comes, in one pass over one
-    seeded stream.
+    m=2 K=3), so they are not tallied: the draws are taken bit-sliced,
+    ``BATCH`` at a time, as :func:`sampled_distance_upper` takes them
+    for the seed, and scored in draw order.  A batch's columns come from
+    :func:`~stabcat._distpure.columns`: the OR of the residue columns
+    gives each draw's outside-S bit, and one :func:`transpose` of the 2n
+    key columns, ordered block by block, gives each draw its block keys
+    side by side.  A draw's word is rebuilt from its selector only when
+    it is listed as a violation.
     """
     shift = 2 * code.n
     s_span = code.s_span
@@ -410,18 +408,35 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
         if trials is None or trials < 1:
             raise DistanceError("sampled mode needs trials >= 1")
         rng = random.Random(seed)
-        for word in map(XorTable(rows).combine,
-                        map(rng.getrandbits, repeat(r, trials))):
-            sig = classes.signature(word)
-            if not sig & 1:
-                continue
-            outcome = nb, nd, mm = classes.outcome(sig)
-            examined += 1
-            min_blocks = min(min_blocks, nb)
-            min_distinct = min(min_distinct, nd)
-            max_mult = max(max_mult, mm)
-            if len(violations) < 8 and violates(outcome):
-                violations.append(violation(word, outcome))
+        n = code.n
+        w = classes.exp.block_width
+        supports = column_supports(rows, 2 * shift)
+        residue = supports[shift:]
+        # block by block, each block's u columns then its v columns, so
+        # that bits 2wi.. of a draw's entry in ``keys`` are block i's key
+        keyed = [c for j in range(0, n, w)
+                 for c in supports[j:j + w] + supports[n + j:n + j + w]]
+        key_mask = (1 << (2 * w)) - 1
+        for first in range(0, trials, BATCH):
+            count = min(BATCH, trials - first)
+            lanes = _distpure.lane_vectors(_distpure.draw(rng, r, count), r)
+            outside = reduce(or_, _distpure.columns(lanes, residue), 0)
+            keys = transpose(list(_distpure.columns(lanes, keyed)), count)
+            sigs = _signatures(
+                classes.tables, byte_mask(outside).ljust(count, b"\0"),
+                (map(and_, map(rshift, keys, repeat(i)), repeat(key_mask))
+                 for i in range(0, shift, 2 * w)))
+            for t, sig in enumerate(sigs):
+                if not sig & 1:
+                    continue
+                outcome = nb, nd, mm = classes.outcome(sig)
+                examined += 1
+                min_blocks = min(min_blocks, nb)
+                min_distinct = min(min_distinct, nd)
+                max_mult = max(max_mult, mm)
+                if len(violations) < 8 and violates(outcome):
+                    violations.append(violation(
+                        _distpure.trial_word(rows, lanes, t), outcome))
     else:
         raise DistanceError(f"unknown mode {mode!r}")
     if not examined:

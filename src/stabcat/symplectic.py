@@ -18,12 +18,10 @@ one by a 0/1 byte mask (:func:`byte_mask`) at C speed.  The containment
 test (:func:`first_outside`) and the orthogonality check
 (:func:`symplectic_products`) XOR what it picks, and the sampler's
 column supports (:func:`column_supports`) keep the picks of a sparse
-column as a list and the mask of a dense one.
-:class:`XorTable` serves only the sampled counting check, whose
-selectors are half dense and whose one row list is combined thousands
-of times.  :func:`transpose` is the one way to read whole columns out
-of a row list: the orthogonality check, the column supports and the
-sampler's batches all go through its byte-level core.
+column as a list and the mask of a dense one.  :func:`transpose` is the
+one way to read whole columns out of a row list: the orthogonality
+check, the column supports, the sampler's batches and the sampled
+counting check's block keys all go through its byte-level core.
 """
 
 from __future__ import annotations
@@ -204,45 +202,6 @@ def selected(items, bits: int):
         picked.append(items[low.bit_length() - 1])
         bits ^= low
     return picked
-
-
-class XorTable:
-    """Precomputed XORs of a fixed row list (method of four Russians).
-
-    The rows are grouped in fours and all 16 XOR combinations of each
-    group are stored, so ``combine(bits)`` equals ``xor_rows(rows,
-    bits)`` at two lookups per byte of ``bits`` instead of one XOR per
-    set bit.  The tables hold about four times the rows' memory.  Only
-    the sampled counting check builds one: its selectors are half
-    dense, and 20,000 of them at m=2 K=3 take 0.13 s here against
-    0.26 s through :func:`selected` (2-CPU Xeon, Python 3.11).
-    """
-
-    def __init__(self, rows) -> None:
-        rows = list(rows)
-        self.nrows = len(rows)
-        self.nbytes = (len(rows) + 7) // 8
-        groups = []
-        for k in range(0, len(rows), 4):
-            t = [0]
-            for g in rows[k:k + 4]:
-                t += [e ^ g for e in t]
-            groups.append(t)
-        groups.append([0])  # high nibble of a last byte with 1-4 rows
-        # byte i of ``bits`` selects from groups 2i (low) and 2i+1 (high)
-        self.lo = groups[0::2]
-        self.hi = groups[1::2]
-
-    def combine(self, bits: int) -> int:
-        """XOR of rows[j] over the set bits j of ``bits``."""
-        if bits >> self.nrows:  # also true for negative bits
-            raise ValueError(
-                f"bits select beyond the {self.nrows} table rows")
-        x = 0
-        for b, lo, hi in zip(bits.to_bytes(self.nbytes, "little"),
-                             self.lo, self.hi):
-            x ^= lo[b & 15] ^ hi[b >> 4]
-        return x
 
 
 def transpose_bytes(buf: bytes, size: int) -> list[int]:

@@ -15,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from stabcat.concat import (BlockExpander, ConcatError, ExpansionInput,
                             SymplecticVector, build_code,
-                            check_block_injectivity, designated_half_tuple,
+                            check_block_injectivity, designated_half,
                             expand_block, expand_codeword, get_expander,
                             to_quaternary, zero_input)
 from stabcat.field import build_field, coords, find_self_dual_basis
 from stabcat.rs import build_rs_pair, css_generators
-from stabcat.symplectic import in_span, symplectic_weight
+from stabcat.symplectic import Rref, in_span, row_reduce, symplectic_weight
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +51,23 @@ def input_bits(f, basis, a_i, a_ni, s_i, t_i):
     bits = coords(f, basis, a_i) + coords(f, basis, a_ni) + tuple(s_i) \
         + tuple(t_i)
     return sum(bit << j for j, bit in enumerate(bits))
+
+
+@functools.cache
+def block_image(m, i):
+    """Oracle: the span of block i's image at m, as b | c << (4m+2), from
+    expand_block over inputs whose bits span every input."""
+    f = build_field(2 * m)
+    exp = get_expander(f, find_self_dual_basis(f))
+    zero = (0,) * (m + 1)
+    unit = [tuple(int(k == j) for k in range(m + 1)) for j in range(m + 1)]
+    inputs = [(1 << j, 0, zero, zero) for j in range(2 * m)]
+    inputs += [(0, 1 << j, zero, zero) for j in range(2 * m)]
+    inputs += [(0, 0, u, zero) for u in unit]
+    inputs += [(0, 0, zero, u) for u in unit]
+    images = [exp.expand_block(i, *inp) for inp in inputs]
+    return Rref(row_reduce([b | (c << exp.block_width)
+                            for b, c in images])[1])
 
 
 def xor_inputs(x, y):
@@ -484,20 +501,20 @@ class TestInversion:
                 cb = (vec.v >> (i * 6)) & mask
                 if bb == 0 and cb == 0:
                     continue
-                tup = designated_half_tuple(exp, i, bb, cb)
+                half = designated_half(exp, i, bb, cb)
                 a_pair_zero = inp.a[i] == 0 and inp.a[3 + i] == 0
                 if a_pair_zero:
-                    assert tup is None
+                    assert half is None
                 else:
-                    assert tup is not None and len(tup) == 3
-                    assert any(tup)
+                    assert half is not None and 0 < half < 1 << 6
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_designated_half_value(self, data):
         # the expected tuple from the inputs alone: the first half when
         # the first m coordinates of a_i or a_{N+i} are nonzero, else the
-        # second; its value is u_p + 2 v_p over that half's positions
+        # second; its value is u_p + 2 v_p over that half's positions,
+        # and the int holds the half's b-bits, then its c-bits
         m = data.draw(st.sampled_from((1, 2)))
         f = build_field(2 * m)
         basis = find_self_dual_basis(f)
@@ -508,11 +525,25 @@ class TestInversion:
         a_i, a_ni, s_i, t_i = data.draw(
             st.tuples(symbol, symbol, bit_row, bit_row))
         bb, cb = exp.expand_block(i, a_i, a_ni, s_i, t_i)
-        want = None
+        half = designated_half(exp, i, bb, cb)
+        width = 2 * m + 1
         if a_i or a_ni:
             first = coords(f, basis, a_i)[:m] + coords(f, basis, a_ni)[:m]
-            off = 0 if any(first) else 2 * m + 1
+            off = 0 if any(first) else width
             want = tuple(((bb >> p) & 1) + 2 * ((cb >> p) & 1)
-                         for p in range(off, off + 2 * m + 1))
+                         for p in range(off, off + width))
             assert any(want)
-        assert designated_half_tuple(exp, i, bb, cb) == want
+            assert tuple((half >> j & 1) + 2 * (half >> (width + j) & 1)
+                         for j in range(width)) == want
+            assert 0 <= half < 1 << (2 * width)
+        else:
+            assert half is None
+        # a key outside the block's image is still rejected
+        error = data.draw(st.integers(0, (1 << (4 * width)) - 1))
+        bad_b = bb ^ (error & ((1 << (2 * width)) - 1))
+        bad_c = cb ^ (error >> (2 * width))
+        if in_span(block_image(m, i), bad_b | (bad_c << (2 * width))):
+            designated_half(exp, i, bad_b, bad_c)
+        else:
+            with pytest.raises(ConcatError):
+                designated_half(exp, i, bad_b, bad_c)

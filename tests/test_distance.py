@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import math
 import random
+import sys
 from collections import Counter
 from itertools import chain, combinations, islice
 from unittest import mock
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stabcat import _cosets, _distpure, distance
-from stabcat.concat import designated_half_tuple, get_expander
+from stabcat.concat import get_expander
 from stabcat.distance import (DistanceError, MAX_EXACT_RANK,
                               exact_distance, sampled_distance_upper,
                               verify_counting_claims)
@@ -413,16 +414,6 @@ def row_codes(draw):
                     n_span=Rref(row_reduce(rows)[1]))
 
 
-class OneShotTable:
-    """Stand-in for XorTable that combines by xor_rows."""
-
-    def __init__(self, rows):
-        self.rows = list(rows)
-
-    def combine(self, bits):
-        return xor_rows(self.rows, bits)
-
-
 BATCH = _distpure.BATCH
 
 
@@ -476,17 +467,30 @@ class TestSamplerOracle:
         assert _distpure.below(planes, w, every) == \
             sum(1 << t for t, wt in enumerate(weights) if wt < w)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_sampled_counting_unchanged(self, code_m1k1, code_m2k3, seed,
-                                        monkeypatch):
+    @pytest.mark.parametrize("trials", [1, BATCH - 1, BATCH, BATCH + 1,
+                                        2 * BATCH + 3])
+    def test_sampled_counting_unchanged(self, code_m1k1, code_m2k3,
+                                        trials):
+        # the counting check takes the sampler's draws, a batch at a time
         for code in (code_m1k1, code_m2k3):
-            table = verify_counting_claims(code, mode="sampled",
-                                           trials=300, seed=seed)
-            with monkeypatch.context() as mp:
-                mp.setattr(distance, "XorTable", OneShotTable)
-                one_shot = verify_counting_claims(code, mode="sampled",
-                                                  trials=300, seed=seed)
-            assert table == one_shot
+            got = verify_counting_claims(code, mode="sampled",
+                                         trials=trials, seed=7)
+            assert got == count_claims(
+                code, "sampled", in_span_samples(code, trials, 7), 7)
+
+
+def designated_tuple(exp, i, b_bits, c_bits):
+    """Oracle: the quaternary (2m+1)-tuple of block i's designated half,
+    entry j = b-bit j + 2 c-bit j, or None for a zero symbol pair; read
+    from the input bits of ``invert_block``."""
+    m = exp.m
+    tag = exp.invert_block(i, b_bits, c_bits)
+    a_i, a_ni = tag & ((1 << 2 * m) - 1), (tag >> 2 * m) & ((1 << 2 * m) - 1)
+    if not (a_i or a_ni):
+        return None
+    off = 0 if (a_i | a_ni) & ((1 << m) - 1) else 2 * m + 1
+    return tuple((b_bits >> p & 1) + 2 * (c_bits >> p & 1)
+                 for p in range(off, off + 2 * m + 1))
 
 
 def examine(code, word, memo, exp):
@@ -508,7 +512,7 @@ def examine(code, word, memo, exp):
         nonzero += 1
         key = (i, ub, vb)
         if key not in memo:
-            memo[key] = distance.designated_half_tuple(exp, i, ub, vb)
+            memo[key] = designated_tuple(exp, i, ub, vb)
         tup = memo[key]
         if tup is not None:
             counts[tup] = counts.get(tup, 0) + 1
@@ -615,28 +619,36 @@ class TestCountingOracle:
                 code, "sampled", in_span_samples(code, 500, seed), seed)
 
 
+def constant_half(exp, i, b_bits, c_bits):
+    """Stand-in for designated_half: every block the same half."""
+    return 5
+
+
 def constant_tuple(exp, i, b_bits, c_bits):
-    """Stand-in for designated_half_tuple: every block the same tuple."""
+    """The oracle's stand-in for designated_tuple under constant_half."""
     return (1,) * (2 * exp.m + 1)
 
 
 # Forced violations: a K above the code's own raises the block and
-# distinct-tuple thresholds; one constant tuple for every block makes a
+# distinct-tuple thresholds; one constant half for every block makes a
 # single tuple repeat in every nonzero block.
 FORCED = {
-    "blocks": (True, None),
-    "constant": (False, constant_tuple),
-    "blocks+constant": (True, constant_tuple),
+    "blocks": (True, False),
+    "constant": (False, True),
+    "blocks+constant": (True, True),
 }
 
 
 def forced_case(code, case, monkeypatch):
-    """The code with the case's K (m=1: K=2; m=2: K=15) and patch."""
-    raise_k, tup = FORCED[case]
+    """The code with the case's K (m=1: K=2; m=2: K=15), and the
+    constant half patched into both the check and the oracle."""
+    raise_k, constant = FORCED[case]
     if raise_k:
         code = dataclasses.replace(code, big_k=2 if code.m == 1 else 15)
-    if tup is not None:
-        monkeypatch.setattr(distance, "designated_half_tuple", tup)
+    if constant:
+        monkeypatch.setattr(distance, "designated_half", constant_half)
+        monkeypatch.setattr(sys.modules[__name__], "designated_tuple",
+                            constant_tuple)
     return code
 
 
@@ -894,6 +906,7 @@ class TestClassTables:
         exp = expander(data.draw(st.sampled_from((1, 2))))
         classes = distance.ClassTables(exp)
         w = exp.block_width
+        half = 2 * exp.m + 1
         ids = {}  # designated tuple -> class id, across blocks
         for _ in range(data.draw(st.integers(1, 24))):
             i, a_i, a_ni, s_i, t_i = data.draw(block_inputs(exp))
@@ -901,30 +914,41 @@ class TestClassTables:
             table = classes.tables[i]
             cid = table[b | (c << w)] >> table.shift
             assert 0 <= cid < 1 << classes.field_bits
-            tup = designated_half_tuple(exp, i, b, c)
+            tup = designated_tuple(exp, i, b, c)
             if not (a_i or a_ni or any(s_i) or any(t_i)):
                 assert cid == 0
             elif tup is None:
                 assert not (a_i or a_ni)
                 assert cid == 1
             else:
-                assert classes.ids[tup] == cid
+                # the id is 2 + the half's b-bits, then its c-bits
+                h = cid - 2
+                assert tuple((h >> j & 1) + 2 * (h >> (half + j) & 1)
+                             for j in range(half)) == tup
                 assert ids.setdefault(tup, cid) == cid
 
     def test_signature_matches_walk(self, code_m1k1):
-        # the per-word signature (sampled mode) equals the zipped
-        # per-block walks (exhaustive mode) on every word
+        # the zipped per-block walks (exhaustive mode) give each word the
+        # signature of a loop over its blocks
         shift = 2 * code_m1k1.n
         rows = [x | (code_m1k1.s_span.reduce(x) << shift)
                 for x in code_m1k1.n_matrix]
         classes = distance.ClassTables(
             get_expander(code_m1k1.field, code_m1k1.basis))
+        w = classes.exp.block_width
+
+        def signature(x):
+            sig = int(x >> shift != 0)
+            for i, table in enumerate(classes.tables):
+                sig |= table[_cosets.block_key(x, i, code_m1k1.n, w)]
+            return sig
+
         walked = list(chain.from_iterable(
             distance._walk_signatures(classes, rows, 12)))
         words = chain.from_iterable(
             map(high.__xor__, low)
             for _f, high, low in _distpure.gray_chunks(rows, 0, 1 << 12))
-        assert walked == list(map(classes.signature, words))
+        assert walked == list(map(signature, words))
         assert len(walked) == 1 << 12
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from stabcat import symplectic
 from stabcat.concat import SymplecticVector, build_code
-from stabcat.symplectic import (DualityReport, Rref, RrefError, XorTable,
+from stabcat.symplectic import (DualityReport, Rref, RrefError,
                                 column_supports, first_outside, in_span,
                                 is_rref, row_reduce, selected,
                                 symplectic_product,
@@ -232,39 +232,6 @@ class TestLazyRref:
         before = acc.rows
         acc.add(0b010)
         assert before == [0b011] and acc.rows == [0b001, 0b010]
-
-
-@st.composite
-def rows_and_bits(draw):
-    """A row list (0-40 rows, 1-300 bits wide) and a selector for it."""
-    width = draw(st.integers(1, 300))
-    rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=40))
-    bits = draw(st.integers(0, (1 << len(rows)) - 1))
-    return rows, bits
-
-
-class TestXorTable:
-    @settings(max_examples=300, deadline=None)
-    @given(rows_and_bits())
-    def test_matches_xor_rows(self, case):
-        rows, bits = case
-        assert XorTable(rows).combine(bits) == xor_rows(rows, bits)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 40), st.integers(0, 1 << 50))
-    def test_out_of_range_rejected(self, nrows, extra):
-        table = XorTable(range(1, nrows + 1))
-        with pytest.raises(ValueError):
-            table.combine((1 << nrows) + extra)
-        with pytest.raises(ValueError):
-            table.combine(-1 - extra)
-
-    def test_every_selector_of_nine_rows(self):
-        # 9 rows: a last byte whose only row sits in the low nibble
-        rows = [1 << (3 * j) | 1 << (3 * j + 1) for j in range(9)]
-        table = XorTable(rows)
-        for bits in range(1 << 9):
-            assert table.combine(bits) == xor_rows(rows, bits)
 
 
 @st.composite
