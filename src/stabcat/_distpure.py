@@ -1,4 +1,4 @@
-"""Chunked Gray-code walk, the exact-scan kernel and the sampler batches.
+"""Chunked Gray-code walk and the one bit-sliced weight kernel.
 
 Both exhaustive walks over normalizer combinations (the exact distance
 scan and the exhaustive counting check) go through :func:`gray_chunks`.
@@ -9,46 +9,33 @@ is ``high ^ table[l]`` and a whole chunk is handled by ``map`` at C
 speed.  In the reflected Gray code an odd chunk lists the table
 backwards.
 
-The scan works on lifted words: a packed 2n-bit row x = (u | v) lifts
-to ``x | ((u ^ v) << 2n)``.  The lift is linear, and since
-wt(u|v) = (|u| + |v| + |u ^ v|) / 2 (the GF(4) weight identity of
-Calderbank, Rains, Shor and Sloane, IEEE TIT 1998), the popcount of a
-lifted word is twice its symplectic weight.
-
-A full chunk is first tested as a whole by :class:`PackedChunk`: the
-table's u and v halves sit in one lane per word of two big ints, so the
-supports u OR v of all 2^L words are three XOR/OR operations away and a
-SWAR popcount (Warren, *Hacker's Delight*, section 5-1) gives every
-lane's weight at once; one add, one mask and one compare tell whether
-any word can beat the best so far.  Only such a chunk, or a partial one
-at either end of the range, is walked word by word.
-
-The distance sampler evaluates its trials bit-sliced (Biham, "A fast new
-DES implementation in software", FSE 1997), ``BATCH`` at a time: bit t
-of every batch int belongs to trial t.  :func:`draw` takes a batch's
-selectors from one ``getrandbits`` call, :func:`lane_vectors` transposes
-them into one int per normalizer row (``symplectic.transpose_bytes``,
-as verify does), :func:`columns` XORs those into the words' columns,
-and :func:`weight_planes` counts every trial's weight at once from
-them.  The sampled counting check reads the same columns.
+Both distance searches weigh their words bit-sliced (Biham, "A fast new
+DES implementation in software", FSE 1997), a batch at a time: bit t of
+each of a batch's 2n column ints belongs to word t.  :func:`count_planes`
+sums ``u_j | v_j`` over the positions j with a ripple counter,
+:func:`below` picks the words under a weight, and :func:`lightest`
+rebuilds and tests those in order.  A sampler batch is ``BATCH`` trials:
+:func:`draw` takes their selectors from one ``getrandbits`` call,
+:func:`lane_vectors` transposes them into one int per normalizer row,
+and :func:`columns` XORs those into the words' columns, which the
+sampled counting check reads too.  An exact-scan batch is a chunk of
+:func:`gray_chunks`, whose columns are the chunk table's
+(:func:`chunk_carries`) flipped where the high word is set.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress
-from operator import or_, xor
+from operator import getitem, or_, xor
 
-from .symplectic import transpose_bytes, xor_rows
+from .symplectic import (byte_mask, column_supports, transpose,
+                         transpose_bytes, xor_rows)
 
-#: low bits of the combination index handled per chunk; the table holds
-#: 2^CHUNK_BITS words, and larger tables raise peak memory for no gain
+#: low bits of the combination index handled per chunk, one bit-sliced
+#: batch.  12 bits halves the m=1 K=1 scan but slows the m=1 K=0 scan in
+#: 4,096 parts 1.6 times, as each part builds a 4,096-word table
 CHUNK_BITS = 10
-
-
-def lift(x: int, n: int) -> int:
-    """x | ((u ^ v) << 2n) for x = (u | v); popcount = 2 * weight."""
-    return x | (((x ^ (x >> n)) & ((1 << n) - 1)) << (2 * n))
 
 
 def gray_chunks(rows, start: int, stop: int):
@@ -85,137 +72,8 @@ def gray_chunks(rows, start: int, stop: int):
         yield base + lo, high, low
 
 
-class PackedChunk:
-    """The words of a chunk table packed into lanes, for the chunk test.
-
-    A chunk of :func:`gray_chunks` over low rows r_0 .. r_(L-1) holds
-    the 2^L XOR combinations of those rows, in an order that does not
-    matter here.  Lane l of ``pu`` (of ``pv``) holds the u (v) half of
-    the XOR of the rows r_j over the set bits j of l; a lane is
-    ``width`` bits, a power of two above n (and at least ``field``), so
-    it can hold a weight.  For a high word h, lane l of
-    ``(pu ^ h_u * ones) | (pv ^ h_v * ones)`` is the support of
-    ``h ^ word_l``.  A masked popcount tree sums it to ``field``-bit
-    counts, and one multiplication adds a lane's fields into its top
-    field; ``field`` starts at a byte and doubles until
-    2^(field-1) > n, so the counts are exact for any n.
-    """
-
-    def __init__(self, rows, n: int):
-        self.n = n
-        self.half = half = (1 << n) - 1
-        field = 8
-        while n >> (field - 1):
-            field *= 2
-        width = max(field, 1 << n.bit_length())
-        self.field = field
-        self.width = width
-        # each row doubles the lanes: the new ones are the old ones ^ row
-        ones = 1  # 1 in the lowest bit of every lane
-        pu = pv = 0
-        for k, g in enumerate(rows):
-            shift = width << k
-            pu |= (pu ^ (g & half) * ones) << shift
-            pv |= (pv ^ ((g >> n) & half) * ones) << shift
-            ones |= ones << shift
-        self.pu = pu
-        self.pv = pv
-        self.ones = ones
-        lane = (1 << width) - 1
-
-        def low_halves(s):  # the low s of every 2s bits, in every lane
-            return lane // ((1 << (2 * s)) - 1) * ((1 << s) - 1) * ones
-
-        self.m1 = low_halves(1)
-        self.m2 = low_halves(2)
-        self.wide = []  # (s, mask) for s = 4, 8, ..., field / 2
-        s = 4
-        while s < field:
-            self.wide.append((s, low_halves(s)))
-            s *= 2
-        #: 1 at the bottom of every field of a lane
-        self.fold = lane // ((1 << field) - 1)
-        self.tops = ones << (width - 1)
-        self.floor = -1
-        self.bias = 0
-
-    def weights(self, high: int) -> int:
-        """The weight of ``high ^ word_l`` in lane l's top field."""
-        half = self.half
-        ones = self.ones
-        x = ((self.pu ^ (high & half) * ones)
-             | (self.pv ^ ((high >> self.n) & half) * ones))
-        x -= (x >> 1) & self.m1  # 2-bit counts
-        x = (x & self.m2) + ((x >> 2) & self.m2)  # 4-bit counts
-        for s, m in self.wide:  # 2s <= 2^s - 1: the sum needs no pre-mask
-            x = (x + (x >> s)) & m
-        # each field now counts its own bits; the product's top field in
-        # a lane sums that lane's width/field counts, and no partial sum
-        # exceeds width < 2^field, so no field carries into the next
-        return x * self.fold
-
-    def lane(self, weights: int, l: int) -> int:
-        """Lane l's weight, read from the result of :meth:`weights`."""
-        return ((weights >> (self.width * (l + 1) - self.field))
-                & ((1 << self.field) - 1))
-
-    def all_at_least(self, high: int, floor: int) -> bool:
-        """Whether every word ``high ^ word_l`` has weight >= floor."""
-        if floor != self.floor:
-            # 2^(field-1) - floor added to a lane's top field sets the
-            # lane's top bit exactly when its weight is >= floor, and
-            # carries into no other lane
-            self.floor = floor
-            self.bias = (((1 << (self.field - 1)) - floor)
-                         << (self.width - self.field)) * self.ones
-        return (self.weights(high) + self.bias) & self.tops == self.tops
-
-
-def gray_scan(gens, n: int, s_pivots, start: int, stop: int):
-    """Scan combination indices [start, stop); returns (w, idx, word).
-
-    ``gens`` are packed 2n-bit generator rows; ``s_pivots`` are the
-    (pivot, row) pairs of the span to exclude, as held by an ``Rref``
-    (the membership test below is ``Rref.reduce`` inlined).  The zero
-    word is never a candidate.  Returns the best (weight, index,
-    codeword) with ties broken by the smallest index, or (-1, -1, 0) if
-    no candidate outside the excluded span was seen.  The scan stops at
-    the first word of weight 1, which no later word can beat.
-    """
-    mask = (1 << (2 * n)) - 1
-    rows = [lift(g, n) for g in gens]
-    bits = min(len(rows), CHUNK_BITS)  # as gray_chunks splits the index
-    packed = None  # built at the first full chunk, if there is one
-    best2 = 2 * n + 1  # lifted weight to beat; above any real word
-    best_idx = -1
-    best_x = 0
-    for first, high, low in gray_chunks(rows, start, stop):
-        if len(low) == 1 << bits:
-            if packed is None:
-                packed = PackedChunk(rows[:bits], n)
-            # skip unless some word's lifted weight 2w is below best2
-            if packed.all_at_least(high, (best2 + 1) // 2):
-                continue
-        for idx, z in enumerate(map(high.__xor__, low), first):
-            w2 = z.bit_count()
-            if w2 < best2:
-                y = z & mask
-                for p, r in s_pivots:
-                    if (y >> p) & 1:
-                        y ^= r
-                if y:
-                    best2 = w2
-                    best_idx = idx
-                    best_x = z & mask
-                    if w2 == 2:  # weight 1: no later word can beat it
-                        return 1, idx, best_x
-    if best_idx < 0:
-        return -1, -1, 0
-    return best2 // 2, best_idx, best_x
-
-
 # ----------------------------------------------------------------------
-# Bit-sliced sampler batches
+# Bit-sliced batches
 # ----------------------------------------------------------------------
 
 #: trials the sampler evaluates together, one bit lane of each batch int
@@ -269,26 +127,37 @@ def columns(lanes: list[int], supports):
     return map(column, supports)
 
 
-def weight_planes(lanes: list[int], supports, n: int) -> list[int]:
-    """Bit-sliced weights of a batch's words, column by column.
+def count_planes(carries) -> list[int]:
+    """Bit-sliced counts: a ripple counter over the ints of ``carries``.
 
-    ``supports`` holds the 2n columns' entries (:func:`columns`).  Bit t
-    of ``planes[k]`` is bit k of the symplectic weight of trial t's
-    word: a ripple counter adds ``u_j | v_j`` for every position j, so
-    only two columns are held at a time.
+    Bit t of ``planes[k]`` is bit k of how many of the ``carries`` have
+    bit t set.  Fed ``u_j | v_j`` for every position j of a batch's
+    words, it counts their symplectic weights; one carry is held at a
+    time.
     """
     planes: list[int] = []
-    for carry in map(or_, columns(lanes, supports[:n]),
-                     columns(lanes, supports[n:])):
-        for k, plane in enumerate(planes):
+    for carry in carries:
+        k = 0
+        for plane in planes:
             planes[k] = plane ^ carry
             carry &= plane
             if not carry:
                 break
+            k += 1
         else:
             if carry:
                 planes.append(carry)
     return planes
+
+
+def weight_planes(lanes: list[int], supports, n: int) -> list[int]:
+    """Bit-sliced weights of a batch's words, column by column.
+
+    ``supports`` holds the 2n columns' entries (:func:`columns`); only
+    two columns are held at a time.
+    """
+    return count_planes(map(or_, columns(lanes, supports[:n]),
+                            columns(lanes, supports[n:])))
 
 
 def trial_word(rows, lanes: list[int], t: int) -> int:
@@ -307,3 +176,106 @@ def below(planes: list[int], w: int, every: int) -> int:
         else:
             eq &= ~plane
     return lt
+
+
+def lightest(planes: list[int], every: int, w: int, word, outside):
+    """The first word of least weight below w outside the span, or None.
+
+    Walks the lanes of ``every`` whose bit-sliced weight (``planes``)
+    is below w in lane order: ``word(t)`` rebuilds lane t's word and
+    ``outside(x)`` tests it.  A word outside lowers the bound to its own
+    weight, and only the later lanes below that are walked on, so the
+    result (weight, lane, word) is the first lane of least weight.
+    """
+    best = None
+    todo = below(planes, w, every)
+    while todo:
+        low = todo & -todo
+        t = low.bit_length() - 1
+        x = word(t)
+        if not outside(x):
+            todo ^= low
+            continue
+        w = sum((plane >> t & 1) << k for k, plane in enumerate(planes))
+        best = w, t, x
+        todo = below(planes, w, every) >> (t + 1) << (t + 1)
+    return best
+
+
+# ----------------------------------------------------------------------
+# Exact scan
+# ----------------------------------------------------------------------
+
+def gray_lanes(bits: int) -> list[int]:
+    """Selector lanes of a 2^bits-word chunk table of :func:`gray_chunks`.
+
+    Bit l of entry j is bit j of l ^ (l >> 1): whether row j is in the
+    table's word l.
+    """
+    return transpose([l ^ (l >> 1) for l in range(1 << bits)], bits)
+
+
+@lru_cache(maxsize=1)
+def chunk_carries(low_rows: tuple, n: int) -> list:
+    """Per position j, the lanes ``u_j | v_j`` by the high word's u_j, v_j.
+
+    The 2n columns of the chunk table over ``low_rows`` come from
+    :func:`gray_lanes` through :func:`columns`; a set high bit flips its
+    column.  The last result is kept, as every part of a split scan has
+    the same low rows.
+    """
+    full = (1 << (1 << len(low_rows))) - 1
+    table = list(columns(gray_lanes(len(low_rows)),
+                         column_supports(low_rows, 2 * n)))
+    return [((u | v, u | v ^ full), (u ^ full | v, (u & v) ^ full))
+            for u, v in zip(table[:n], table[n:])]
+
+
+def gray_scan(gens, n: int, s_pivots, start: int, stop: int):
+    """Scan combination indices [start, stop); returns (w, idx, word).
+
+    ``gens`` are packed 2n-bit generator rows; ``s_pivots`` are the
+    (pivot, row) pairs of the span to exclude, as held by an ``Rref``
+    (the membership test below is ``Rref.reduce`` inlined).  The zero
+    word is never a candidate.  Returns the best (weight, index,
+    codeword) with ties broken by the smallest index, or (-1, -1, 0) if
+    no candidate outside the excluded span was seen.  The scan stops
+    after the chunk that holds a word of weight 1, which no later word
+    can beat.
+
+    Each chunk is one bit-sliced batch, a lane per word, and a partial
+    chunk takes its lanes' slice of the carries.  An odd chunk lists the
+    table backwards, which is the table forwards XOR the top low row
+    (gray(2^L - 1 - l) = gray(l) ^ 2^(L-1)), so that row joins the high
+    word that selects the carries.
+    """
+    bits = min(len(gens), CHUNK_BITS)  # as gray_chunks splits the index
+    size = 1 << bits
+    carry = chunk_carries(tuple(gens[:bits]), n)
+
+    def outside(y):
+        for p, r in s_pivots:
+            if (y >> p) & 1:
+                y ^= r
+        return y != 0
+
+    best = None  # (w, idx, word)
+    for first, high, low in gray_chunks(gens, start, stop):
+        lo = first & (size - 1)
+        every = (1 << len(low)) - 1
+        flip = high ^ gens[bits - 1] if first >> bits & 1 else high
+        carries = map(getitem,
+                      map(getitem, carry,
+                          byte_mask(flip & ((1 << n) - 1)).ljust(n, b"\0")),
+                      byte_mask(flip >> n).ljust(n, b"\0"))
+        if len(low) < size:  # a partial chunk
+            carries = [c >> lo & every for c in carries]
+        found = lightest(count_planes(carries), every,
+                         n + 1 if best is None else best[0],
+                         lambda t: high ^ low[t], outside)
+        if found:
+            w, t, x = found
+            best = w, first + t, x
+            if w == 1:  # no later word can beat it
+                break
+    return best or (-1, -1, 0)

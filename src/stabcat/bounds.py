@@ -270,17 +270,6 @@ def _pow2(k: int, q: int = 1) -> int:
     return 1 << min(k, q.bit_length() + sys.float_info.mant_dig + 5)
 
 
-def _ours_delta(rate: float) -> float:
-    return 0.25 * entropy4_inv(0.25) * (1.0 - 2.0 * rate)
-
-
-def _ours_finite_delta(rate: float, m: int) -> float:
-    p = _pow2(m)
-    scale = p / (p + 1)  # (4^m - 2^m) / (4^m - 1)
-    return scale * 0.25 * (1.0 - (2 * m + 1) * rate / m) * \
-        entropy4_inv(m / (4 * m + 2))
-
-
 def delta_curve(name: str, rate_grid, m: int | None = None,
                 t: int | None = None) -> BoundCurve:
     """Evaluate a named comparison curve on a rate grid.
@@ -291,51 +280,86 @@ def delta_curve(name: str, rate_grid, m: int | None = None,
     ours.  A parameter too large for float arithmetic (baseline_rs's
     N = 2^(2m) - 1 from m = 512 on) is a BoundsError.
     """
+    pts: list[tuple[float, float]] = []
+    omitted: list[float] = []
+    for r, delta in curve_points(name, rate_grid, m, t):
+        if delta is None:
+            omitted.append(r)
+        else:
+            pts.append((r, delta))
+    pts.sort(key=lambda p: p[0])
+    return BoundCurve(name=name, params=curve_params(name, m, t),
+                      points=tuple(pts), omitted=tuple(omitted))
+
+
+def curve_params(name: str, m: int | None = None,
+                 t: int | None = None) -> dict:
+    """The parameters a named curve is evaluated with (see delta_curve)."""
+    return {} if name == "ours" else {"t": t} if name == "chen" else \
+        {"m": m}
+
+
+def curve_points(name: str, rate_grid, m: int | None = None,
+                 t: int | None = None):
+    """Yield (r, delta) for each rate r of the grid, in grid order.
+
+    delta is None where r lies outside the curve's domain.  One rate is
+    evaluated at a time, so a lazy grid is never held.  The parameters
+    are checked as :func:`delta_curve` checks them, before the first
+    point is yielded.
+    """
+    # an overflow in the curve's own arithmetic is a parameter error;
+    # one raised by a lazy grid passes through
     try:
-        return _delta_curve(name, rate_grid, m, t)
+        delta = _delta_function(name, m, t)
     except OverflowError:
-        what = "t" if name == "chen" else "m"
-        raise BoundsError(f"{name} needs a smaller {what}: the curve "
-                          f"overflows float arithmetic") from None
+        raise _overflow(name) from None
+    for r in rate_grid:
+        try:
+            d = delta(r)
+        except OverflowError:
+            raise _overflow(name) from None
+        yield r, d
 
 
-def _delta_curve(name: str, rate_grid, m: int | None,
-                 t: int | None) -> BoundCurve:
+def _overflow(name: str) -> BoundsError:
+    what = "t" if name == "chen" else "m"
+    return BoundsError(f"{name} needs a smaller {what}: the curve "
+                       f"overflows float arithmetic")
+
+
+def _delta_function(name: str, m: int | None, t: int | None):
+    """The curve's delta as a function of the rate, None out of domain."""
     if name not in CURVE_NAMES:
         raise BoundsError(f"unknown curve {name!r}; choose from "
                           f"{', '.join(CURVE_NAMES)}")
-    pts: list[tuple[float, float]] = []
-    omitted: list[float] = []
-    params: dict = {}
 
     if name == "ours":
-        for r in rate_grid:
-            if 0.0 <= r <= 0.5:
-                pts.append((r, _ours_delta(r)))
-            else:
-                omitted.append(r)
+        scale = 0.25 * entropy4_inv(0.25)
+
+        def delta(r):
+            return scale * (1.0 - 2.0 * r) if 0.0 <= r <= 0.5 else None
     elif name == "ours_finite_m":
         if m is None or m < 1:
             raise BoundsError("ours_finite_m needs m >= 1")
-        params = {"m": m}
-        for r in rate_grid:
+        p = _pow2(m)
+        scale = p / (p + 1) * 0.25  # (4^m - 2^m) / (4^m - 1), times 1/4
+        h = entropy4_inv(m / (4 * m + 2))
+
+        def delta(r):
             if 0.0 <= r <= 0.5 and (2 * m + 1) * r / m <= 1.0:
-                pts.append((r, _ours_finite_delta(r, m)))
-            else:
-                omitted.append(r)
+                return scale * (1.0 - (2 * m + 1) * r / m) * h
+            return None
     elif name == "ashikhmin":
         if m is None or m < 2:
             raise BoundsError("ashikhmin needs m >= 2")
-        params = {"m": m}
         # R = 1 - 1/(2^(m-1) - 1) - (10/3) m delta for 0 < delta < 1/18,
         # inverted algebraically (linear in delta).
         r0 = 1.0 - 1.0 / (_pow2(m - 1) - 1)
-        for r in rate_grid:
-            delta = (r0 - r) * 3.0 / (10.0 * m)
-            if 0.0 < delta < 1.0 / 18.0:
-                pts.append((r, delta))
-            else:
-                omitted.append(r)
+
+        def delta(r):
+            d = (r0 - r) * 3.0 / (10.0 * m)
+            return d if 0.0 < d < 1.0 / 18.0 else None
     elif name == "chen":
         if t is None:
             raise BoundsError("chen needs t >= 3")
@@ -345,58 +369,50 @@ def _delta_curve(name: str, rate_grid, m: int | None,
         d = 3 * (2 * t + 1)
         p = _pow2(t, d)
         dt = 2 * (p - 3) / (d * (p - 1))
-        params = {"t": t}
+
         # R = 3t (delta_t - delta); the source constraint is the open
         # interval 0 < delta < delta_t, but both endpoint rows (the
         # delta_t intercept at R = 0 and delta = 0 at R = 3t delta_t)
         # are kept so the advertised intercept appears in the output.
-        for r in rate_grid:
-            delta = dt - r / (3.0 * t)
-            if 0.0 <= delta <= dt and r >= 0.0:
-                pts.append((r, delta))
-            else:
-                omitted.append(r)
+        def delta(r):
+            d = dt - r / (3.0 * t)
+            return d if 0.0 <= d <= dt and r >= 0.0 else None
     elif name == "matsumoto":
         if m is None or m < 2:
             raise BoundsError("matsumoto needs m >= 2")
-        params = {"m": m}
         p = _pow2(m)
         r0 = 1.0 - 2.0 / (p - 1)
         dmax = (0.5 - 1.0 / (p - 1)) / (2.0 * m)
-        for r in rate_grid:
-            delta = (r0 - r) * 3.0 / (10.0 * m)
-            if 0.0 < delta <= dmax:
-                pts.append((r, delta))
-            else:
-                omitted.append(r)
+
+        def delta(r):
+            d = (r0 - r) * 3.0 / (10.0 * m)
+            return d if 0.0 < d <= dmax else None
     else:  # baseline_rs
         if m is None or m < 1:
             raise BoundsError("baseline_rs needs m >= 1")
-        params = {"m": m}
         # N as a float first: past the float range that overflows, before
         # the 2m-bit integer N is built
         n_float = math.ldexp(1.0, 2 * m) - 1.0
         big_n = (1 << (2 * m)) - 1
+
         # Rate axis carries the fixed symbol rate (N - 2K)/N of the
         # unconcatenated construction; the distance/length ratio
         # (K+1)/(mN) then tends to zero as m grows.
-        for r in rate_grid:
+        def delta(r):
             if not 0.0 <= r <= 1.0:
-                omitted.append(r)
-                continue
+                return None
             big_k = math.floor((1.0 - r) * n_float / 2.0)
             if big_k < 0 or big_k > big_n // 2:
-                omitted.append(r)
-                continue
-            pts.append((r, (big_k + 1) / (m * big_n)))
-
-    pts.sort(key=lambda p: p[0])
-    return BoundCurve(name=name, params=params, points=tuple(pts),
-                      omitted=tuple(omitted))
+                return None
+            return (big_k + 1) / (m * big_n)
+    return delta
 
 
-def curve_csv_rows(curve: BoundCurve):
-    """CSV rows (R, delta, curve, params) at 12 significant digits."""
-    param_str = ";".join(f"{k}={v}" for k, v in sorted(curve.params.items()))
-    for r, d in curve.points:
-        yield f"{r:.12g}", f"{d:.12g}", curve.name, param_str
+def curve_csv_rows(name: str, params: dict, points):
+    """CSV rows (R, delta, curve, params) at 12 significant digits.
+
+    One row per (rate, delta) of ``points``, made as the rows are read.
+    """
+    param_str = ";".join(f"{k}={v}" for k, v in sorted(params.items()))
+    for r, d in points:
+        yield f"{r:.12g}", f"{d:.12g}", name, param_str

@@ -14,9 +14,11 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 
 from . import codefile
-from .bounds import BoundsError, CURVE_NAMES, curve_csv_rows, delta_curve
+from .bounds import (BoundsError, CURVE_NAMES, curve_csv_rows, curve_params,
+                     curve_points)
 from .concat import ConcatError, build_code, check_block_injectivity
 from .distance import (DistanceError, exact_distance,
                        sampled_distance_upper)
@@ -249,20 +251,35 @@ def cmd_bounds(args) -> int:
         _print_err(f"--R-min and --R-max must be finite, got "
                    f"{args.r_min:g} and {args.r_max:g}")
         return EXIT_USAGE
-    grid = [args.r_min + (args.r_max - args.r_min) * i / (args.steps - 1)
-            for i in range(args.steps)] if args.steps > 1 else [args.r_min]
+
+    def points(indices):
+        grid = (args.r_min + (args.r_max - args.r_min) * i / (args.steps - 1)
+                for i in indices) if args.steps > 1 else [args.r_min]
+        return curve_points(args.curve, grid, m=args.m, t=args.t)
+
+    # one point at a time, the grid walked in ascending rate: the order
+    # of delta_curve's sorted points
+    order = range(args.steps)
+    ascending = order if args.r_min <= args.r_max else reversed(order)
+    rows = curve_csv_rows(
+        args.curve, curve_params(args.curve, args.m, args.t),
+        ((r, d) for r, d in points(ascending) if d is not None))
     try:
-        curve = delta_curve(args.curve, grid, m=args.m, t=args.t)
+        row = next(rows, None)  # bad parameters fail before any output
     except BoundsError as exc:
         _print_err(str(exc))
         return EXIT_USAGE
     print("R,delta,curve,params")
-    for row in curve_csv_rows(curve):
+    omitted = args.steps
+    while row is not None:
         print(",".join(row))
-    if curve.omitted:
-        _print_err(
-            f"omitted {len(curve.omitted)} out-of-domain grid point(s): "
-            + ", ".join(f"{r:g}" for r in curve.omitted))
+        omitted -= 1
+        row = next(rows, None)
+    if omitted:  # listed in grid order, from a second walk
+        rates = (f"{r:g}" for r, d in points(order) if d is None)
+        sys.stderr.writelines(chain(
+            [f"stabcat: omitted {omitted} out-of-domain grid point(s): ",
+             next(rates)], map(", ".__add__, rates), ["\n"]))
     return EXIT_OK
 
 

@@ -6,12 +6,10 @@ stabilizer span, and is partitionable into disjoint index ranges whose
 results combine by minimum — the outcome is independent of the
 partition count.  The kernel is :func:`stabcat._distpure.gray_scan`:
 it walks the indices in chunks of 2^10 words, each one XOR of a high
-word with a shared table.  A whole chunk is tested at once on lanes of
-two big ints that hold the table's u and v halves, one lane per word:
-a SWAR popcount gives every word's weight u OR v in a few big-int
-operations.  Only a chunk that holds a word below the best so far, or
-a partial chunk at either end of a range, is walked word by word, on
-words lifted so that popcount is twice the symplectic weight.
+word with a shared table, and weighs a whole chunk at once bit-sliced,
+one lane per word, with the sampler's counter.  Only the words below
+the best weight so far are rebuilt and tested against the stabilizer
+span, in index order.
 
 Sampled mode draws uniform random normalizer codewords and reports the
 minimum weight seen, an upper bound on the true distance only.  It is
@@ -159,10 +157,9 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     normalizer's transposed columns (:func:`column_supports`: a list of
     row indices for a sparse column, a byte mask for a dense one), and a
     bit-sliced counter gives every trial's weight.  Only the lanes below
-    the best weight so far are rebuilt, in trial order, as the XOR of the
-    rows whose lane vector has the trial's bit set, and tested against
-    the stabilizer span: exactly the trials that a trial-by-trial loop
-    would test.
+    the best weight so far are rebuilt, in trial order, and tested
+    against the stabilizer span (:func:`~stabcat._distpure.lightest`):
+    exactly the trials that a trial-by-trial loop would test.
     """
     if trials < 1:
         raise DistanceError("trials must be >= 1")
@@ -176,20 +173,14 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     for first in range(0, trials, BATCH):
         count = min(BATCH, trials - first)
         lanes = _distpure.lane_vectors(_distpure.draw(rng, r, count), r)
-        planes = _distpure.weight_planes(lanes, supports, n)
-        every = (1 << count) - 1
-        todo = every if best is None else \
-            _distpure.below(planes, best[0], every)
-        while todo:
-            low = todo & -todo
-            t = low.bit_length() - 1
-            x = _distpure.trial_word(rows, lanes, t)
-            if in_span(s_span, x):
-                todo ^= low
-                continue
-            w = symplectic_weight_packed(x, n)
+        found = _distpure.lightest(
+            _distpure.weight_planes(lanes, supports, n), (1 << count) - 1,
+            n + 1 if best is None else best[0],
+            lambda t: _distpure.trial_word(rows, lanes, t),
+            lambda x: not in_span(s_span, x))
+        if found:
+            w, t, x = found
             best = (w, first + t, x)
-            todo = _distpure.below(planes, w, every) >> (t + 1) << (t + 1)
         del lanes  # before the next batch is drawn
     if best is None:
         raise DistanceError(

@@ -4,14 +4,15 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import count, islice
 
 import pytest
 
 from stabcat.bounds import (BoundsError, asymptotic_lambda, chen_delta_t,
-                            curve_csv_rows, delta_curve, entropy4,
-                            entropy4_inv, min_total_weight, params_for_rate,
-                            total_weight_bound, verify_volume_bound,
-                            weighted_ball_size)
+                            curve_csv_rows, curve_points, delta_curve,
+                            entropy4, entropy4_inv, min_total_weight,
+                            params_for_rate, total_weight_bound,
+                            verify_volume_bound, weighted_ball_size)
 
 
 class TestEntropy:
@@ -256,6 +257,14 @@ class TestCurves:
         assert len(c.points) == 1
         assert c.omitted == (-0.1, 0.9)
 
+    def test_curve_points_lazy(self):
+        # an endless grid is read one rate at a time, in grid order
+        rates = (0.5 - i / 8 for i in count())
+        got = list(islice(curve_points("ours", rates), 6))
+        curve = delta_curve("ours", [0.5 - i / 8 for i in range(6)])
+        assert got == [*reversed(curve.points),
+                       *((r, None) for r in curve.omitted)]
+
     def test_points_sorted(self):
         c = delta_curve("ours", [0.4, 0.1, 0.3])
         assert [r for r, _ in c.points] == [0.1, 0.3, 0.4]
@@ -269,7 +278,8 @@ class TestCurves:
             delta_curve("nope", [0.1])
 
     def test_csv_rows(self):
-        rows = list(curve_csv_rows(delta_curve("chen", [0.0, 0.1], t=3)))
+        c = delta_curve("chen", [0.0, 0.1], t=3)
+        rows = list(curve_csv_rows(c.name, c.params, c.points))
         assert rows[0][2] == "chen" and rows[0][3] == "t=3"
         # 12 significant digits
         assert rows[0][1] == f"{10 / 147:.12g}"

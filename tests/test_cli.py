@@ -1,8 +1,10 @@
 """CLI command tests driven through main() with captured output."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import time
 import tracemalloc
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stabcat import cli, codefile
+from stabcat.bounds import BoundsError, curve_csv_rows, delta_curve
 from stabcat import field as field_mod
 from stabcat.concat import build_code
 from stabcat.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL,
@@ -412,6 +415,60 @@ class TestBoundsCmd:
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--curve", "nope"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("args", [
+        ["--curve", "ours"],
+        ["--curve", "ours", "--R-min", "0.9", "--R-max", "-0.3",
+         "--steps", "17"],
+        ["--curve", "ours_finite_m", "--m", "2", "--steps", "1",
+         "--R-min", "0.45"],
+        ["--curve", "chen", "--t", "4", "--R-min", "-0.5", "--R-max", "2"],
+        ["--curve", "baseline_rs", "--m", "3", "--R-min", "1.2",
+         "--R-max", "-0.1", "--steps", "40"],
+        ["--curve", "matsumoto", "--m", "3", "--R-min", "2",
+         "--R-max", "3"],
+        ["--curve", "ours_finite_m", "--m", str(10 ** 400)],
+        ["--curve", "ours_finite_m", "--m", str(10 ** 400),
+         "--R-min", "0.6", "--R-max", "0.9"],
+    ])
+    def test_streamed_output_matches_delta_curve(self, args, capsys):
+        # oracle: the whole curve evaluated at once, its points sorted
+        rc = main(["bounds", *args])
+        got = capsys.readouterr()
+        ns = cli.build_parser().parse_args(["bounds", *args])
+        grid = [ns.r_min + (ns.r_max - ns.r_min) * i / (ns.steps - 1)
+                for i in range(ns.steps)] if ns.steps > 1 else [ns.r_min]
+        try:
+            curve = delta_curve(ns.curve, grid, m=ns.m, t=ns.t)
+        except BoundsError as exc:
+            assert (rc, got.out, got.err) == (EXIT_USAGE, "",
+                                              f"stabcat: {exc}\n")
+            return
+        assert rc == EXIT_OK
+        assert got.out == "".join(f"{line}\n" for line in [
+            "R,delta,curve,params",
+            *map(",".join, curve_csv_rows(curve.name, curve.params,
+                                          curve.points))])
+        note = (f"stabcat: omitted {len(curve.omitted)} out-of-domain grid "
+                f"point(s): " + ", ".join(f"{r:g}" for r in curve.omitted)
+                + "\n") if curve.omitted else ""
+        assert got.err == note
+
+    def test_rows_streamed(self):
+        # the grid, rows and note are made one point at a time; held
+        # whole, 50,000 steps took about 6 MB
+        with open(os.devnull, "w") as null, \
+                contextlib.redirect_stdout(null), \
+                contextlib.redirect_stderr(null):
+            tracemalloc.start()
+            try:
+                rc = main(["bounds", "--curve", "ours", "--R-min", "-1",
+                           "--R-max", "1", "--steps", "50000"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert rc == EXIT_OK
+        assert peak < 1 << 20
 
 
 def pauli_loop(row: int, n: int) -> str:

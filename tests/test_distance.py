@@ -2,10 +2,10 @@
 
 The chunked Gray-scan kernel is checked against a brute-force oracle
 that XORs every explicit generator subset and against the per-step
-Gray loop it replaced, and its whole-chunk lane test lane by lane
-against the weight of each word; the m=1 exact distances are frozen
-fixtures computed by that enumeration under the recorded field
-(modulus 0x7, basis (0x2, 0x3)).
+Gray loop it replaced, its chunk selector lanes against explicit Gray
+codes, and its bit-sliced weights lane by lane against the weight of
+each word; the m=1 exact distances are frozen fixtures computed by that
+enumeration under the recorded field (modulus 0x7, basis (0x2, 0x3)).
 """
 
 import contextlib
@@ -119,23 +119,24 @@ def stepwise_gray_scan(gens, n, s_pivots, start, stop):
     return best_w, best_idx, best_x
 
 
-def full_chunks(ngens, chunk_bits, start, stop):
-    """How many whole chunks of gray_chunks lie inside [start, stop)."""
-    size = 1 << min(ngens, chunk_bits)
-    return max(0, stop // size - -(-start // size))
+def chunks_met(ngens, chunk_bits, start, stop):
+    """How many chunks of gray_chunks, whole or partial, meet [start, stop)."""
+    bits = min(ngens, chunk_bits)
+    return ((stop - 1) >> bits) - (start >> bits) + 1 if start < stop else 0
 
 
 @contextlib.contextmanager
 def chunk_test_spy():
-    """Record the outcome of every whole-chunk test of gray_scan."""
+    """Record, for every chunk gray_scan tests, whether it was skipped:
+    whether no lane of it weighed less than the best weight so far."""
     outcomes = []
-    real = _distpure.PackedChunk.all_at_least
+    real = _distpure.lightest
 
-    def spy(self, high, floor):
-        outcomes.append(real(self, high, floor))
-        return outcomes[-1]
+    def spy(planes, every, w, word, outside):
+        outcomes.append(not _distpure.below(planes, w, every))
+        return real(planes, every, w, word, outside)
 
-    with mock.patch.object(_distpure.PackedChunk, "all_at_least", spy):
+    with mock.patch.object(_distpure, "lightest", spy):
         yield outcomes
 
 
@@ -169,7 +170,7 @@ class TestChunkedGrayScan:
     @settings(max_examples=150, deadline=None)
     @given(scan_cases(max_n=300, max_gens=8))
     def test_matches_stepwise_scan_wide(self, case):
-        # lane weights above 255 no longer fit in a byte
+        # weights above 255 take a ninth bit-sliced plane
         self.check_against_stepwise(*case)
 
     @staticmethod
@@ -178,14 +179,14 @@ class TestChunkedGrayScan:
                 chunk_test_spy() as outcomes:
             got = _distpure.gray_scan(gens, n, s_pivots, start, stop)
         assert got == stepwise_gray_scan(gens, n, s_pivots, start, stop)
-        # every whole chunk up to the end of the scan, and only those,
-        # went through the lane test; a weight-1 word ends the scan
-        # with its chunk
+        # every chunk up to the end of the scan, whole or partial, went
+        # through the chunk test; a weight-1 word ends the scan with its
+        # chunk
         if got[0] == 1:
             size = 1 << min(len(gens), chunk_bits)
             stop = min(stop, (got[1] // size + 1) * size)
-        assert len(outcomes) == full_chunks(len(gens), chunk_bits,
-                                            start, stop)
+        assert len(outcomes) == chunks_met(len(gens), chunk_bits,
+                                           start, stop)
 
     def test_weight_one_ends_the_scan(self, code_m1k0):
         # the witness is index 1, in the first chunk: that chunk alone
@@ -212,36 +213,13 @@ class TestChunkedGrayScan:
         assert len(outcomes) == stop >> chunk_bits
         assert 0 < sum(outcomes) < len(outcomes)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_lane_weights(self, data):
-        n = data.draw(st.integers(0, 300))
-        mask = (1 << n) - 1
-        word = st.one_of(st.integers(0, (1 << (2 * n)) - 1),
-                         st.sampled_from([0, mask, (1 << (2 * n)) - 1]))
-        rows = [_distpure.lift(x, n)
-                for x in data.draw(st.lists(word, max_size=5))]
-        high = _distpure.lift(data.draw(word), n)
-        packed = _distpure.PackedChunk(rows, n)
-        lanes = packed.weights(high)
-        expect = []
-        for lane in range(1 << len(rows)):
-            x = high ^ xor_rows(rows, lane)
-            expect.append(((x | x >> n) & mask).bit_count())
-            assert packed.lane(lanes, lane) == expect[-1]
-        for floor in {0, 1, min(expect), min(expect) + 1, n, n + 1}:
-            assert packed.all_at_least(high, floor) == (min(expect) >= floor)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_lift_is_linear_and_doubles_weight(self, data):
-        n = data.draw(st.integers(1, 64))
-        word = st.integers(0, (1 << (2 * n)) - 1)
-        x, y = data.draw(word), data.draw(word)
-        lift = _distpure.lift
-        assert lift(x ^ y, n) == lift(x, n) ^ lift(y, n)
-        assert lift(x, n).bit_count() == 2 * symplectic_weight_packed(x, n)
-        assert lift(x, n) & ((1 << (2 * n)) - 1) == x
+    @pytest.mark.parametrize("bits", range(_distpure.CHUNK_BITS + 1))
+    def test_gray_lanes(self, bits):
+        lanes = _distpure.gray_lanes(bits)
+        assert len(lanes) == bits
+        for j, lane in enumerate(lanes):
+            assert lane == sum(((l ^ (l >> 1)) >> j & 1) << l
+                               for l in range(1 << bits))
 
     @pytest.mark.parametrize("chunk_bits", [1, 3, 10])
     def test_chunks_list_every_index_once(self, chunk_bits):
