@@ -17,16 +17,20 @@ sums ``u_j | v_j`` over the positions j with a ripple counter,
 rebuilds and tests those in order.  A sampler batch is ``BATCH`` trials:
 :func:`draw` takes their selectors from one ``getrandbits`` call,
 :func:`lane_vectors` transposes them into one int per normalizer row,
-and :func:`columns` XORs those into the words' columns, which the
-sampled counting check reads too.  An exact-scan batch is a chunk of
-:func:`gray_chunks`, whose columns are the chunk table's
-(:func:`chunk_carries`) flipped where the high word is set.
+and :func:`columns` XORs those into the words' columns one block at a
+time (:func:`block_columns`), as ``symplectic.column_plan`` lists
+them: a column that is the XOR of fewer of its block's other columns
+than it has rows is formed from those columns, which halves a batch's
+XORs at m=3 K=10.  The sampled counting check reads the same columns.
+An exact-scan batch is a chunk of :func:`gray_chunks`, whose columns
+are the chunk table's (:func:`chunk_carries`) flipped where the high
+word is set.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import getitem, or_, xor
 
 from .symplectic import (byte_mask, column_supports, transpose,
@@ -52,9 +56,7 @@ def gray_chunks(rows, start: int, stop: int):
         return
     bits = min(len(rows), CHUNK_BITS)
     size = 1 << bits
-    table = [0]
-    for g in rows[:bits]:
-        table += [t ^ g for t in reversed(table)]
+    table, backward = gray_table(tuple(rows[:bits]))
     high_rows = rows[bits:]
     first_h = start >> bits
     high = xor_rows(high_rows, first_h ^ (first_h >> 1))
@@ -64,12 +66,23 @@ def gray_chunks(rows, start: int, stop: int):
         base = h << bits
         lo = max(start - base, 0)
         hi = min(stop - base, size)
-        if h & 1:
-            low = table[::-1] if hi - lo == size else \
-                table[size - hi:size - lo][::-1]
-        else:
-            low = table if hi - lo == size else table[lo:hi]
-        yield base + lo, high, low
+        low = backward if h & 1 else table
+        yield base + lo, high, low if hi - lo == size else low[lo:hi]
+
+
+@lru_cache(maxsize=1)
+def gray_table(low_rows: tuple) -> tuple[list[int], list[int]]:
+    """The chunk table over ``low_rows`` in reflected Gray order, and its
+    reverse.
+
+    Word l of the table is the XOR of low_rows[j] over the set bits j of
+    l ^ (l >> 1).  The last result is kept, as every part of a split
+    scan walks the same low rows.
+    """
+    table = [0]
+    for g in low_rows:
+        table += [t ^ g for t in reversed(table)]
+    return table, table[::-1]
 
 
 # ----------------------------------------------------------------------
@@ -110,21 +123,29 @@ def lane_vectors(buf: bytes, r: int) -> list[int]:
     return cols[:split] + cols[split + 32 * words - r:]
 
 
-def columns(lanes: list[int], supports):
-    """The batch's word columns, one per entry of ``supports``, lazily.
+def columns(lanes: list[int], supports) -> list[int]:
+    """The batch's word columns, one per entry of ``supports``.
 
     Bit t of a column is trial t's bit there: the XOR of the lane
     vectors of the rows in its entry, a list of row indices or a byte
-    mask over the rows (``symplectic.column_supports``).  Each column is
-    formed only when the iterator reaches it.
+    mask over the rows (``symplectic.column_supports``).  An entry that
+    is a tuple (``symplectic.column_plan``) names other entries of
+    ``supports`` by index, all of them row entries, and its column is
+    the XOR of theirs: those are formed first.
     """
     def column(rows_at):
         if isinstance(rows_at, bytes):  # ends at a set bit: never empty
             return reduce(xor, compress(lanes, rows_at))
+        if isinstance(rows_at, tuple):
+            return None
         return reduce(xor, map(lanes.__getitem__, rows_at)) if rows_at \
             else 0
 
-    return map(column, supports)
+    cols = list(map(column, supports))
+    for k, rows_at in enumerate(supports):
+        if isinstance(rows_at, tuple):
+            cols[k] = reduce(xor, map(cols.__getitem__, rows_at))
+    return cols
 
 
 def count_planes(carries) -> list[int]:
@@ -150,14 +171,32 @@ def count_planes(carries) -> list[int]:
     return planes
 
 
-def weight_planes(lanes: list[int], supports, n: int) -> list[int]:
-    """Bit-sliced weights of a batch's words, column by column.
+def block_columns(lanes: list[int], supports, width: int):
+    """:func:`columns` of each run of 2·width entries of ``supports``.
 
-    ``supports`` holds the 2n columns' entries (:func:`columns`); only
-    two columns are held at a time.
+    A run is the u columns, then the v columns, of ``width`` positions:
+    one block of a ``symplectic.column_plan``, whose tuples name entries
+    of their own run.  Each run's columns are formed only when the
+    iterator reaches it.
     """
-    return count_planes(map(or_, columns(lanes, supports[:n]),
-                            columns(lanes, supports[n:])))
+    step = max(2 * width, 1)  # no positions, no entries
+    return (columns(lanes, supports[lo:lo + step])
+            for lo in range(0, len(supports), step))
+
+
+def weight_planes(lanes: list[int], supports, width: int) -> list[int]:
+    """Bit-sliced weights of a batch's words, a block at a time.
+
+    ``supports`` holds the 2n columns' entries in runs of 2·width: the
+    whole of ``symplectic.column_supports`` as one run (width n), or the
+    blocks of a ``symplectic.column_plan`` (:func:`block_columns`).
+    Each run's u_j | v_j pairs go into :func:`count_planes`, whose
+    result does not depend on their order; only one run's columns are
+    held at a time.
+    """
+    return count_planes(chain.from_iterable(
+        map(or_, cols[:width], cols[width:])
+        for cols in block_columns(lanes, supports, width)))
 
 
 def trial_word(rows, lanes: list[int], t: int) -> int:
@@ -225,8 +264,8 @@ def chunk_carries(low_rows: tuple, n: int) -> list:
     the same low rows.
     """
     full = (1 << (1 << len(low_rows))) - 1
-    table = list(columns(gray_lanes(len(low_rows)),
-                         column_supports(low_rows, 2 * n)))
+    table = columns(gray_lanes(len(low_rows)),
+                    column_supports(low_rows, 2 * n))
     return [((u | v, u | v ^ full), (u ^ full | v, (u & v) ^ full))
             for u, v in zip(table[:n], table[n:])]
 

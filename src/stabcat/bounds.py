@@ -20,6 +20,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import CURVE_NAMES
+
 
 class BoundsError(ValueError):
     """Domain violation in a bound evaluation."""
@@ -235,10 +237,6 @@ def params_for_rate(m: int, target_rate: float) -> RateParams:
 # ----------------------------------------------------------------------
 # Rate/relative-distance comparison curves
 # ----------------------------------------------------------------------
-
-CURVE_NAMES = ("ours", "ours_finite_m", "ashikhmin", "chen", "matsumoto",
-               "baseline_rs")
-
 
 @dataclass(frozen=True)
 class BoundCurve:

@@ -16,9 +16,7 @@ import math
 import sys
 from itertools import chain
 
-from . import codefile
-from .bounds import (BoundsError, CURVE_NAMES, curve_csv_rows, curve_params,
-                     curve_points)
+from . import CURVE_NAMES, codefile
 from .concat import ConcatError, build_code, check_block_injectivity
 from .distance import (DistanceError, exact_distance,
                        sampled_distance_upper)
@@ -244,8 +242,15 @@ def cmd_distance(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_bounds(args) -> int:
+    # imported here: no other command needs bounds or its fractions
+    from .bounds import (BoundsError, curve_csv_rows, curve_params,
+                         curve_points)
+
     if args.steps < 1:
         _print_err(f"--steps must be at least 1, got {args.steps}")
+        return EXIT_USAGE
+    if args.steps - 1 > sys.float_info.max:  # the grid divides by it
+        _print_err("--steps is too large for a float rate grid")
         return EXIT_USAGE
     if not (math.isfinite(args.r_min) and math.isfinite(args.r_max)):
         _print_err(f"--R-min and --R-max must be finite, got "

@@ -16,10 +16,11 @@ minimum weight seen, an upper bound on the true distance only.  It is
 reproducible per seed and prefix-stable.  The draws are evaluated
 bit-sliced, ``BATCH`` at a time with one bit lane per draw, from one
 ``getrandbits`` call that gives the same bits as per-draw calls: each
-column of the batch's words is one XOR of row lane vectors, and a
-bit-sliced counter gives every draw's weight at once.  Only the draws
-below the best weight so far are rebuilt and tested against the
-stabilizer span, in draw order.
+column of the batch's words is one XOR of row lane vectors, or of
+fewer other columns of its block where the block's columns depend on
+each other, and a bit-sliced counter gives every draw's weight at once.
+Only the draws below the best weight so far are rebuilt and tested
+against the stabilizer span, in draw order.
 
 The module also verifies the structural weight-counting facts the
 asymptotic distance bound rests on: every normalizer-coset codeword has
@@ -55,8 +56,9 @@ from operator import and_, or_, rshift
 
 from .concat import (StabilizerCodeL, SymplecticVector, designated_half,
                      get_expander)
-from .symplectic import (Rref, byte_mask, column_supports, in_span,
-                         row_reduce, symplectic_weight_packed, transpose)
+from .symplectic import (Rref, byte_mask, column_plan, column_supports,
+                         in_span, row_reduce, symplectic_weight_packed,
+                         transpose)
 from . import _distpure
 from ._cosets import BlockClasses, CosetClasses, block_key, block_local
 from ._distpure import BATCH
@@ -139,6 +141,20 @@ def exact_distance(code: StabilizerCodeL, parts: int = 1) -> DistanceReport:
         enumerated=total, seed=None, parts=parts)
 
 
+def block_width(n: int) -> int:
+    """4m+2 for the paper's length n = (4^m - 1)(4m+2), else 1.
+
+    The sampler reads a code only through its rows, so it finds the
+    blocks of :func:`~stabcat.symplectic.column_plan` from n.  Any width
+    gives the same columns; a block of one position is its u and v
+    columns alone.
+    """
+    m = 1
+    while ((1 << (2 * m)) - 1) * (4 * m + 2) < n:
+        m += 1
+    return 4 * m + 2 if ((1 << (2 * m)) - 1) * (4 * m + 2) == n else 1
+
+
 def sampled_distance_upper(code: StabilizerCodeL, trials: int,
                            seed: int) -> DistanceReport:
     """Upper bound on the distance from uniform normalizer samples.
@@ -153,10 +169,11 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     The trials are evaluated bit-sliced, ``BATCH`` at a time, one bit
     lane per trial (see :mod:`stabcat._distpure`).  Each of the 2n
     columns of a batch's words is the XOR of the lane vectors of the
-    rows with that column set, over supports read once per call from the
-    normalizer's transposed columns (:func:`column_supports`: a list of
-    row indices for a sparse column, a byte mask for a dense one), and a
-    bit-sliced counter gives every trial's weight.  Only the lanes below
+    rows with that column set, or of other columns of its block, as a
+    plan read once per call from the normalizer's columns says
+    (:func:`column_plan`, over blocks of :func:`block_width`).  The
+    columns are formed a block at a time, and a bit-sliced counter gives
+    every trial's weight.  Only the lanes below
     the best weight so far are rebuilt, in trial order, and tested
     against the stabilizer span (:func:`~stabcat._distpure.lightest`):
     exactly the trials that a trial-by-trial loop would test.
@@ -167,14 +184,15 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     rows = code.n_matrix
     r = code.rank_n
     n = code.n
-    supports = column_supports(rows, 2 * n)
+    width = block_width(n)
+    plan = column_plan(rows, n, width)
     s_span = code.s_span
     best = None  # (w, trial, word)
     for first in range(0, trials, BATCH):
         count = min(BATCH, trials - first)
         lanes = _distpure.lane_vectors(_distpure.draw(rng, r, count), r)
         found = _distpure.lightest(
-            _distpure.weight_planes(lanes, supports, n), (1 << count) - 1,
+            _distpure.weight_planes(lanes, plan, width), (1 << count) - 1,
             n + 1 if best is None else best[0],
             lambda t: _distpure.trial_word(rows, lanes, t),
             lambda x: not in_span(s_span, x))
@@ -335,8 +353,9 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
     ``BATCH`` at a time, as :func:`sampled_distance_upper` takes them
     for the seed, and scored in draw order.  A batch's columns come from
     :func:`~stabcat._distpure.columns`: the OR of the residue columns
-    gives each draw's outside-S bit, and one :func:`transpose` of the 2n
-    key columns, ordered block by block, gives each draw its block keys
+    (plain supports) gives each draw's outside-S bit, and one
+    :func:`transpose` of the 2n key columns, formed block by block from
+    the sampler's :func:`column_plan`, gives each draw its block keys
     side by side.  A draw's word is rebuilt from its selector only when
     it is listed as a violation.
     """
@@ -401,18 +420,17 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
         rng = random.Random(seed)
         n = code.n
         w = classes.exp.block_width
-        supports = column_supports(rows, 2 * shift)
-        residue = supports[shift:]
+        residue = column_supports([x >> shift for x in rows], shift)
         # block by block, each block's u columns then its v columns, so
         # that bits 2wi.. of a draw's entry in ``keys`` are block i's key
-        keyed = [c for j in range(0, n, w)
-                 for c in supports[j:j + w] + supports[n + j:n + j + w]]
+        plan = column_plan(code.n_matrix, n, w)
         key_mask = (1 << (2 * w)) - 1
         for first in range(0, trials, BATCH):
             count = min(BATCH, trials - first)
             lanes = _distpure.lane_vectors(_distpure.draw(rng, r, count), r)
             outside = reduce(or_, _distpure.columns(lanes, residue), 0)
-            keys = transpose(list(_distpure.columns(lanes, keyed)), count)
+            keys = transpose(list(chain.from_iterable(
+                _distpure.block_columns(lanes, plan, w))), count)
             sigs = _signatures(
                 classes.tables, byte_mask(outside).ljust(count, b"\0"),
                 (map(and_, map(rshift, keys, repeat(i)), repeat(key_mask))

@@ -5,6 +5,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -19,6 +21,9 @@ from stabcat.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL,
                          main, pauli_string)
 from stabcat.field import _is_irreducible, _is_primitive
 from stabcat.symplectic import lowest_bit, symplectic_weight_packed
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 @pytest.fixture(scope="module")
@@ -509,3 +514,32 @@ class TestExport:
         assert len(body) == 36
         assert all(len(ln) == 18 for ln in body)
         assert all(set(ln) <= set("IXYZ") for ln in body)
+
+
+class TestImports:
+    def run_fresh(self, code: str) -> str:
+        env = dict(os.environ, PYTHONPATH=SRC)
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True,
+                              check=True).stdout
+
+    def test_cli_leaves_bounds_alone(self):
+        # every command but bounds starts without bounds and fractions
+        out = self.run_fresh(
+            "import sys, stabcat.cli\n"
+            "print(sorted({'stabcat.bounds', 'fractions'} & set(sys.modules)))"
+        )
+        assert out == "[]\n"
+
+    def test_package_names_resolve(self):
+        out = self.run_fresh(
+            "import stabcat\n"
+            "from stabcat import bounds\n"
+            "assert stabcat.delta_curve is bounds.delta_curve\n"
+            "assert bounds.CURVE_NAMES is stabcat.CURVE_NAMES\n"
+            "assert set(stabcat.__all__) <= set(dir(stabcat))\n"
+            "print(all(hasattr(stabcat, name) for name in stabcat.__all__))"
+        )
+        assert out == "True\n"
+        with pytest.raises(subprocess.CalledProcessError):
+            self.run_fresh("import stabcat; stabcat.no_such_name")

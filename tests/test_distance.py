@@ -233,6 +233,13 @@ class TestChunkedGrayScan:
                     words += [high ^ t for t in low]
                 assert words == [i ^ (i >> 1) for i in range(start, stop)]
 
+    def test_parts_share_one_table(self, code_m1k1):
+        # every part of a split scan walks the same low rows
+        _distpure.gray_table.cache_clear()
+        exact_distance(code_m1k1, parts=8)
+        info = _distpure.gray_table.cache_info()
+        assert (info.misses, info.hits) == (1, 7)
+
 
 class TestExactDistance:
     def test_m1k1_fixture(self, code_m1k1):

@@ -93,6 +93,7 @@ MATRIX = [
      EXIT_OK),
     (["bounds", "--curve", "baseline_rs", "--m", "1000000000"], EXIT_USAGE),
     (["bounds", "--curve", "ashikhmin", "--m", "9" * 400], EXIT_USAGE),
+    (["bounds", "--curve", "ours", "--steps", "1" + "0" * 400], EXIT_USAGE),
     (["export", "{m1k1}"], EXIT_OK),
     (["export", "{missing}"], EXIT_IO),
     (["export", "{truncated}"], EXIT_IO),

@@ -4,16 +4,18 @@ import random
 import tracemalloc
 from dataclasses import replace
 from functools import reduce
+from itertools import chain
 from operator import xor
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabcat import symplectic
+from stabcat import _distpure, symplectic
 from stabcat.concat import SymplecticVector, build_code
 from stabcat.symplectic import (DualityReport, Rref, RrefError,
-                                column_supports, first_outside, in_span,
+                                column_plan, column_supports,
+                                first_outside, in_span,
                                 is_rref, row_reduce, selected,
                                 symplectic_product,
                                 symplectic_product_packed, symplectic_weight,
@@ -357,6 +359,109 @@ class TestColumnSupports:
         for c, entry in enumerate(supports):
             assert entry_rows(entry) == [
                 j for j, x in enumerate(rows) if x >> c & 1]
+
+
+def lane_xors(entries) -> int:
+    """Lane vectors or columns that forming every entry's column XORs."""
+    return sum(e.count(1) if isinstance(e, bytes) else len(e)
+               for e in entries)
+
+
+@st.composite
+def block_matrices(draw):
+    """Rows whose 2n columns come in blocks of w positions (u columns,
+    then v columns), each column zero, a copy of an earlier column of
+    its block, the XOR of a few earlier ones, all rows, one row or
+    random; bits above 2n sometimes set; and a slice width that w
+    rarely divides."""
+    w = draw(st.integers(1, 12))
+    n = w * draw(st.integers(1, 5))
+    nrows = draw(st.integers(0, 40))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    kinds = draw(st.lists(st.sampled_from(
+        ["zero", "copy", "sum", "all", "one", "sparse", "half"]),
+        min_size=1, max_size=7))
+    blocks = []
+    for _ in range(n // w):
+        block = []
+        for _ in range(2 * w):
+            kind = rng.choice(kinds)
+            if kind in ("copy", "sum") and block:
+                picked = rng.sample(block, 1 if kind == "copy"
+                                    else min(len(block), rng.randint(2, 4)))
+                block.append(reduce(xor, picked))
+            else:
+                p = {"zero": 0, "all": 1, "sparse": 0.05}.get(kind, 0.5)
+                col = sum(1 << j for j in range(nrows) if rng.random() < p)
+                if kind == "one" and nrows:
+                    col = 1 << rng.randrange(nrows)
+                block.append(col)
+        blocks.append(block)
+    cols = [c for b in blocks for c in b[:w]] + \
+        [c for b in blocks for c in b[w:]]
+    rows = transpose(cols, nrows)
+    if draw(st.booleans()):
+        rows = [x | rng.getrandbits(9) << (2 * n) for x in rows]
+    return rows, n, w, draw(st.sampled_from((1, 7, 64, 1024)))
+
+
+class TestColumnPlan:
+    @settings(max_examples=300, deadline=None)
+    @given(block_matrices(), st.integers(0, 1 << 32))
+    def test_same_columns_as_the_supports(self, case, seed):
+        rows, n, w, slice_width = case
+        with mock.patch.object(symplectic, "COLUMN_SLICE", slice_width):
+            plan = column_plan(rows, n, w)
+            supports = column_supports(rows, 2 * n)
+        # block by block, as the plan lists them
+        plain = [e for j in range(0, n, w)
+                 for e in supports[j:j + w] + supports[n + j:n + j + w]]
+        assert len(plan) == len(plain) == 2 * n
+        assert lane_xors(plan) <= lane_xors(plain)
+        for lo in range(0, 2 * n, 2 * w):
+            block = plan[lo:lo + 2 * w]
+            for k, e in enumerate(block):
+                if isinstance(e, tuple):
+                    # names row entries of its block, fewer than its rows
+                    assert all(not isinstance(block[i], tuple) and i != k
+                               for i in e)
+                    assert len(e) < lane_xors([plain[lo + k]])
+                else:
+                    assert e == plain[lo + k]
+        rng = random.Random(seed)
+        lanes = [rng.getrandbits(16) for _ in rows]
+        want = [reduce(xor, (v for v, x in zip(lanes, rows) if x >> c & 1),
+                       0) for c in range(2 * n)]
+        got = list(chain.from_iterable(
+            _distpure.block_columns(lanes, plan, w)))
+        assert got == [c for j in range(0, n, w)
+                       for c in want[j:j + w] + want[n + j:n + j + w]]
+        assert _distpure.weight_planes(lanes, plan, w) == \
+            _distpure.weight_planes(lanes, supports, n)
+
+    def test_widths_must_split_the_positions(self):
+        for n, w in ((10, 3), (4, 0)):
+            with pytest.raises(ValueError):
+                column_plan([1, 2], n, w)
+        assert column_plan([1, 2], 0, 3) == []
+
+    def test_sparse_rows_keep_their_supports(self):
+        # two set bits per column: read row by row, nothing transposed
+        rows = [0] * 16 + [0b0011, 0b0101, 0b1010, 0b1100]
+        with mock.patch.object(symplectic, "transpose",
+                               side_effect=AssertionError):
+            plan = column_plan(rows, 2, 1)
+            supports = column_supports(rows, 4)
+        assert supports == [[16, 17], [16, 18], [17, 19], [18, 19]]
+        assert plan == [[16, 17], [17, 19], [16, 18], [18, 19]]
+
+    def test_halves_the_lane_xors_at_m3(self, code_m3k10):
+        # a block's 28 columns span at most 20 dimensions
+        code = code_m3k10
+        plan = column_plan(code.n_matrix, code.n, 14)
+        assert lane_xors(column_supports(code.n_matrix, 2 * code.n)) == \
+            119_659
+        assert lane_xors(plan) <= 60_000
 
 
 def pairwise_duality(code) -> DualityReport:
