@@ -1,6 +1,6 @@
 """Per-block tables, and the block-local stabilizer cosets of N.
 
-A block's table maps its key (:func:`block_key`) to a class id; the
+A block's table maps its key (:func:`block_key`) to a class; the
 exhaustive counting check in :mod:`stabcat.distance` reads one per
 block.  That check does not visit every word of N: it splits N into the
 block-local stabilizer words T0 = sum T0_i (:func:`block_local`) and a
@@ -32,7 +32,7 @@ def block_key(x: int, i: int, n: int, width: int) -> int:
 
 
 class BlockClasses(dict):
-    """Class table of one block: key -> class id, shifted into its field.
+    """Class table of one block: key -> class.
 
     Keys are :func:`block_key` values.  A key missing from the table is
     classified on first lookup by the owner's ``classify``
@@ -44,10 +44,9 @@ class BlockClasses(dict):
         super().__init__()
         self.owner = owner
         self.i = i
-        self.shift = 1 + i * owner.field_bits
 
-    def __missing__(self, key: int) -> int:
-        self[key] = value = self.owner.classify(self.i, key) << self.shift
+    def __missing__(self, key: int):
+        self[key] = value = self.owner.classify(self.i, key)
         return value
 
 
@@ -78,11 +77,10 @@ class CosetClasses:
     """Block tables over the cosets of the block-local stabilizer words.
 
     ``local[i]`` spans T0_i (:func:`block_local`).  Block i's table maps
-    a key to the id of the set of classes that ``classes``
+    a key to the frozenset of the classes that ``classes``
     (:class:`stabcat.distance.ClassTables`) gives the keys of its coset
-    key + key_i(T0_i); sets are interned, so equal sets share an id.
-    The tables read like those of ``classes``, so the same signature walk
-    reads either.
+    key + key_i(T0_i).  The tables read like those of ``classes``, so
+    the same signature walk reads either.
     """
 
     def __init__(self, classes, local) -> None:
@@ -90,8 +88,6 @@ class CosetClasses:
         self.n = n = classes.n
         self.exp = classes.exp
         w = classes.exp.block_width
-        # one id per distinct set, at most one per coset of each block
-        self.field_bits = (len(local) << 2 * w).bit_length()
         self.spans = []
         for i, words in enumerate(local):
             span = [0]
@@ -99,31 +95,23 @@ class CosetClasses:
                 key = block_key(t, i, n, w)
                 span += [s ^ key for s in span]
             self.spans.append(span)
-        self.ids: dict = {}  # class set -> id
-        self.sets: list = []  # id -> class set
         self.tables = [BlockClasses(self, i) for i in range(len(local))]
 
-    def classify(self, i: int, key: int) -> int:
-        """Id of the class set of the coset of block i's ``key``."""
+    def classify(self, i: int, key: int) -> frozenset:
+        """The class set of the coset of block i's ``key``."""
         table = self.classes.tables[i]
-        got = frozenset(table[key ^ s] >> table.shift for s in self.spans[i])
-        cid = self.ids.get(got)
-        if cid is None:
-            cid = self.ids[got] = len(self.sets)
-            self.sets.append(got)
-        return cid
+        return frozenset([table[key ^ s] for s in self.spans[i]])
 
-    def outcome(self, sig: int) -> tuple[int, int, int]:
+    def outcome(self, sets: tuple) -> tuple[int, int, int]:
         """(min nonzero blocks, min distinct tuples, max multiplicity)
-        over the words of a signature.
+        over the words whose blocks take classes from ``sets``, one
+        class set per block.
 
         Each block takes any class of its set, whatever the others take:
         zero wherever it can, a tuple shared with as many blocks as hold
         it, and for the blocks that must take a tuple (no class 0 or 1)
         the fewest tuples that meet all of their sets.
         """
-        mask = (1 << self.field_bits) - 1
-        sets = [self.sets[(sig >> t.shift) & mask] for t in self.tables]
         counts = Counter(chain.from_iterable(s - {0, 1} for s in sets))
         forced = [s for s in sets if s.isdisjoint((0, 1))]
         return (sum(0 not in s for s in sets), min_hitting_set(forced),

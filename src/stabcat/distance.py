@@ -36,12 +36,14 @@ is f + sum t_i for one f in F and one t_i in each T0_i: it lies in S iff
 f does, and block i's bits range over f's coset modulo T0_i whatever
 the other blocks hold.  So the claims over the 2^dim(T0) words of one f
 follow from one set of classes per block (:mod:`stabcat._cosets`), and
-the F words are walked in Gray chunks as signatures of those sets.  At
-m=1 K=1 there are 256 field parts, 240 of them outside S, each standing
-for 2^12 words.  Sampled draws rarely share a signature, so the sampled
-check does not tally them: it takes the sampler's draws, a batch at a
-time, reads each block's keys and the stabilizer residue off the
-batch's columns, and scores the signatures in draw order.
+the F words are walked in Gray chunks as signatures of those sets: a
+word's signature is its outside-S flag next to the tuple of its block
+classes (or class sets).  At m=1 K=1 there are 256 field parts, 240 of
+them outside S, each standing for 2^12 words.  Sampled draws rarely
+share a signature, so the sampled check does not tally them: it takes
+the sampler's draws, a batch at a time, reads each block's keys and the
+stabilizer residue off the batch's columns, and scores the signatures
+in draw order.
 """
 
 from __future__ import annotations
@@ -247,60 +249,48 @@ class CountingReport:
 class ClassTables:
     """Per-block class tables, from which word signatures are built.
 
-    Class ids: 0 for a zero block, 1 for a nonzero block without a
+    Classes: 0 for a zero block, 1 for a nonzero block without a
     designated half (s/t content only), and 2 + h for a block whose
     designated half is h (:func:`designated_half`), so equal tuples get
-    equal ids in every block.  A word's signature has bit 0 set iff the
-    word lies outside S, and block i's class id in the ``field_bits``
-    bits from bit ``1 + i * field_bits`` (:func:`_signatures`); the
-    counting claims depend on a word only through its signature.
+    equal classes in every block.  A word's signature is the pair of
+    its outside-S flag and the tuple of its block classes
+    (:func:`_signatures`); the counting claims depend on a word only
+    through its signature.
     """
 
     def __init__(self, exp) -> None:
         self.exp = exp
         self.n = exp.n_blocks * exp.block_width
-        # ids run up to 4^(2m+1) + 1: one per quaternary (2m+1)-tuple
-        self.field_bits = ((1 << (4 * exp.m + 2)) + 1).bit_length()
         self.tables = [BlockClasses(self, i) for i in range(exp.n_blocks)]
 
     def classify(self, i: int, key: int) -> int:
-        """Class id of block i's bits ``key``."""
+        """Class of block i's bits ``key``."""
         if not key:
             return 0
         w = self.exp.block_width
         half = designated_half(self.exp, i, key & ((1 << w) - 1), key >> w)
         return 1 if half is None else 2 + half
 
-    def outcome(self, sig: int) -> tuple[int, int, int]:
-        """(nonzero blocks, distinct designated tuples, max multiplicity)."""
-        bits = self.field_bits
-        mask = (1 << bits) - 1
-        nonzero = 0
-        counts: dict = {}
-        sig >>= 1
-        while sig:
-            cid = sig & mask
-            if cid:
-                nonzero += 1
-                if cid > 1:
-                    counts[cid] = counts.get(cid, 0) + 1
-            sig >>= bits
-        return nonzero, len(counts), max(counts.values(), default=0)
+    def outcome(self, classes: tuple) -> tuple[int, int, int]:
+        """(nonzero blocks, distinct designated tuples, max multiplicity)
+        of a word with block classes ``classes``."""
+        counts = Counter(classes)
+        zero = counts.pop(0, 0)
+        counts.pop(1, None)
+        return (len(classes) - zero, len(counts),
+                max(counts.values(), default=0))
 
 
-def _signatures(tables, outside, keys) -> list[int]:
-    """Signatures of a run of words, in the run's order.
+def _signatures(tables, outside, keys):
+    """Signatures of a run of words, lazily in the run's order.
 
-    ``outside`` gives each word's 0/1 bit (1 iff the word lies outside
-    S), and the i-th item of ``keys`` gives block i's key of each word.
-    Every block's class is read from its table by ``map`` at C speed and
-    the signatures are listed after each block, so lazy ``keys`` have
-    one block's keys made at a time.
+    ``outside`` gives each word's outside-S flag (true iff the word lies
+    outside S), and the i-th item of ``keys`` gives block i's key of
+    each word.  A word's signature is ``(flag, classes)``, its block
+    classes read from the tables by ``map`` at C speed.
     """
-    sigs = outside
-    for table, block_keys in zip(tables, keys):
-        sigs = list(map(or_, sigs, map(table.__getitem__, block_keys)))
-    return sigs
+    return zip(outside, zip(*[map(table.__getitem__, block_keys)
+                              for table, block_keys in zip(tables, keys)]))
 
 
 def _walk_signatures(classes, rows, r: int):
@@ -309,7 +299,8 @@ def _walk_signatures(classes, rows, r: int):
     ``classes`` is a :class:`ClassTables` or a :class:`CosetClasses`.
     One :func:`~stabcat._distpure.gray_chunks` walk per block key and one
     for the stabilizer residue; their chunks cover the same indices, so
-    each chunk's signatures come from :func:`_signatures`.
+    each chunk's signatures come from :func:`_signatures`, one lazy
+    iterator per chunk.
     """
     n = classes.n
     w = classes.exp.block_width
@@ -396,10 +387,10 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
         cosets = CosetClasses(classes, local)
         tally = Counter(chain.from_iterable(
             _walk_signatures(cosets, f_rows, len(f_rows))))
-        for sig, count in tally.items():
-            if not sig & 1:
+        for (out, sets), count in tally.items():
+            if not out:
                 continue
-            nb, nd, mm = cosets.outcome(sig)
+            nb, nd, mm = cosets.outcome(sets)
             examined += count << t0.rank
             min_blocks = min(min_blocks, nb)
             min_distinct = min(min_distinct, nd)
@@ -410,10 +401,10 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
                 map(high.__xor__, low)
                 for _f, high, low in _distpure.gray_chunks(rows, 0, 1 << r))
             sigs = chain.from_iterable(_walk_signatures(classes, rows, r))
-            listed = ((word, sig) for word, sig in zip(words, sigs)
-                      if sig & 1 and violates(outcome(sig)))
-            violations = [violation(word, outcome(sig))
-                          for word, sig in islice(listed, 8)]
+            listed = ((word, cls) for word, (out, cls) in zip(words, sigs)
+                      if out and violates(outcome(cls)))
+            violations = [violation(word, outcome(cls))
+                          for word, cls in islice(listed, 8)]
     elif mode == "sampled":
         if trials is None or trials < 1:
             raise DistanceError("sampled mode needs trials >= 1")
@@ -435,10 +426,10 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
                 classes.tables, byte_mask(outside).ljust(count, b"\0"),
                 (map(and_, map(rshift, keys, repeat(i)), repeat(key_mask))
                  for i in range(0, shift, 2 * w)))
-            for t, sig in enumerate(sigs):
-                if not sig & 1:
+            for t, (out, cls) in enumerate(sigs):
+                if not out:
                     continue
-                outcome = nb, nd, mm = classes.outcome(sig)
+                outcome = nb, nd, mm = classes.outcome(cls)
                 examined += 1
                 min_blocks = min(min_blocks, nb)
                 min_distinct = min(min_distinct, nd)

@@ -603,6 +603,13 @@ class TestCountingOracle:
             assert got == count_claims(
                 code, "sampled", in_span_samples(code, 500, seed), seed)
 
+    def test_sampled_m3(self, code_m3k10):
+        # N = 63 blocks, the most that any test's signatures carry
+        got = verify_counting_claims(code_m3k10, mode="sampled",
+                                     trials=500, seed=0)
+        assert got == count_claims(
+            code_m3k10, "sampled", in_span_samples(code_m3k10, 500, 0), 0)
+
 
 def constant_half(exp, i, b_bits, c_bits):
     """Stand-in for designated_half: every block the same half."""
@@ -663,10 +670,12 @@ class TestCountingViolations:
     def test_sampled_unseeded(self, code_m1k1, code_m2k3, case,
                               monkeypatch):
         # with seed=None each listed word must be a draw whose own
-        # outcome violates a claim, and the aggregates must cover it
+        # outcome violates a claim, and the aggregates must cover it.
+        # About 1.4 % of m=1 "blocks" draws violate, so 300 draws miss
+        # every one about 1.5 % of the time; 2000 miss with odds ~1e-12
         for code in (code_m1k1, code_m2k3):
             code = forced_case(code, case, monkeypatch)
-            got = verify_counting_claims(code, mode="sampled", trials=300)
+            got = verify_counting_claims(code, mode="sampled", trials=2000)
             assert not got.passed
             assert 1 <= len(got.violations) <= 8
             exp = get_expander(code.field, code.basis)
@@ -699,7 +708,8 @@ class TestCountingViolations:
 def tally_counting(code):
     """Oracle: the exhaustive check before the block-local decomposition.
 
-    Every word of N gets its signature from the class tables, by
+    Every word of N gets its signature, its outside-S flag and tuple of
+    block classes, from the class tables by
     ``distance._walk_signatures``; the signatures are tallied and the
     claims evaluated once per distinct signature, and only when one
     violates a claim does a second walk list the first 8 such words.
@@ -720,16 +730,16 @@ def tally_counting(code):
     min_blocks = min_distinct = code.big_n + 1
     max_mult = 0
     bad = set()
-    for sig, count in tally.items():
-        if not sig & 1:
+    for (out, cls), count in tally.items():
+        if not out:
             continue
-        outcome = nb, nd, mm = classes.outcome(sig)
+        outcome = nb, nd, mm = classes.outcome(cls)
         examined += count
         min_blocks = min(min_blocks, nb)
         min_distinct = min(min_distinct, nd)
         max_mult = max(max_mult, mm)
         if violates(outcome):
-            bad.add(sig)
+            bad.add(cls)
     violations = []
     if bad:
         words = chain.from_iterable(
@@ -737,10 +747,10 @@ def tally_counting(code):
             for _f, high, low in _distpure.gray_chunks(rows, 0, 1 << r))
         sigs = chain.from_iterable(
             distance._walk_signatures(classes, rows, r))
-        listed = ((word, sig) for word, sig in zip(words, sigs)
-                  if sig in bad)
-        for word, sig in islice(listed, 8):
-            nb, nd, mm = classes.outcome(sig)
+        listed = ((word, cls) for word, (out, cls) in zip(words, sigs)
+                  if out and cls in bad)
+        for word, cls in islice(listed, 8):
+            nb, nd, mm = classes.outcome(cls)
             violations.append({"word": word & ((1 << shift) - 1),
                                "nonzero_blocks": nb, "distinct_tuples": nd,
                                "multiplicity": mm})
@@ -837,9 +847,8 @@ class TestBlockLocalDecomposition:
                            for k in n_keys}
             table, coset_table = classes.tables[i], cosets.tables[i]
             for key in n_keys:
-                want = {table[key ^ t] >> table.shift for t in local}
-                got = coset_table[key] >> coset_table.shift
-                assert cosets.sets[got] == want
+                want = {table[key ^ t] for t in local}
+                assert coset_table[key] == want
 
     @pytest.mark.parametrize("case", [None, *FORCED])
     @pytest.mark.parametrize("cut", CUTS)
@@ -892,13 +901,14 @@ class TestClassTables:
         classes = distance.ClassTables(exp)
         w = exp.block_width
         half = 2 * exp.m + 1
-        ids = {}  # designated tuple -> class id, across blocks
+        ids = {}  # designated tuple -> class, across blocks
         for _ in range(data.draw(st.integers(1, 24))):
             i, a_i, a_ni, s_i, t_i = data.draw(block_inputs(exp))
             b, c = exp.expand_block(i, a_i, a_ni, s_i, t_i)
             table = classes.tables[i]
-            cid = table[b | (c << w)] >> table.shift
-            assert 0 <= cid < 1 << classes.field_bits
+            cid = table[b | (c << w)]
+            # one class per quaternary (2m+1)-tuple, after 0 and 1
+            assert 0 <= cid < 2 + 4 ** half
             tup = designated_tuple(exp, i, b, c)
             if not (a_i or a_ni or any(s_i) or any(t_i)):
                 assert cid == 0
@@ -914,7 +924,8 @@ class TestClassTables:
 
     def test_signature_matches_walk(self, code_m1k1):
         # the zipped per-block walks (exhaustive mode) give each word the
-        # signature of a loop over its blocks
+        # signature of a loop over its blocks: its outside-S flag and the
+        # tuple of its block classes
         shift = 2 * code_m1k1.n
         rows = [x | (code_m1k1.s_span.reduce(x) << shift)
                 for x in code_m1k1.n_matrix]
@@ -923,10 +934,9 @@ class TestClassTables:
         w = classes.exp.block_width
 
         def signature(x):
-            sig = int(x >> shift != 0)
-            for i, table in enumerate(classes.tables):
-                sig |= table[_cosets.block_key(x, i, code_m1k1.n, w)]
-            return sig
+            return (x >> shift != 0,
+                    tuple(table[_cosets.block_key(x, i, code_m1k1.n, w)]
+                          for i, table in enumerate(classes.tables)))
 
         walked = list(chain.from_iterable(
             distance._walk_signatures(classes, rows, 12)))
