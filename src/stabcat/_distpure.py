@@ -118,7 +118,7 @@ def lane_vectors(buf: bytes, r: int) -> list[int]:
     word.
     """
     words = (r + 31) // 32
-    cols = transpose_bytes(buf, 4 * words)
+    cols = transpose_bytes(buf, 4 * words, range(4 * words))
     split = max(32 * words - 32, 0)  # selector bits below stay in place
     return cols[:split] + cols[split + 32 * words - r:]
 

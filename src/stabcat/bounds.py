@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import CURVE_NAMES
 
@@ -71,8 +71,7 @@ def entropy4_inv(y: float, tol: float = 1e-12) -> float:
 OUTWARD_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class VolumeBoundResult:
+class VolumeBoundResult(NamedTuple):
     """Exact-arithmetic outcome of the weighted binomial-sum bound."""
 
     n: int
@@ -182,8 +181,7 @@ def asymptotic_lambda(delta: float, tuple_len: int) -> float:
 # Parameter choice achieving a target rate
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RateParams:
+class RateParams(NamedTuple):
     """Code parameters realizing rate >= target_rate at a given m."""
 
     m: int
@@ -238,8 +236,7 @@ def params_for_rate(m: int, target_rate: float) -> RateParams:
 # Rate/relative-distance comparison curves
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundCurve:
+class BoundCurve(NamedTuple):
     """A named list of (rate, relative distance) points, sorted by rate."""
 
     name: str

@@ -11,7 +11,6 @@ usage errors (a missing or malformed option) included.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from itertools import chain
@@ -167,6 +166,8 @@ def cmd_verify(args) -> int:
         return EXIT_IO
     report = verify_code_file(cf)
     if args.json:
+        import json  # imported here: no other output is JSON
+
         print(json.dumps(report, indent=2, default=str))
     else:
         for name, ok in report["checks"].items():

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import io
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .concat import StabilizerCodeL
 from .field import Field
@@ -41,8 +41,7 @@ class CodeFileError(ValueError):
     """Malformed code file; the message names the offending line."""
 
 
-@dataclass(frozen=True)
-class CodeFile:
+class CodeFile(NamedTuple):
     """In-memory image of a stored code file."""
 
     m: int

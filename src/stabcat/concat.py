@@ -56,8 +56,8 @@ as (u_p, v_p).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import NamedTuple
 
 from .field import Field, build_field, coords, find_self_dual_basis
 from .rs import build_rs_pair, css_generators
@@ -68,8 +68,7 @@ class ConcatError(ValueError):
     """Invalid expansion input or a violated construction invariant."""
 
 
-@dataclass(frozen=True)
-class SymplecticVector:
+class SymplecticVector(NamedTuple):
     """Binary (u | v) vector on n qubit positions, packed LSB-first."""
 
     u: int
@@ -86,8 +85,7 @@ class SymplecticVector:
         return cls(u=word & mask, v=word >> n, n=n)
 
 
-@dataclass(frozen=True)
-class ExpansionInput:
+class ExpansionInput(NamedTuple):
     """A length-2N field vector plus the free bit arrays s and t.
 
     ``s`` and ``t`` are N rows of m+1 bits; row i holds
@@ -108,8 +106,7 @@ def zero_input(m: int, n_blocks: int) -> ExpansionInput:
     )
 
 
-@dataclass(frozen=True)
-class QuaternaryVector:
+class QuaternaryVector(NamedTuple):
     """GF(4) view of a symplectic vector: symbol_p = u_p + omega * v_p.
 
     Symbols are ints 0..3 with omega represented by 2 (the primitive
@@ -320,16 +317,7 @@ def check_block_injectivity(field: Field, basis, i: int) -> bool:
 # The stabilizer code
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StabilizerCodeL:
-    """Concatenated stabilizer code with its generator matrices.
-
-    ``s_matrix`` and ``n_matrix`` are canonical RREF lists of packed
-    2n-bit rows (u low, v high) generating the stabilizer and normalizer
-    row spaces.  ``s_span`` and ``n_span`` are their spans, built once on
-    first use; they raise RrefError unless the rows are canonical RREF.
-    """
-
+class _CodeFields(NamedTuple):
     m: int
     big_n: int
     big_k: int
@@ -339,6 +327,18 @@ class StabilizerCodeL:
     n_matrix: tuple[int, ...]
     field: Field
     basis: tuple[int, ...]
+
+
+class StabilizerCodeL(_CodeFields):
+    """Concatenated stabilizer code with its generator matrices.
+
+    ``s_matrix`` and ``n_matrix`` are canonical RREF lists of packed
+    2n-bit rows (u low, v high) generating the stabilizer and normalizer
+    row spaces.  ``s_span`` and ``n_span`` are their spans, built once on
+    first use; they raise RrefError unless the rows are canonical RREF.
+    The fields are those of a named tuple, so ``_replace`` makes a code
+    with other matrices, whose spans are built afresh.
+    """
 
     @property
     def rank_s(self) -> int:

@@ -51,16 +51,16 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from functools import cache, reduce
 from itertools import chain, islice, repeat
 from operator import and_, or_, rshift
+from typing import NamedTuple
 
 from .concat import (StabilizerCodeL, SymplecticVector, designated_half,
                      get_expander)
-from .symplectic import (Rref, byte_mask, column_plan, column_supports,
-                         in_span, row_reduce, symplectic_weight_packed,
-                         transpose)
+from .symplectic import (Report, Rref, byte_mask, column_plan,
+                         column_supports, in_span, row_reduce,
+                         symplectic_weight_packed, transpose)
 from . import _distpure
 from ._cosets import BlockClasses, CosetClasses, block_key, block_local
 from ._distpure import BATCH
@@ -74,8 +74,7 @@ class DistanceError(ValueError):
     """Infeasible or invalid distance-search request."""
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     """Result of a distance search.
 
     ``d`` is the exact minimum for method "exact" and the best upper
@@ -217,8 +216,7 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
 # Structural weight-counting checks
 # ----------------------------------------------------------------------
 
-@dataclass
-class CountingReport:
+class CountingReport(Report):
     """Per-claim outcome of the block/tuple counting verification.
 
     claim_blocks:   every examined codeword has >= K+1 nonzero blocks.
@@ -227,19 +225,32 @@ class CountingReport:
     claim_mult:     no designated tuple value occurs more than 2^m times.
     """
 
-    mode: str
-    examined: int
-    claim_blocks: bool
-    claim_distinct: bool
-    claim_mult: bool
-    min_nonzero_blocks: int
-    min_distinct_tuples: int
-    max_multiplicity: int
-    blocks_threshold: int
-    distinct_threshold: int
-    mult_threshold: int
-    seed: int | None = None
-    violations: list = dc_field(default_factory=list)
+    __slots__ = ("mode", "examined", "claim_blocks", "claim_distinct",
+                 "claim_mult", "min_nonzero_blocks", "min_distinct_tuples",
+                 "max_multiplicity", "blocks_threshold",
+                 "distinct_threshold", "mult_threshold", "seed",
+                 "violations")
+
+    def __init__(self, mode: str, examined: int, claim_blocks: bool,
+                 claim_distinct: bool, claim_mult: bool,
+                 min_nonzero_blocks: int, min_distinct_tuples: int,
+                 max_multiplicity: int, blocks_threshold: int,
+                 distinct_threshold: int, mult_threshold: int,
+                 seed: int | None = None,
+                 violations: list | None = None) -> None:
+        self.mode = mode
+        self.examined = examined
+        self.claim_blocks = claim_blocks
+        self.claim_distinct = claim_distinct
+        self.claim_mult = claim_mult
+        self.min_nonzero_blocks = min_nonzero_blocks
+        self.min_distinct_tuples = min_distinct_tuples
+        self.max_multiplicity = max_multiplicity
+        self.blocks_threshold = blocks_threshold
+        self.distinct_threshold = distinct_threshold
+        self.mult_threshold = mult_threshold
+        self.seed = seed
+        self.violations = [] if violations is None else violations
 
     @property
     def passed(self) -> bool:

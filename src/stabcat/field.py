@@ -15,7 +15,6 @@ basis makes coordinate extraction a single trace computation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Iterator
 
 
@@ -118,16 +117,16 @@ def _is_primitive(poly: int, degree: int) -> bool:
 # The field itself
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Field:
     """GF(2^two_m) with a fixed primitive defining polynomial.
 
     The log/exp tables walk the powers of alpha.  The trace table uses
     that Tr is GF(2)-linear: Tr(x) is the XOR of Tr(alpha^i) over the
     set bits i of x, so only the two_m values Tr(alpha^i) are computed
-    from squarings.
+    from squarings.  Two fields are equal, and hash alike, when their
+    two_m and modulus are; the tables are never compared.
 
-    Attributes:
+    Attributes (set once, by the constructor):
         two_m: extension degree e over GF(2).
         modulus: defining polynomial as a bit-polynomial of degree e
             (irreducible and primitive, so alpha = 2 generates the
@@ -136,32 +135,28 @@ class Field:
         alpha: the primitive element (class of x), always the int 2.
     """
 
-    two_m: int
-    modulus: int
-    order: int = dc_field(init=False, compare=False)
-    alpha: int = dc_field(init=False, compare=False)
-    _exp: list[int] = dc_field(init=False, compare=False, repr=False)
-    _log: list[int] = dc_field(init=False, compare=False, repr=False)
-    _trace: list[int] = dc_field(init=False, compare=False, repr=False)
+    __slots__ = ("two_m", "modulus", "order", "alpha", "_exp", "_log",
+                 "_trace")
 
-    def __post_init__(self) -> None:
-        e = self.two_m
+    def __init__(self, two_m: int, modulus: int) -> None:
+        e = two_m
         if not 1 <= e <= DEFAULT_MAX_DEGREE:  # before any table is built
             raise FieldError(
                 f"extension degree {e} outside supported range "
                 f"[1, {DEFAULT_MAX_DEGREE}]")
-        if self.modulus.bit_length() != e + 1:
+        if modulus.bit_length() != e + 1:
             raise FieldError(
-                f"modulus 0x{self.modulus:x} does not have degree {e}")
-        if not _is_irreducible(self.modulus, e):
-            raise FieldError(f"modulus 0x{self.modulus:x} is reducible")
-        if not _is_primitive(self.modulus, e):
+                f"modulus 0x{modulus:x} does not have degree {e}")
+        if not _is_irreducible(modulus, e):
+            raise FieldError(f"modulus 0x{modulus:x} is reducible")
+        if not _is_primitive(modulus, e):
             raise FieldError(
-                f"modulus 0x{self.modulus:x} is irreducible but x is not "
+                f"modulus 0x{modulus:x} is irreducible but x is not "
                 f"primitive")
-        order = 1 << e
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "alpha", 2 if e > 1 else 1)
+        self.two_m = e
+        self.modulus = modulus
+        self.order = order = 1 << e
+        self.alpha = 2 if e > 1 else 1
 
         # log/exp tables over the cyclic group generated by alpha.
         exp = [0] * (2 * order)
@@ -170,11 +165,11 @@ class Field:
         for i in range(order - 1):
             exp[i] = val
             log[val] = i
-            val = _poly_mulmod(val, self.alpha, self.modulus)
+            val = _poly_mulmod(val, self.alpha, modulus)
         for i in range(order - 1, 2 * order):
             exp[i] = exp[i - (order - 1)]
-        object.__setattr__(self, "_exp", exp)
-        object.__setattr__(self, "_log", log)
+        self._exp = exp
+        self._log = log
 
         # Trace table: Tr(x) = sum of x^(2^i) for i < e, always 0 or 1,
         # and linear, so bit i of tmask is Tr(alpha^i) and Tr(x) is the
@@ -185,14 +180,21 @@ class Field:
             y = 1 << i
             for _ in range(e):
                 acc ^= y
-                y = _poly_mulmod(y, y, self.modulus)
+                y = _poly_mulmod(y, y, modulus)
             if acc not in (0, 1):
                 raise FieldError(
                     f"trace of {1 << i:#x} is {acc:#x}, not in GF(2); "
-                    f"modulus 0x{self.modulus:x} is inconsistent")
+                    f"modulus 0x{modulus:x} is inconsistent")
             tmask |= acc << i
-        object.__setattr__(self, "_trace", [
-            (x & tmask).bit_count() & 1 for x in range(order)])
+        self._trace = [(x & tmask).bit_count() & 1 for x in range(order)]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.two_m, self.modulus) == (other.two_m, other.modulus)
+
+    def __hash__(self) -> int:
+        return hash((self.two_m, self.modulus))
 
     # -- arithmetic ----------------------------------------------------
 

@@ -36,7 +36,8 @@ rows have no tail at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from functools import cached_property
+from typing import NamedTuple
 
 from .field import Field
 
@@ -45,8 +46,16 @@ class RsError(ValueError):
     """Invalid Reed-Solomon construction or argument."""
 
 
-@dataclass(frozen=True)
-class RsCode:
+class _RsFields(NamedTuple):
+    field: Field
+    length: int
+    dim: int
+    exponents: tuple[int, ...]
+    generator: tuple[tuple[int, ...], ...]
+    eval_points: tuple[int, ...]
+
+
+class RsCode(_RsFields):
     """An evaluation code over ``field`` at all N nonzero points.
 
     Attributes:
@@ -57,17 +66,14 @@ class RsCode:
         generator: dim x length matrix; row r is ev(x^exponents[r]).
         eval_points: (alpha^0, ..., alpha^(N-1)).
         systematic: the same row space in systematic form, one position
-            -> symbol map per row (see :func:`systematic_rows`).
+            -> symbol map per row (see :func:`systematic_rows`), built
+            on first use.  It is not a field of the tuple, so ``==`` and
+            ``hash`` read only the six above.
     """
 
-    field: Field
-    length: int
-    dim: int
-    exponents: tuple[int, ...]
-    generator: tuple[tuple[int, ...], ...]
-    eval_points: tuple[int, ...]
-    systematic: tuple[dict[int, int], ...] = dc_field(compare=False,
-                                                      repr=False)
+    @cached_property
+    def systematic(self) -> tuple[dict[int, int], ...]:
+        return systematic_rows(self.field, self.exponents)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"RsCode([{self.length}, {self.dim}] over "
@@ -138,7 +144,6 @@ def _make_code(field: Field, exponents: tuple[int, ...]) -> RsCode:
         exponents=exponents,
         generator=tuple(_evaluate_monomial(field, e, n) for e in exponents),
         eval_points=tuple(field.alpha_pow(i) for i in range(n)),
-        systematic=systematic_rows(field, exponents),
     )
 
 
@@ -239,8 +244,7 @@ def min_weight_exhaustive(code: RsCode) -> int:
 # CSS generator sets S = R x R, N = Rperp x Rperp
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CssPair:
+class CssPair(NamedTuple):
     """Length-2N generator vectors (left | right) of the CSS pair.
 
     ``s_gens`` holds 2*dim(R) vectors (r|0), (0|r) over R's generator

@@ -1,7 +1,6 @@
 """CLI command tests driven through main() with captured output."""
 
 import contextlib
-import dataclasses
 import hashlib
 import json
 import os
@@ -87,6 +86,89 @@ class TestConstruct:
         assert other.read_bytes() == m1k1_path.read_bytes()
 
 
+def flip_first_row_bit(path, tmp_path):
+    """A copy of the code file with bit 3 of its first stabilizer row
+    flipped."""
+    lines = path.read_text().split("\n")
+    row = list(lines[10])  # first stabilizer row line
+    row[3] = "1" if row[3] == "0" else "0"
+    lines[10] = "".join(row)
+    mutated = tmp_path / "mutated.code"
+    mutated.write_text("\n".join(lines))
+    return mutated
+
+
+#: ``verify --json`` on the m=1 K=1 file
+M1K1_JSON = """\
+{
+  "checks": {
+    "header": true,
+    "field": true,
+    "basis": true,
+    "rows_canonical": true,
+    "ranks": true,
+    "orthogonality": true,
+    "dims_complementary": true,
+    "containment": true,
+    "block_injectivity": true
+  },
+  "details": {},
+  "passed": true,
+  "m": 1,
+  "N": 3,
+  "K": 1,
+  "n": 18,
+  "k": 2,
+  "rank_s": 16,
+  "rank_n": 20
+}
+"""
+
+#: ``verify --json`` on its copy from :func:`flip_first_row_bit`
+FLIPPED_JSON = """\
+{
+  "checks": {
+    "header": true,
+    "field": true,
+    "basis": true,
+    "rows_canonical": false,
+    "ranks": true,
+    "orthogonality": false,
+    "dims_complementary": true,
+    "containment": false,
+    "block_injectivity": true
+  },
+  "details": {
+    "duality_failures": [
+      [
+        "orthogonality",
+        0,
+        4
+      ],
+      [
+        "orthogonality",
+        0,
+        5
+      ],
+      [
+        "containment",
+        0,
+        null
+      ]
+    ]
+  },
+  "passed": false,
+  "m": 1,
+  "N": 3,
+  "K": 1,
+  "n": 18,
+  "k": 2,
+  "rank_s": 16,
+  "rank_n": 20
+}
+"""
+
+
 class TestVerify:
     def test_fresh_file_passes(self, m1k1_path, capsys):
         assert main(["verify", str(m1k1_path)]) == EXIT_OK
@@ -101,13 +183,17 @@ class TestVerify:
         assert rep["checks"]["block_injectivity"] is True
         assert rep["rank_s"] == 16 and rep["rank_n"] == 20
 
+    def test_json_report_bytes(self, m1k1_path, tmp_path, capsys):
+        # the exact report, before and after a bit flip that fails
+        # duality and carries its failure list
+        assert main(["verify", str(m1k1_path), "--json"]) == EXIT_OK
+        assert capsys.readouterr().out == M1K1_JSON
+        mutated = flip_first_row_bit(m1k1_path, tmp_path)
+        assert main(["verify", str(mutated), "--json"]) == EXIT_VERIFY_FAIL
+        assert capsys.readouterr().out == FLIPPED_JSON
+
     def test_flipped_bit_fails(self, m1k1_path, tmp_path, capsys):
-        lines = m1k1_path.read_text().split("\n")
-        row = list(lines[10])  # first stabilizer row line
-        row[3] = "1" if row[3] == "0" else "0"
-        lines[10] = "".join(row)
-        mutated = tmp_path / "mutated.code"
-        mutated.write_text("\n".join(lines))
+        mutated = flip_first_row_bit(m1k1_path, tmp_path)
         assert main(["verify", str(mutated)]) == EXIT_VERIFY_FAIL
 
     def test_degree_over_cap_fails_field(self, m9_header_path, capsys):
@@ -350,7 +436,7 @@ class TestDistanceCmd:
         if field == "m":  # keep the field valid: x^4 + x + 1
             changes["modulus"] = 0x13
         bad = tmp_path / "bad_header.code"
-        codefile.store(dataclasses.replace(cf, **changes), bad)
+        codefile.store(cf._replace(**changes), bad)
         assert main(["verify", str(bad)]) == EXIT_VERIFY_FAIL
         capsys.readouterr()
         for method in ("exact", "sample"):
@@ -517,11 +603,23 @@ class TestExport:
 
 
 class TestImports:
-    def run_fresh(self, code: str) -> str:
+    def run_fresh(self, code: str, *flags: str) -> str:
         env = dict(os.environ, PYTHONPATH=SRC)
-        return subprocess.run([sys.executable, "-c", code], env=env,
+        return subprocess.run([sys.executable, *flags, "-c", code], env=env,
                               capture_output=True, text=True,
                               check=True).stdout
+
+    @pytest.mark.parametrize("imports, banned", [
+        ("import stabcat.cli", ("dataclasses", "inspect", "json")),
+        # what the benchmark's counting child imports
+        ("from stabcat import concat, distance", ("dataclasses", "inspect")),
+    ])
+    def test_start_up_modules(self, imports, banned):
+        # -S: no site .pth hook loads modules before the package does
+        out = self.run_fresh(
+            f"import sys\n{imports}\n"
+            f"print(sorted(set({banned!r}) & set(sys.modules)))", "-S")
+        assert out == "[]\n"
 
     def test_cli_leaves_bounds_alone(self):
         # every command but bounds starts without bounds and fractions

@@ -636,7 +636,7 @@ def forced_case(code, case, monkeypatch):
     constant half patched into both the check and the oracle."""
     raise_k, constant = FORCED[case]
     if raise_k:
-        code = dataclasses.replace(code, big_k=2 if code.m == 1 else 15)
+        code = code._replace(big_k=2 if code.m == 1 else 15)
     if constant:
         monkeypatch.setattr(distance, "designated_half", constant_half)
         monkeypatch.setattr(sys.modules[__name__], "designated_tuple",
@@ -783,8 +783,8 @@ def cut_stabilizer(code, keep):
     for t in chain.from_iterable(block_local_bases(code)):
         local.add(t)
     complement = [x for x in code.s_matrix if local.add(x)]
-    return dataclasses.replace(
-        code, s_matrix=tuple(row_reduce(complement + keep)[1]))
+    return code._replace(
+        s_matrix=tuple(row_reduce(complement + keep)[1]))
 
 
 # which block-local words (per-block bases) a cut stabilizer keeps

@@ -9,7 +9,6 @@ argparse's (a missing or malformed option, which exit through
 argparse's help text.
 """
 
-from dataclasses import replace
 
 import pytest
 
@@ -32,10 +31,10 @@ def files(tmp_path_factory):
     s_rows = list(cf.s_rows)
     s_rows[0] ^= 1 << max(set(range(2 * cf.n))
                           - {lowest_bit(r) for r in s_rows})
-    for name, bad in (("flipped", replace(cf, s_rows=tuple(s_rows))),
-                      ("bad_k", replace(cf, k=cf.k + 4)),  # k != 2m(N-2K)
+    for name, bad in (("flipped", cf._replace(s_rows=tuple(s_rows))),
+                      ("bad_k", cf._replace(k=cf.k + 4)),  # k != 2m(N-2K)
                       # verify checks the field's 3 blocks, not 10^9
-                      ("big_n", replace(cf, big_n=10 ** 9))):
+                      ("big_n", cf._replace(big_n=10 ** 9))):
         out[name] = d / f"{name}.code"
         codefile.store(bad, out[name])
     lines = out["m1k1"].read_text().split("\n")

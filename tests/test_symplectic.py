@@ -2,7 +2,6 @@
 
 import random
 import tracemalloc
-from dataclasses import replace
 from functools import reduce
 from itertools import chain
 from operator import xor
@@ -504,7 +503,7 @@ def bit_flips(draw, code):
         rows = s_rows if draw(st.booleans()) else n_rows
         i = draw(st.integers(0, len(rows) - 1))
         rows[i] ^= 1 << draw(st.integers(0, 2 * code.n - 1))
-    flipped = replace(code, s_matrix=tuple(s_rows), n_matrix=tuple(n_rows))
+    flipped = code._replace(s_matrix=tuple(s_rows), n_matrix=tuple(n_rows))
     return flipped, draw(st.sampled_from((1, 7, 64, 1024)))
 
 
@@ -529,15 +528,14 @@ class TestOrthogonalityOracle:
             assert verify_duality(code) == pairwise_duality(code)
 
     def test_empty_matrices(self, code_m1k1):
-        for code in (replace(code_m1k1, n_matrix=()),
-                     replace(code_m1k1, s_matrix=())):
+        for code in (code_m1k1._replace(n_matrix=()),
+                     code_m1k1._replace(s_matrix=())):
             assert verify_duality(code) == pairwise_duality(code)
 
     def test_bits_above_2n_ignored(self, code_m1k1):
         # as in symplectic_product_packed, bits above 2n never count
         high = 1 << (2 * code_m1k1.n + 3)
-        wide = replace(
-            code_m1k1,
+        wide = code_m1k1._replace(
             s_matrix=tuple(r | high for r in code_m1k1.s_matrix),
             n_matrix=tuple(r | high for r in code_m1k1.n_matrix))
         rep = verify_duality(wide)
@@ -583,10 +581,9 @@ class TestVerifyDuality:
     def test_containment_over_non_canonical_rows(self, code_m1k1):
         # Row 0 + row 1 in place of row 0: the same row space, not RREF,
         # so containment is decided on the reduced rows.
-        from dataclasses import replace
         rows = list(code_m1k1.n_matrix)
         rows[0] ^= rows[1]
-        same_span = replace(code_m1k1, n_matrix=tuple(rows))
+        same_span = code_m1k1._replace(n_matrix=tuple(rows))
         assert not is_rref(same_span.n_matrix)
         rep = verify_duality(same_span)
         assert rep.contained and rep.passed
@@ -596,7 +593,7 @@ class TestVerifyDuality:
         # thousands of failing pairs, of which the first few are listed.
         code = build_code(3, 10)
         rng = random.Random(7)
-        bad = replace(code, s_matrix=tuple(
+        bad = code._replace(s_matrix=tuple(
             r ^ rng.getrandbits(2 * code.n) for r in code.s_matrix))
         rep = verify_duality(bad)
         assert len(rep.failures) == symplectic.FAILURES_KEPT
@@ -605,10 +602,9 @@ class TestVerifyDuality:
 
     def test_failure_enumerates_witnesses(self, code_m1k1):
         # Corrupt one stabilizer row; the report must name a bad pair.
-        from dataclasses import replace
         bad_rows = list(code_m1k1.s_matrix)
         bad_rows[0] ^= 1 << (code_m1k1.n + 5)
-        bad = replace(code_m1k1, s_matrix=tuple(bad_rows))
+        bad = code_m1k1._replace(s_matrix=tuple(bad_rows))
         rep = verify_duality(bad)
         assert not rep.passed
         assert any(f[0] == "orthogonality" for f in rep.failures)
