@@ -1,14 +1,15 @@
 """Per-block tables, and the block-local stabilizer cosets of N.
 
-A block's table maps its key (:func:`block_key`) to a class; the
-exhaustive counting check in :mod:`stabcat.distance` reads one per
-block.  That check does not visit every word of N: it splits N into the
-block-local stabilizer words T0 = sum T0_i (:func:`block_local`) and a
-complement of them, and every word that shares a complement part f
-takes, in block i, each key of f's coset modulo T0_i, independently of
-the other blocks.  :class:`CosetClasses` holds each coset's set of
-classes, and its :meth:`~CosetClasses.outcome` gives the claims'
-extremes over all 2^dim(T0) such words at once.
+A block's table maps its key (:meth:`stabcat.concat.BlockExpander.key`)
+to a class; the exhaustive counting check in :mod:`stabcat.distance`
+reads one per block.  That check does not visit every word of N: it
+splits N into the block-local stabilizer words T0 = sum T0_i
+(:func:`block_local`) and a complement of them, and every word that
+shares a complement part f takes, in block i, each key of f's coset
+modulo T0_i, independently of the other blocks.  :class:`CosetClasses`
+holds each coset's set of classes, and its
+:meth:`~CosetClasses.outcome` gives the claims' extremes over all
+2^dim(T0) such words at once.
 """
 
 from __future__ import annotations
@@ -20,23 +21,12 @@ from itertools import chain
 from .symplectic import Rref, lowest_bit, xor_rows
 
 
-def block_key(x: int, i: int, n: int, width: int) -> int:
-    """Block i's bits of the packed word x: ``ub | (vb << width)``.
-
-    GF(2)-linear in x, so the keys of a Gray walk over rows are the Gray
-    walk over the rows' keys.
-    """
-    mask = (1 << width) - 1
-    sh = i * width
-    return ((x >> sh) & mask) | (((x >> (n + sh)) & mask) << width)
-
-
 class BlockClasses(dict):
     """Class table of one block: key -> class.
 
-    Keys are :func:`block_key` values.  A key missing from the table is
-    classified on first lookup by the owner's ``classify``
-    (:meth:`stabcat.distance.ClassTables.classify` or
+    Keys are :meth:`~stabcat.concat.BlockExpander.key` values.  A key
+    missing from the table is classified on first lookup by the owner's
+    ``classify`` (:meth:`stabcat.distance.ClassTables.classify` or
     :meth:`CosetClasses.classify`).
     """
 
@@ -50,9 +40,9 @@ class BlockClasses(dict):
         return value
 
 
-def block_local(rows, n_blocks: int, n: int, w: int) -> list[list[int]]:
-    """Per block, a basis of the words of span(rows) in S that vanish
-    outside it.
+def block_local(rows, exp) -> list[list[int]]:
+    """Per block of the expander ``exp``, a basis of the words of
+    span(rows) in S that vanish outside it.
 
     ``rows`` carry their stabilizer residue above bit 2n.  One
     :class:`Rref` per block takes each row with the block's bits cleared
@@ -60,11 +50,11 @@ def block_local(rows, n_blocks: int, n: int, w: int) -> list[list[int]]:
     high; an echelon row with no bit below 4n tags a combination of the
     rows that is zero outside the block and in S.
     """
-    tag = 4 * n
-    mask = (1 << w) - 1
+    tag = 4 * exp.n
+    block = (1 << (2 * exp.block_width)) - 1  # every bit of a key
     local = []
-    for i in range(n_blocks):
-        outside = ~((mask << (i * w)) | (mask << (n + i * w)))
+    for i in range(exp.n_blocks):
+        outside = ~exp.word(block, i)
         acc = Rref()
         for j, x in enumerate(rows):
             acc.add((x & outside) | (1 << (tag + j)))
@@ -85,14 +75,12 @@ class CosetClasses:
 
     def __init__(self, classes, local) -> None:
         self.classes = classes
-        self.n = n = classes.n
-        self.exp = classes.exp
-        w = classes.exp.block_width
+        self.exp = exp = classes.exp
         self.spans = []
         for i, words in enumerate(local):
             span = [0]
             for t in words:
-                key = block_key(t, i, n, w)
+                key = exp.key(t, i)
                 span += [s ^ key for s in span]
             self.spans.append(span)
         self.tables = [BlockClasses(self, i) for i in range(len(local))]

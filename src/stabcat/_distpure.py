@@ -270,17 +270,19 @@ def chunk_carries(low_rows: tuple, n: int) -> list:
             for u, v in zip(table[:n], table[n:])]
 
 
-def gray_scan(gens, n: int, s_pivots, start: int, stop: int):
+def gray_scan(gens, n: int, s_pivots, start: int, stop: int,
+              bound: int | None = None):
     """Scan combination indices [start, stop); returns (w, idx, word).
 
     ``gens`` are packed 2n-bit generator rows; ``s_pivots`` are the
     (pivot, row) pairs of the span to exclude, as held by an ``Rref``
     (the membership test below is ``Rref.reduce`` inlined).  The zero
-    word is never a candidate.  Returns the best (weight, index,
+    word is never a candidate, nor is a word of weight ``bound`` or more
+    (by default n + 1: none is).  Returns the best (weight, index,
     codeword) with ties broken by the smallest index, or (-1, -1, 0) if
     no candidate outside the excluded span was seen.  The scan stops
-    after the chunk that holds a word of weight 1, which no later word
-    can beat.
+    once the bound is 1, which no word can beat: at once for such a
+    bound, else after the chunk that holds a word of weight 1.
 
     Each chunk is one bit-sliced batch, a lane per word, and a partial
     chunk takes its lanes' slice of the carries.  An odd chunk lists the
@@ -288,6 +290,10 @@ def gray_scan(gens, n: int, s_pivots, start: int, stop: int):
     (gray(2^L - 1 - l) = gray(l) ^ 2^(L-1)), so that row joins the high
     word that selects the carries.
     """
+    if bound is None:
+        bound = n + 1
+    if bound <= 1:
+        return -1, -1, 0
     bits = min(len(gens), CHUNK_BITS)  # as gray_chunks splits the index
     size = 1 << bits
     carry = chunk_carries(tuple(gens[:bits]), n)
@@ -309,12 +315,11 @@ def gray_scan(gens, n: int, s_pivots, start: int, stop: int):
                       byte_mask(flip >> n).ljust(n, b"\0"))
         if len(low) < size:  # a partial chunk
             carries = [c >> lo & every for c in carries]
-        found = lightest(count_planes(carries), every,
-                         n + 1 if best is None else best[0],
+        found = lightest(count_planes(carries), every, bound,
                          lambda t: high ^ low[t], outside)
         if found:
-            w, t, x = found
-            best = w, first + t, x
-            if w == 1:  # no later word can beat it
+            bound, t, x = found
+            best = bound, first + t, x
+            if bound == 1:  # no later word can beat it
                 break
     return best or (-1, -1, 0)

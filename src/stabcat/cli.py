@@ -16,7 +16,8 @@ import sys
 from itertools import chain
 
 from . import CURVE_NAMES, codefile
-from .concat import ConcatError, build_code, check_block_injectivity
+from .concat import (ConcatError, build_code, check_block_injectivity,
+                     closed_forms)
 from .distance import (DistanceError, exact_distance,
                        sampled_distance_upper)
 from .field import DEFAULT_MAX_DEGREE, FieldError, Field, gram_matrix
@@ -64,7 +65,8 @@ def cmd_construct(args) -> int:
 # ----------------------------------------------------------------------
 
 def header_holds(cf: codefile.CodeFile) -> bool:
-    """The header's m, N, K, n, k satisfy the construction's closed forms.
+    """The header's m, N, K, n, k satisfy the construction's closed forms
+    (:func:`~stabcat.concat.closed_forms`).
 
     An m whose field degree 2m lies outside the field's degree cap fails
     before N is compared with 2^(2m) - 1, so no header builds a huge or
@@ -75,14 +77,14 @@ def header_holds(cf: codefile.CodeFile) -> bool:
         return False
     return (big_n == (1 << (2 * m)) - 1
             and 0 <= big_k <= big_n // 2
-            and cf.n == big_n * (4 * m + 2)
-            and cf.k == 2 * m * (big_n - 2 * big_k))
+            and (cf.n, cf.k) == closed_forms(m, big_n, big_k)[:2])
 
 
 def ranks_hold(cf: codefile.CodeFile) -> bool:
-    """rank(S) = 2N(m+1) + 4mK and rank(S) + rank(N) = 2n."""
+    """rank(S) is the closed form of the header's m, N and K, and
+    rank(S) + rank(N) = 2n for the header's n."""
     rank_s, rank_n = len(cf.s_rows), len(cf.n_rows)
-    return (rank_s == 2 * cf.big_n * (cf.m + 1) + 4 * cf.m * cf.big_k
+    return (rank_s == closed_forms(cf.m, cf.big_n, cf.big_k)[2]
             and rank_s + rank_n == 2 * cf.n)
 
 

@@ -56,13 +56,12 @@ from itertools import chain, islice, repeat
 from operator import and_, or_, rshift
 from typing import NamedTuple
 
-from .concat import (StabilizerCodeL, SymplecticVector, designated_half,
-                     get_expander)
-from .symplectic import (Report, Rref, byte_mask, column_plan,
+from .concat import StabilizerCodeL, SymplecticVector, designated_half
+from .symplectic import (Rref, byte_mask, column_plan,
                          column_supports, in_span, row_reduce,
                          symplectic_weight_packed, transpose)
 from . import _distpure
-from ._cosets import BlockClasses, CosetClasses, block_key, block_local
+from ._cosets import BlockClasses, CosetClasses, block_local
 from ._distpure import BATCH
 
 HAVE_COMPILED = False  # always False; perfbench/run.py's env probe reads it
@@ -113,7 +112,9 @@ def exact_distance(code: StabilizerCodeL, parts: int = 1) -> DistanceReport:
     Refuses instances with rank(N) above ``MAX_EXACT_RANK`` (the
     enumeration budget 2^24); use :func:`sampled_distance_upper` there.
     ``parts`` splits the index range into that many equal chunks,
-    scanned independently; any part count gives the identical report.
+    scanned in order, each for words strictly lighter than the best of
+    the parts before it; ties stay with the lowest index, so any part
+    count gives the identical report.
     """
     r = code.rank_n
     if r > MAX_EXACT_RANK:
@@ -129,8 +130,10 @@ def exact_distance(code: StabilizerCodeL, parts: int = 1) -> DistanceReport:
     best = None  # (w, idx, word)
     for part in range(parts):
         lo, hi = total * part // parts, total * (part + 1) // parts
-        w, idx, word = _distpure.gray_scan(gens, code.n, s_pivots, lo, hi)
-        if w >= 0 and (best is None or (w, idx) < best[:2]):
+        w, idx, word = _distpure.gray_scan(
+            gens, code.n, s_pivots, lo, hi,
+            code.n + 1 if best is None else best[0])
+        if w >= 0:
             best = (w, idx, word)
     if best is None:  # pragma: no cover - k >= 1 always leaves a coset
         raise DistanceError("no codeword outside the stabilizer span")
@@ -140,20 +143,6 @@ def exact_distance(code: StabilizerCodeL, parts: int = 1) -> DistanceReport:
         method="exact", d=w,
         witness=SymplecticVector.from_packed(word, code.n),
         enumerated=total, seed=None, parts=parts)
-
-
-def block_width(n: int) -> int:
-    """4m+2 for the paper's length n = (4^m - 1)(4m+2), else 1.
-
-    The sampler reads a code only through its rows, so it finds the
-    blocks of :func:`~stabcat.symplectic.column_plan` from n.  Any width
-    gives the same columns; a block of one position is its u and v
-    columns alone.
-    """
-    m = 1
-    while ((1 << (2 * m)) - 1) * (4 * m + 2) < n:
-        m += 1
-    return 4 * m + 2 if ((1 << (2 * m)) - 1) * (4 * m + 2) == n else 1
 
 
 def sampled_distance_upper(code: StabilizerCodeL, trials: int,
@@ -172,7 +161,7 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     columns of a batch's words is the XOR of the lane vectors of the
     rows with that column set, or of other columns of its block, as a
     plan read once per call from the normalizer's columns says
-    (:func:`column_plan`, over blocks of :func:`block_width`).  The
+    (:func:`column_plan`, over blocks of ``code.block_width``).  The
     columns are formed a block at a time, and a bit-sliced counter gives
     every trial's weight.  Only the lanes below
     the best weight so far are rebuilt, in trial order, and tested
@@ -185,7 +174,7 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     rows = code.n_matrix
     r = code.rank_n
     n = code.n
-    width = block_width(n)
+    width = code.block_width
     plan = column_plan(rows, n, width)
     s_span = code.s_span
     best = None  # (w, trial, word)
@@ -216,7 +205,7 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
 # Structural weight-counting checks
 # ----------------------------------------------------------------------
 
-class CountingReport(Report):
+class CountingReport(NamedTuple):
     """Per-claim outcome of the block/tuple counting verification.
 
     claim_blocks:   every examined codeword has >= K+1 nonzero blocks.
@@ -225,32 +214,19 @@ class CountingReport(Report):
     claim_mult:     no designated tuple value occurs more than 2^m times.
     """
 
-    __slots__ = ("mode", "examined", "claim_blocks", "claim_distinct",
-                 "claim_mult", "min_nonzero_blocks", "min_distinct_tuples",
-                 "max_multiplicity", "blocks_threshold",
-                 "distinct_threshold", "mult_threshold", "seed",
-                 "violations")
-
-    def __init__(self, mode: str, examined: int, claim_blocks: bool,
-                 claim_distinct: bool, claim_mult: bool,
-                 min_nonzero_blocks: int, min_distinct_tuples: int,
-                 max_multiplicity: int, blocks_threshold: int,
-                 distinct_threshold: int, mult_threshold: int,
-                 seed: int | None = None,
-                 violations: list | None = None) -> None:
-        self.mode = mode
-        self.examined = examined
-        self.claim_blocks = claim_blocks
-        self.claim_distinct = claim_distinct
-        self.claim_mult = claim_mult
-        self.min_nonzero_blocks = min_nonzero_blocks
-        self.min_distinct_tuples = min_distinct_tuples
-        self.max_multiplicity = max_multiplicity
-        self.blocks_threshold = blocks_threshold
-        self.distinct_threshold = distinct_threshold
-        self.mult_threshold = mult_threshold
-        self.seed = seed
-        self.violations = [] if violations is None else violations
+    mode: str
+    examined: int
+    claim_blocks: bool
+    claim_distinct: bool
+    claim_mult: bool
+    min_nonzero_blocks: int
+    min_distinct_tuples: int
+    max_multiplicity: int
+    blocks_threshold: int
+    distinct_threshold: int
+    mult_threshold: int
+    seed: int | None
+    violations: list
 
     @property
     def passed(self) -> bool:
@@ -271,7 +247,6 @@ class ClassTables:
 
     def __init__(self, exp) -> None:
         self.exp = exp
-        self.n = exp.n_blocks * exp.block_width
         self.tables = [BlockClasses(self, i) for i in range(exp.n_blocks)]
 
     def classify(self, i: int, key: int) -> int:
@@ -313,12 +288,11 @@ def _walk_signatures(classes, rows, r: int):
     each chunk's signatures come from :func:`_signatures`, one lazy
     iterator per chunk.
     """
-    n = classes.n
-    w = classes.exp.block_width
+    exp = classes.exp
     total = 1 << r
-    walks = [_distpure.gray_chunks([x >> (2 * n) for x in rows], 0, total)]
-    walks += [_distpure.gray_chunks([block_key(x, i, n, w) for x in rows],
-                                    0, total)
+    walks = [_distpure.gray_chunks([x >> (2 * exp.n) for x in rows], 0,
+                                   total)]
+    walks += [_distpure.gray_chunks([exp.key(x, i) for x in rows], 0, total)
               for i in range(len(classes.tables))]
     for (_f, high, low), *blocks in zip(*walks):
         yield _signatures(classes.tables, map(bool, map(high.__xor__, low)),
@@ -365,7 +339,7 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
     s_span = code.s_span
     rows = [x | (s_span.reduce(x) << shift) for x in code.n_matrix]
     r = code.rank_n
-    classes = ClassTables(get_expander(code.field, code.basis))
+    classes = ClassTables(code.expander)
     blocks_thr = code.big_k + 1
     distinct_thr = math.ceil((code.big_k + 1) / (1 << code.m))
     mult_thr = 1 << code.m
@@ -389,8 +363,7 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
             raise DistanceError(
                 f"rank(N) = {r} exceeds the exhaustive budget; use "
                 f"sampled mode")
-        local = block_local(rows, len(classes.tables), code.n,
-                            classes.exp.block_width)
+        local = block_local(rows, classes.exp)
         t0 = Rref()
         for t in chain.from_iterable(local):
             t0.add(t)
@@ -420,12 +393,11 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
         if trials is None or trials < 1:
             raise DistanceError("sampled mode needs trials >= 1")
         rng = random.Random(seed)
-        n = code.n
         w = classes.exp.block_width
         residue = column_supports([x >> shift for x in rows], shift)
         # block by block, each block's u columns then its v columns, so
         # that bits 2wi.. of a draw's entry in ``keys`` are block i's key
-        plan = column_plan(code.n_matrix, n, w)
+        plan = column_plan(code.n_matrix, code.n, w)
         key_mask = (1 << (2 * w)) - 1
         for first in range(0, trials, BATCH):
             count = min(BATCH, trials - first)

@@ -33,6 +33,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain, compress, islice
 from operator import xor
+from typing import NamedTuple
 
 
 def lowest_bit(x: int) -> int:
@@ -479,52 +480,21 @@ def symplectic_weight(x) -> int:
 # Duality verification of a constructed stabilizer code
 # ----------------------------------------------------------------------
 
-class Report:
-    """A check's outcome: the fields named by ``__slots__``, set by the
-    subclass's ``__init__``.  Reports of one class with equal fields are
-    equal; a report can change, so it has no hash."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(" + ", ".join(
-            f"{name}={value!r}"
-            for name, value in zip(self.__slots__, self._values())) + ")"
-
-
-class DualityReport(Report):
+class DualityReport(NamedTuple):
     """Outcome of the stabilizer/normalizer symplectic-duality check.
 
     ``failures`` lists the first ``FAILURES_KEPT`` failures in report
     order; ``failures_omitted`` counts the rest.
     """
 
-    __slots__ = ("all_orthogonal", "dims_complementary", "contained",
-                 "rank_s", "rank_n", "n_products", "failures",
-                 "failures_omitted")
-
-    def __init__(self, all_orthogonal: bool, dims_complementary: bool,
-                 contained: bool, rank_s: int, rank_n: int,
-                 n_products: int, failures: list | None = None,
-                 failures_omitted: int = 0) -> None:
-        self.all_orthogonal = all_orthogonal
-        self.dims_complementary = dims_complementary
-        self.contained = contained
-        self.rank_s = rank_s
-        self.rank_n = rank_n
-        self.n_products = n_products
-        self.failures = [] if failures is None else failures
-        self.failures_omitted = failures_omitted
+    all_orthogonal: bool
+    dims_complementary: bool
+    contained: bool
+    rank_s: int
+    rank_n: int
+    n_products: int
+    failures: list
+    failures_omitted: int
 
     @property
     def passed(self) -> bool:
@@ -541,22 +511,24 @@ def symplectic_products(s_rows, n_rows, n: int) -> list[int]:
     """S·Ω·Nᵀ: for each row s of S, the bit vector over j of <s, N_j>.
 
     Bit j of entry i is ``symplectic_product_packed(s_rows[i],
-    n_rows[j], n)``.  :func:`transpose` reads N in ``COLUMN_SLICE``-wide
-    slices, each row cut to the slice before it is copied, and the
-    Ω-swapped (v | u) form of each s selects the slice's columns to XOR
-    (:func:`selected`).
+    n_rows[j], n)``.  :func:`transpose` reads N in slices of at most
+    ``COLUMN_SLICE`` columns within one half, each row cut to the slice
+    before it is copied.  The bits of s that Ω pairs with a u-slice at
+    lo are its v bits at lo + n, and those paired with a v-slice at lo
+    its u bits at lo - n: one shift of s selects the slice's columns to
+    XOR (:func:`selected`).
     """
     if not s_rows:  # nothing to pair; n itself may be huge or negative
         return []
-    mask = (1 << n) - 1
-    swapped = [((s >> n) & mask) | ((s & mask) << n) for s in s_rows]
-    prods = [0] * len(swapped)
-    for lo in range(0, 2 * n, COLUMN_SLICE):
-        width = min(COLUMN_SLICE, 2 * n - lo)
-        sel = (1 << width) - 1
-        cols = transpose([(x >> lo) & sel for x in n_rows], width)
-        for i, s in enumerate(swapped):
-            prods[i] ^= reduce(xor, selected(cols, (s >> lo) & sel), 0)
+    prods = [0] * len(s_rows)
+    for half, pair in ((0, n), (n, -n)):
+        for lo in range(half, half + n, COLUMN_SLICE):
+            width = min(COLUMN_SLICE, half + n - lo)
+            sel = (1 << width) - 1
+            cols = transpose([(x >> lo) & sel for x in n_rows], width)
+            at = lo + pair  # the bits of s that pair with the slice
+            for i, s in enumerate(s_rows):
+                prods[i] ^= reduce(xor, selected(cols, (s >> at) & sel), 0)
     return prods
 
 

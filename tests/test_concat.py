@@ -217,6 +217,30 @@ class TestExpandCodeword:
             with pytest.raises(ConcatError):
                 expand_codeword(f, b, bad)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_key_and_word_are_the_block_layout(self, data):
+        # key reads each block of an expanded word as expand_block's
+        # b | c << width, and word puts every block's key back in place
+        m = data.draw(st.sampled_from((1, 2)))
+        f = build_field(2 * m)
+        exp = get_expander(f, find_self_dual_basis(f))
+        nb = exp.n_blocks
+        symbols = st.tuples(*[st.integers(0, f.order - 1)] * (2 * nb))
+        bit_rows = st.tuples(*[st.tuples(*[st.integers(0, 1)] * (m + 1))]
+                             * nb)
+        inp = ExpansionInput(a=data.draw(symbols), s=data.draw(bit_rows),
+                             t=data.draw(bit_rows))
+        x = exp.expand(inp).packed()
+        rebuilt = 0
+        for i in range(nb):
+            b, c = exp.expand_block(i, inp.a[i], inp.a[nb + i], inp.s[i],
+                                    inp.t[i])
+            key = exp.key(x, i)
+            assert key == b | c << exp.block_width
+            rebuilt |= exp.word(key, i)
+        assert rebuilt == x
+
 
 class TestBuildCode:
     def test_m1_k1(self, code_m1k1):

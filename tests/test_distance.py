@@ -265,7 +265,7 @@ class TestExactDistance:
         assert rep.d == 1
         assert rep.d >= 1
 
-    @pytest.mark.parametrize("parts", [1, 2, 3, 8])
+    @pytest.mark.parametrize("parts", [1, 2, 3, 8, 4096])
     def test_partition_invariance(self, code_m1k1, parts):
         base = exact_distance(code_m1k1, parts=1)
         rep = exact_distance(code_m1k1, parts=parts)
@@ -377,6 +377,7 @@ class RowsCode:
     n_matrix: tuple
     s_span: Rref
     n_span: Rref
+    block_width = 1  # any width gives the same columns
 
     @property
     def rank_n(self):
@@ -818,8 +819,7 @@ class TestBlockLocalDecomposition:
             shift = 2 * code.n
             rows = [x | (code.s_span.reduce(x) << shift)
                     for x in code.n_matrix]
-            local = _cosets.block_local(rows, code.big_n, code.n,
-                                        4 * code.m + 2)
+            local = _cosets.block_local(rows, code.expander)
             want = block_local_bases(code)
             assert [row_reduce(words)[1] for words in local] == want
             dims.append([len(b) for b in want])
@@ -829,22 +829,19 @@ class TestBlockLocalDecomposition:
         # each key's set is the classes of every key of its coset, the
         # coset spanned by brute force from the block-local words
         code = code_m1k1
-        exp = get_expander(code.field, code.basis)
-        w = exp.block_width
+        exp = code.expander
         classes = distance.ClassTables(exp)
         rows = [x | (code.s_span.reduce(x) << (2 * code.n))
                 for x in code.n_matrix]
-        cosets = _cosets.CosetClasses(classes, _cosets.block_local(
-            rows, code.big_n, code.n, w))
+        cosets = _cosets.CosetClasses(classes,
+                                      _cosets.block_local(rows, exp))
         for i, basis in enumerate(block_local_bases(code)):
             local = {0}
             n_keys = {0}
             for t in basis:
-                local |= {k ^ _cosets.block_key(t, i, code.n, w)
-                          for k in local}
+                local |= {k ^ exp.key(t, i) for k in local}
             for x in code.n_matrix:
-                n_keys |= {k ^ _cosets.block_key(x, i, code.n, w)
-                           for k in n_keys}
+                n_keys |= {k ^ exp.key(x, i) for k in n_keys}
             table, coset_table = classes.tables[i], cosets.tables[i]
             for key in n_keys:
                 want = {table[key ^ t] for t in local}
@@ -929,13 +926,11 @@ class TestClassTables:
         shift = 2 * code_m1k1.n
         rows = [x | (code_m1k1.s_span.reduce(x) << shift)
                 for x in code_m1k1.n_matrix]
-        classes = distance.ClassTables(
-            get_expander(code_m1k1.field, code_m1k1.basis))
-        w = classes.exp.block_width
+        classes = distance.ClassTables(code_m1k1.expander)
 
         def signature(x):
             return (x >> shift != 0,
-                    tuple(table[_cosets.block_key(x, i, code_m1k1.n, w)]
+                    tuple(table[classes.exp.key(x, i)]
                           for i, table in enumerate(classes.tables)))
 
         walked = list(chain.from_iterable(

@@ -40,7 +40,12 @@ def files(tmp_path_factory):
     lines = out["m1k1"].read_text().split("\n")
     swapped = list(lines)  # stabilizer rows 0 and 1 out of pivot order
     swapped[10], swapped[11] = lines[11], lines[10]
-    for name, text in (("swapped", swapped), ("truncated", lines[:15])):
+    # one element, not a basis of the field: verify's basis check fails,
+    # and distance, which never reads the basis, still runs
+    bad_basis = list(lines)
+    bad_basis[7] = "basis -1"
+    for name, text in (("swapped", swapped), ("truncated", lines[:15]),
+                       ("bad_basis", bad_basis)):
         out[name] = d / f"{name}.code"
         out[name].write_text("\n".join(text))
     return out
@@ -57,6 +62,7 @@ MATRIX = [
     (["verify", "{flipped}"], EXIT_VERIFY_FAIL),
     (["verify", "{bad_k}"], EXIT_VERIFY_FAIL),
     (["verify", "{big_n}"], EXIT_VERIFY_FAIL),
+    (["verify", "{bad_basis}"], EXIT_VERIFY_FAIL),
     (["verify", "{missing}"], EXIT_IO),
     (["verify", "{truncated}"], EXIT_IO),
     (["distance", "{m1k1}", "--method", "exact"], EXIT_OK),
@@ -65,6 +71,8 @@ MATRIX = [
     (["distance", "{flipped}", "--method", "exact"], EXIT_VERIFY_FAIL),
     (["distance", "{bad_k}", "--method", "exact"], EXIT_VERIFY_FAIL),
     (["distance", "{big_n}", "--method", "sample"], EXIT_VERIFY_FAIL),
+    (["distance", "{bad_basis}", "--method", "sample", "--trials", "50"],
+     EXIT_OK),
     (["distance", "{m2k3}", "--method", "exact"], EXIT_USAGE),
     (["distance", "{m1k1}", "--method", "exact", "--parts", "0"],
      EXIT_USAGE),
