@@ -1,7 +1,8 @@
 """Per-block tables, and the block-local stabilizer cosets of N.
 
 A block's table maps its key (:meth:`stabcat.concat.BlockExpander.key`)
-to a class; the exhaustive counting check in :mod:`stabcat.distance`
+to a class, each key classified once by its owner's ``classify`` under
+``functools.cache``; the exhaustive counting check in :mod:`stabcat.distance`
 reads one per block.  That check does not visit every word of N: it
 splits N into the block-local stabilizer words T0 = sum T0_i
 (:func:`block_local`) and a complement of them, and every word that
@@ -16,28 +17,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import cache, partial
 from itertools import chain
 
 from .symplectic import Rref, lowest_bit, xor_rows
-
-
-class BlockClasses(dict):
-    """Class table of one block: key -> class.
-
-    Keys are :meth:`~stabcat.concat.BlockExpander.key` values.  A key
-    missing from the table is classified on first lookup by the owner's
-    ``classify`` (:meth:`stabcat.distance.ClassTables.classify` or
-    :meth:`CosetClasses.classify`).
-    """
-
-    def __init__(self, owner, i: int) -> None:
-        super().__init__()
-        self.owner = owner
-        self.i = i
-
-    def __missing__(self, key: int):
-        self[key] = value = self.owner.classify(self.i, key)
-        return value
 
 
 def block_local(rows, exp) -> list[list[int]]:
@@ -83,12 +66,13 @@ class CosetClasses:
                 key = exp.key(t, i)
                 span += [s ^ key for s in span]
             self.spans.append(span)
-        self.tables = [BlockClasses(self, i) for i in range(len(local))]
+        self.tables = [cache(partial(self.classify, i))
+                       for i in range(len(local))]
 
     def classify(self, i: int, key: int) -> frozenset:
         """The class set of the coset of block i's ``key``."""
         table = self.classes.tables[i]
-        return frozenset([table[key ^ s] for s in self.spans[i]])
+        return frozenset([table(key ^ s) for s in self.spans[i]])
 
     def outcome(self, sets: tuple) -> tuple[int, int, int]:
         """(min nonzero blocks, min distinct tuples, max multiplicity)

@@ -18,13 +18,14 @@ rebuilds and tests those in order.  A sampler batch is ``BATCH`` trials:
 :func:`draw` takes their selectors from one ``getrandbits`` call,
 :func:`lane_vectors` transposes them into one int per normalizer row,
 and :func:`columns` XORs those into the words' columns one block at a
-time (:func:`block_columns`), as ``symplectic.column_plan`` lists
-them: a column that is the XOR of fewer of its block's other columns
-than it has rows is formed from those columns, which halves a batch's
-XORs at m=3 K=10.  The sampled counting check reads the same columns.
-An exact-scan batch is a chunk of :func:`gray_chunks`, whose columns
-are the chunk table's (:func:`chunk_carries`) flipped where the high
-word is set.
+time (:func:`block_columns`), as ``symplectic.column_plan``, the one
+builder of column entries, lists them: a column that is the XOR of
+fewer of its block's other columns than it has rows is formed from
+those columns, which halves a batch's XORs at m=3 K=10.  The sampled
+counting check reads the same columns, and its residue's columns from
+a plan of their own.  An exact-scan batch is a chunk of
+:func:`gray_chunks`, whose columns are the chunk table's, transposed
+once (:func:`chunk_carries`), flipped where the high word is set.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from functools import lru_cache, reduce
 from itertools import chain, compress
 from operator import getitem, or_, xor
 
-from .symplectic import (byte_mask, column_supports, transpose,
-                         transpose_bytes, xor_rows)
+from .symplectic import byte_mask, transpose, transpose_bytes, xor_rows
 
 #: low bits of the combination index handled per chunk, one bit-sliced
 #: batch.  12 bits halves the m=1 K=1 scan but slows the m=1 K=0 scan in
@@ -126,12 +126,12 @@ def lane_vectors(buf: bytes, r: int) -> list[int]:
 def columns(lanes: list[int], supports) -> list[int]:
     """The batch's word columns, one per entry of ``supports``.
 
-    Bit t of a column is trial t's bit there: the XOR of the lane
-    vectors of the rows in its entry, a list of row indices or a byte
-    mask over the rows (``symplectic.column_supports``).  An entry that
-    is a tuple (``symplectic.column_plan``) names other entries of
-    ``supports`` by index, all of them row entries, and its column is
-    the XOR of theirs: those are formed first.
+    ``supports`` is a run of ``symplectic.column_plan`` entries.  Bit t
+    of a column is trial t's bit there: the XOR of the lane vectors of
+    the rows in its entry, a list of row indices or a byte mask over the
+    rows.  An entry that is a tuple names other entries of ``supports``
+    by index, all of them row entries, and its column is the XOR of
+    theirs: those are formed first.
     """
     def column(rows_at):
         if isinstance(rows_at, bytes):  # ends at a set bit: never empty
@@ -187,9 +187,8 @@ def block_columns(lanes: list[int], supports, width: int):
 def weight_planes(lanes: list[int], supports, width: int) -> list[int]:
     """Bit-sliced weights of a batch's words, a block at a time.
 
-    ``supports`` holds the 2n columns' entries in runs of 2·width: the
-    whole of ``symplectic.column_supports`` as one run (width n), or the
-    blocks of a ``symplectic.column_plan`` (:func:`block_columns`).
+    ``supports`` holds the 2n columns' entries as the blocks of a
+    ``symplectic.column_plan``, runs of 2·width (:func:`block_columns`).
     Each run's u_j | v_j pairs go into :func:`count_planes`, whose
     result does not depend on their order; only one run's columns are
     held at a time.
@@ -245,38 +244,27 @@ def lightest(planes: list[int], every: int, w: int, word, outside):
 # Exact scan
 # ----------------------------------------------------------------------
 
-def gray_lanes(bits: int) -> list[int]:
-    """Selector lanes of a 2^bits-word chunk table of :func:`gray_chunks`.
-
-    Bit l of entry j is bit j of l ^ (l >> 1): whether row j is in the
-    table's word l.
-    """
-    return transpose([l ^ (l >> 1) for l in range(1 << bits)], bits)
-
-
 @lru_cache(maxsize=1)
 def chunk_carries(low_rows: tuple, n: int) -> list:
     """Per position j, the lanes ``u_j | v_j`` by the high word's u_j, v_j.
 
-    The 2n columns of the chunk table over ``low_rows`` come from
-    :func:`gray_lanes` through :func:`columns`; a set high bit flips its
-    column.  The last result is kept, as every part of a split scan has
-    the same low rows.
+    The 2n columns of the chunk table over ``low_rows`` (:func:`gray_table`)
+    are one :func:`transpose` of its words: bit l of column c is bit c of
+    word l.  A set high bit flips its column.  The last result is kept,
+    as every part of a split scan has the same low rows.
     """
     full = (1 << (1 << len(low_rows))) - 1
-    table = columns(gray_lanes(len(low_rows)),
-                    column_supports(low_rows, 2 * n))
+    table = transpose(gray_table(low_rows)[0], 2 * n)
     return [((u | v, u | v ^ full), (u ^ full | v, (u & v) ^ full))
             for u, v in zip(table[:n], table[n:])]
 
 
-def gray_scan(gens, n: int, s_pivots, start: int, stop: int,
+def gray_scan(gens, n: int, s_span, start: int, stop: int,
               bound: int | None = None):
     """Scan combination indices [start, stop); returns (w, idx, word).
 
-    ``gens`` are packed 2n-bit generator rows; ``s_pivots`` are the
-    (pivot, row) pairs of the span to exclude, as held by an ``Rref``
-    (the membership test below is ``Rref.reduce`` inlined).  The zero
+    ``gens`` are packed 2n-bit generator rows; ``s_span`` is the span to
+    exclude, an ``Rref`` whose ``reduce`` tests each candidate.  The zero
     word is never a candidate, nor is a word of weight ``bound`` or more
     (by default n + 1: none is).  Returns the best (weight, index,
     codeword) with ties broken by the smallest index, or (-1, -1, 0) if
@@ -297,13 +285,6 @@ def gray_scan(gens, n: int, s_pivots, start: int, stop: int,
     bits = min(len(gens), CHUNK_BITS)  # as gray_chunks splits the index
     size = 1 << bits
     carry = chunk_carries(tuple(gens[:bits]), n)
-
-    def outside(y):
-        for p, r in s_pivots:
-            if (y >> p) & 1:
-                y ^= r
-        return y != 0
-
     best = None  # (w, idx, word)
     for first, high, low in gray_chunks(gens, start, stop):
         lo = first & (size - 1)
@@ -316,7 +297,7 @@ def gray_scan(gens, n: int, s_pivots, start: int, stop: int,
         if len(low) < size:  # a partial chunk
             carries = [c >> lo & every for c in carries]
         found = lightest(count_planes(carries), every, bound,
-                         lambda t: high ^ low[t], outside)
+                         lambda t: high ^ low[t], s_span.reduce)
         if found:
             bound, t, x = found
             best = bound, first + t, x

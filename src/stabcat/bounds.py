@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import CURVE_NAMES
+from .concat import closed_forms
 
 
 class BoundsError(ValueError):
@@ -207,7 +208,8 @@ def params_for_rate(m: int, target_rate: float) -> RateParams:
 
     For target rates in (0, 1/2) with (2m+1) R / m < 1 the achieved
     rate m(N - 2K) / (N(2m+1)) is guaranteed >= R; outside that domain
-    K clamps to 0 with a warning attached.
+    K clamps to 0 with a warning attached.  n and k come from
+    :func:`stabcat.concat.closed_forms`.
     """
     if m < 1:
         raise BoundsError(f"m must be >= 1, got {m}")
@@ -225,8 +227,7 @@ def params_for_rate(m: int, target_rate: float) -> RateParams:
     big_k = max(0, raw)
     if big_k > big_n // 2:  # pragma: no cover - load > 0 prevents this
         big_k = big_n // 2
-    n = 2 * big_n * (2 * m + 1)
-    k = 2 * m * (big_n - 2 * big_k)
+    n, k, _rank_s = closed_forms(m, big_n, big_k)
     rate = Fraction(m * (big_n - 2 * big_k), big_n * (2 * m + 1))
     return RateParams(m=m, target_rate=target_rate, big_k=big_k,
                       big_n=big_n, n=n, k=k, rate=rate, clamped=clamped)

@@ -44,17 +44,19 @@ of unit images, so each block gets two symbol tables
 (:meth:`BlockExpander.block_tables`), and a generator row is one table
 lookup per nonzero block.  The rows are the systematic RS generators
 (:attr:`stabcat.rs.RsCode.systematic`), which touch one block of the
-information set plus the fixed tail, and they stream into one lazily
-reduced :class:`~stabcat.symplectic.Rref`.  The canonical RREF is unique
-per row space, so this gives the same matrices as expanding the
-monomial generators one by one.
+information set plus the fixed tail, and they stream into one
+:func:`~stabcat.symplectic.row_reduce`, whose
+:class:`~stabcat.symplectic.Rref` reduces them lazily.  The canonical
+RREF is unique per row space, so this gives the same matrices as
+expanding the monomial generators one by one.
 
 Bit layout: qubit position p = i*(4m+2) + (j-1) holds (b_{i,j}, c_{i,j})
 as (u_p, v_p).  :meth:`BlockExpander.key` reads block i's bits of a
 packed word as one int b | c << (4m+2), the form of
 :meth:`BlockExpander.expand_block`'s output, and :meth:`BlockExpander.word`
 places such an int back; every other module goes through this pair.
-:func:`closed_forms` gives n, k and rank(S) from (m, N, K).
+:func:`closed_forms` gives n, k and rank(S) from (m, N, K), for
+:func:`build_code` and :func:`stabcat.bounds.params_for_rate` alike.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from typing import NamedTuple
 
 from .field import Field, build_field, coords, find_self_dual_basis
 from .rs import build_rs_pair, css_generators
-from .symplectic import Rref, RrefError, xor_rows
+from .symplectic import Rref, RrefError, row_reduce, xor_rows
 
 
 class ConcatError(ValueError):
@@ -443,14 +445,6 @@ def _expanded_rows(exp: BlockExpander, tables, rs_rows):
                 yield u | (v << exp.n)
 
 
-def _expanded_span(exp: BlockExpander, tables, rs_rows) -> Rref:
-    """RREF span of :func:`_expanded_rows`, one :meth:`Rref.add` a row."""
-    acc = Rref()
-    for x in _expanded_rows(exp, tables, rs_rows):
-        acc.add(x)
-    return acc
-
-
 def build_code(m: int, big_k: int) -> StabilizerCodeL:
     """Construct the concatenated code for parameters (m, K).
 
@@ -474,22 +468,22 @@ def build_code(m: int, big_k: int) -> StabilizerCodeL:
     # the tables serve both spans and are dropped before the caller
     # writes the file, the construct's memory peak
     tables = [exp.block_tables(i) for i in range(big_n)]
-    s_acc = _expanded_span(exp, tables, code.systematic)
-    n_acc = _expanded_span(exp, tables, dual.systematic)
+    rank_s, s_rows = row_reduce(_expanded_rows(exp, tables, code.systematic))
+    rank_n, n_rows = row_reduce(_expanded_rows(exp, tables, dual.systematic))
     del tables
 
-    if s_acc.rank != want_rank_s:
+    if rank_s != want_rank_s:
         raise ConcatError(
-            f"stabilizer rank {s_acc.rank} != expected {want_rank_s}; "
+            f"stabilizer rank {rank_s} != expected {want_rank_s}; "
             f"construction bug")
-    if n_acc.rank != 2 * n - want_rank_s:
+    if rank_n != 2 * n - want_rank_s:
         raise ConcatError(
-            f"normalizer rank {n_acc.rank} != expected "
+            f"normalizer rank {rank_n} != expected "
             f"{2 * n - want_rank_s}; construction bug")
 
     return StabilizerCodeL(
         m=m, big_n=big_n, big_k=big_k, n=n, k=k,
-        s_matrix=tuple(s_acc.rows), n_matrix=tuple(n_acc.rows),
+        s_matrix=tuple(s_rows), n_matrix=tuple(n_rows),
         field=field, basis=basis,
     )
 

@@ -51,17 +51,16 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import chain, islice, repeat
 from operator import and_, or_, rshift
 from typing import NamedTuple
 
 from .concat import StabilizerCodeL, SymplecticVector, designated_half
-from .symplectic import (Rref, byte_mask, column_plan,
-                         column_supports, in_span, row_reduce,
+from .symplectic import (Rref, byte_mask, column_plan, in_span, row_reduce,
                          symplectic_weight_packed, transpose)
 from . import _distpure
-from ._cosets import BlockClasses, CosetClasses, block_local
+from ._cosets import CosetClasses, block_local
 from ._distpure import BATCH
 
 HAVE_COMPILED = False  # always False; perfbench/run.py's env probe reads it
@@ -124,14 +123,12 @@ def exact_distance(code: StabilizerCodeL, parts: int = 1) -> DistanceReport:
     if parts < 1 or parts > (1 << r):
         raise DistanceError(f"invalid partition count {parts}")
     gens = list(code.n_matrix)
-    s_span = code.s_span
-    s_pivots = list(zip(s_span.pivots, s_span.rows))
     total = 1 << r
     best = None  # (w, idx, word)
     for part in range(parts):
         lo, hi = total * part // parts, total * (part + 1) // parts
         w, idx, word = _distpure.gray_scan(
-            gens, code.n, s_pivots, lo, hi,
+            gens, code.n, code.s_span, lo, hi,
             code.n + 1 if best is None else best[0])
         if w >= 0:
             best = (w, idx, word)
@@ -242,12 +239,14 @@ class ClassTables:
     equal classes in every block.  A word's signature is the pair of
     its outside-S flag and the tuple of its block classes
     (:func:`_signatures`); the counting claims depend on a word only
-    through its signature.
+    through its signature.  Block i's table is :meth:`classify` for
+    block i under ``functools.cache``, so each key is classified once.
     """
 
     def __init__(self, exp) -> None:
         self.exp = exp
-        self.tables = [BlockClasses(self, i) for i in range(exp.n_blocks)]
+        self.tables = [cache(partial(self.classify, i))
+                       for i in range(exp.n_blocks)]
 
     def classify(self, i: int, key: int) -> int:
         """Class of block i's bits ``key``."""
@@ -273,9 +272,9 @@ def _signatures(tables, outside, keys):
     ``outside`` gives each word's outside-S flag (true iff the word lies
     outside S), and the i-th item of ``keys`` gives block i's key of
     each word.  A word's signature is ``(flag, classes)``, its block
-    classes read from the tables by ``map`` at C speed.
+    classes looked up in the cached tables by ``map``.
     """
-    return zip(outside, zip(*[map(table.__getitem__, block_keys)
+    return zip(outside, zip(*[map(table, block_keys)
                               for table, block_keys in zip(tables, keys)]))
 
 
@@ -327,13 +326,14 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
     Sampled draws almost never repeat a signature (all 10^5 distinct at
     m=2 K=3), so they are not tallied: the draws are taken bit-sliced,
     ``BATCH`` at a time, as :func:`sampled_distance_upper` takes them
-    for the seed, and scored in draw order.  A batch's columns come from
-    :func:`~stabcat._distpure.columns`: the OR of the residue columns
-    (plain supports) gives each draw's outside-S bit, and one
-    :func:`transpose` of the 2n key columns, formed block by block from
-    the sampler's :func:`column_plan`, gives each draw its block keys
-    side by side.  A draw's word is rebuilt from its selector only when
-    it is listed as a violation.
+    for the seed, and scored in draw order.  A batch's columns are
+    formed block by block (:func:`~stabcat._distpure.block_columns`)
+    from two column plans (:func:`column_plan`): the OR of the residue
+    columns, from a plan of the residues, gives each draw's outside-S
+    bit, and one :func:`transpose` of the 2n key columns, from the
+    sampler's plan of N, gives each draw its block keys side by side.
+    A draw's word is rebuilt from its selector only when it is listed as
+    a violation.
     """
     shift = 2 * code.n
     s_span = code.s_span
@@ -394,7 +394,7 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
             raise DistanceError("sampled mode needs trials >= 1")
         rng = random.Random(seed)
         w = classes.exp.block_width
-        residue = column_supports([x >> shift for x in rows], shift)
+        residue = column_plan([x >> shift for x in rows], code.n, w)
         # block by block, each block's u columns then its v columns, so
         # that bits 2wi.. of a draw's entry in ``keys`` are block i's key
         plan = column_plan(code.n_matrix, code.n, w)
@@ -402,7 +402,8 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
         for first in range(0, trials, BATCH):
             count = min(BATCH, trials - first)
             lanes = _distpure.lane_vectors(_distpure.draw(rng, r, count), r)
-            outside = reduce(or_, _distpure.columns(lanes, residue), 0)
+            outside = reduce(or_, chain.from_iterable(
+                _distpure.block_columns(lanes, residue, w)), 0)
             keys = transpose(list(chain.from_iterable(
                 _distpure.block_columns(lanes, plan, w))), count)
             sigs = _signatures(

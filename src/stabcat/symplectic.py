@@ -16,16 +16,17 @@ rows pays for the full reduction once, not once per row.
 that a selector's bits select: a sparse selector by a bit loop, a dense
 one by a 0/1 byte mask (:func:`byte_mask`) at C speed.  The containment
 test (:func:`first_outside`) and the orthogonality check
-(:func:`symplectic_products`) XOR what it picks, and the column
-supports (:func:`column_supports`) keep the picks of a sparse column as
-a list and the mask of a dense one.  The sampler reads N's columns
-through :func:`column_plan`, which reduces each block's columns, one
-tag bit each, with :class:`Rref`: a column that is the XOR of fewer of
-its block's columns than it has rows is formed from them.
-:func:`transpose` is the one way to read whole columns out of a row
-list: the orthogonality check, the column supports and plans (both
-through :func:`column_slices`), the sampler's batches and the sampled
-counting check's block keys all go through its byte-level core.
+(:func:`symplectic_products`) XOR what it picks.  :func:`column_plan`
+is the one builder of column entries, for the sampler's batches and
+the sampled counting check's residue: it keeps the picks of a sparse
+column as a list and the mask of a dense one, and reduces each block's
+columns, one tag bit each, with :class:`Rref`, so that a column that is
+the XOR of fewer of its block's columns than it has rows is formed from
+them.  :func:`transpose` is the one way to read whole columns out of a
+row list: the orthogonality check, the column plans (through
+:func:`column_slices`), the exact scan's chunk table, the sampler's
+batches and the sampled counting check's block keys all go through its
+byte-level core.
 """
 
 from __future__ import annotations
@@ -251,9 +252,8 @@ def transpose(rows, width: int) -> list[int]:
     return transpose_bytes(buf, size, range(size))[:width]
 
 
-#: columns per slice in :func:`symplectic_products` and :func:`column_plan`
-#: (half as many in :func:`column_supports`); bounds the transposed columns
-#: held at a time
+#: columns per slice in :func:`symplectic_products` and :func:`column_plan`;
+#: bounds the transposed columns held at a time
 COLUMN_SLICE = 1024
 
 
@@ -302,11 +302,12 @@ def _sparse(rows, width: int) -> bool:
     return sum(map(int.bit_count, rows)) <= 2 * width
 
 
-def _row_supports(rows, width: int, index: list) -> list:
-    """:func:`column_supports` of a sparse matrix, one step per set bit."""
+def _row_supports(rows, width: int) -> list:
+    """The :func:`_support` of each column c < width of a sparse matrix,
+    one step per set bit."""
     found: list = [[] for _ in range(width)]
     mask = (1 << width) - 1
-    for j, x in zip(index, rows):
+    for j, x in enumerate(rows):
         x &= mask
         while x:
             low = x & -x
@@ -316,45 +317,20 @@ def _row_supports(rows, width: int, index: list) -> list:
             else byte_mask(sum(1 << j for j in s)) for s in found]
 
 
-def column_supports(rows, width: int) -> list:
-    """For each column c < width, the rows with bit c set.
-
-    Entry c is whichever form is smaller: a list of the indices j of
-    those rows (8 bytes per set bit; every list shares one int per row)
-    or their :func:`byte_mask` (one byte per row up to the last one set,
-    for ``itertools.compress``).  A sparse matrix (:func:`_sparse`) is
-    read row by row; any other through :func:`column_slices`, its low
-    and high halves side by side, ``COLUMN_SLICE // 2`` columns at a
-    time, so the transposed columns of only one slice are held next to
-    the rows' bytes.  Bits at or above ``width`` are ignored.  N at m=3
-    K=10 (120,000 set bits) takes 0.46 MB, where one int per set bit
-    took 1.16 MB; at m=4 K=60 (4.8M set bits) about a quarter of N's
-    columns are masks.
-    """
-    index = list(range(len(rows)))
-    if _sparse(rows, width):
-        return _row_supports(rows, width, index)
-    half = (width + 1) // 2  # an odd width reads one column past it
-    low_half: list = []
-    high_half: list = []
-    for cols in column_slices(rows, half, max(1, COLUMN_SLICE // 4)):
-        size = len(cols) // 2
-        low_half += [_support(index, c) for c in cols[:size]]
-        high_half += [_support(index, c) for c in cols[size:]]
-    return (low_half + high_half)[:width]
-
-
 def column_plan(rows, n: int, w: int) -> list:
-    """Entries for the 2n columns of ``rows``, block by block, in place of
-    their supports.
+    """Entries for the 2n columns of ``rows``, block by block.
 
     The n positions form blocks of w.  Block i lists the entries of its u
     columns i·w..i·w+w-1, then of its v columns n+i·w..n+i·w+w-1, and
-    the blocks follow in order.  An entry is a column's support (list or
-    mask, as :func:`column_supports` chooses), or a tuple of the indices,
-    within its block's 2w entries, of other columns whose XOR it is
-    (:func:`~stabcat._distpure.columns`).  Within a block the columns
-    are taken sparsest first (ties in column order) and reduced, each
+    the blocks follow in order.  Bits at or above 2n are ignored.  An
+    entry is a column's support or a tuple of the indices, within its
+    block's 2w entries, of other columns whose XOR it is
+    (:func:`~stabcat._distpure.columns`).  A support is whichever form is
+    smaller (:func:`_support`): a list of the indices j of the rows with
+    the column set (8 bytes per set bit; every list shares one int per
+    row) or their :func:`byte_mask` (one byte per row up to the last one
+    set, for ``itertools.compress``).  Within a block the columns are
+    taken sparsest first (ties in column order) and reduced, each
     tagged with one bit, by one :func:`row_reduce`, as
     ``BlockExpander.unit_span`` tags unit images.  A column that is the
     XOR of k earlier columns, with k below its row count, becomes their
@@ -368,11 +344,11 @@ def column_plan(rows, n: int, w: int) -> list:
     """
     if w < 1 or n % w:
         raise ValueError(f"{n} positions do not split into blocks of {w}")
-    index = list(range(len(rows)))
     if _sparse(rows, 2 * n):
-        supports = _row_supports(rows, 2 * n, index)
+        supports = _row_supports(rows, 2 * n)
         return [e for j in range(0, n, w)
                 for e in supports[j:j + w] + supports[n + j:n + j + w]]
+    index = list(range(len(rows)))
     plan: list = []
     for cols in column_slices(rows, n, max(1, COLUMN_SLICE // (2 * w)) * w):
         size = len(cols) // 2

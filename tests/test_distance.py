@@ -31,12 +31,6 @@ from stabcat.symplectic import (Rref, in_span, row_reduce,
                                 symplectic_weight_packed, xor_rows)
 
 
-def pivot_pairs(s_rows):
-    """The (pivot, row) pairs that gray_scan takes for an RREF span."""
-    span = Rref(s_rows)
-    return list(zip(span.pivots, span.rows))
-
-
 def brute_force_best(gens, n, s_rows):
     """Oracle: minimum (weight, index) over all generator combinations
     outside the stabilizer span, by explicit subset XOR."""
@@ -69,8 +63,7 @@ class TestGrayScanKernels:
         # exclude the span of a strict subset of the generators
         _, s_rows = row_reduce(gens[: len(gens) // 2])
         expect = brute_force_best(gens, n, s_rows)
-        got = _distpure.gray_scan(gens, n, pivot_pairs(s_rows), 0,
-                                  1 << len(gens))
+        got = _distpure.gray_scan(gens, n, Rref(s_rows), 0, 1 << len(gens))
         assert tuple(got) == tuple(expect)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -79,22 +72,24 @@ class TestGrayScanKernels:
         n = 10
         _, gens = row_reduce(
             [rng.getrandbits(2 * n) for _ in range(8)])
-        s_pivots = pivot_pairs(row_reduce(gens[:2])[1])
+        s_span = Rref(row_reduce(gens[:2])[1])
         total = 1 << len(gens)
-        full = _distpure.gray_scan(gens, n, s_pivots, 0, total)
+        full = _distpure.gray_scan(gens, n, s_span, 0, total)
         for parts in (2, 3, 5):
             best = None
             bounds = [total * i // parts for i in range(parts + 1)]
             for lo, hi in zip(bounds, bounds[1:]):
-                w, idx, x = _distpure.gray_scan(gens, n, s_pivots, lo, hi)
+                w, idx, x = _distpure.gray_scan(gens, n, s_span, lo, hi)
                 if w >= 0 and (best is None or (w, idx) < best[:2]):
                     best = (w, idx, x)
             assert best == tuple(full)
 
 
-def stepwise_gray_scan(gens, n, s_pivots, start, stop):
+def stepwise_gray_scan(gens, n, s_span, start, stop):
     """Oracle: the per-step Gray scan that the chunked walk replaced,
-    one row XOR and one weight per combination index."""
+    one row XOR and one weight per combination index, and the span test
+    as a loop over the span's (pivot, row) pairs."""
+    s_pivots = list(zip(s_span.pivots, s_span.rows))
     mask = (1 << n) - 1
     best_w = -1
     best_idx = -1
@@ -158,7 +153,7 @@ def scan_cases(draw, max_n=12, max_gens=14):
     start = draw(st.integers(0, total - 1))
     stop = draw(st.integers(start, total))
     chunk_bits = draw(st.sampled_from((1, 2, 3, _distpure.CHUNK_BITS)))
-    return gens, n, pivot_pairs(s_rows), start, stop, chunk_bits
+    return gens, n, Rref(s_rows), start, stop, chunk_bits
 
 
 class TestChunkedGrayScan:
@@ -174,11 +169,11 @@ class TestChunkedGrayScan:
         self.check_against_stepwise(*case)
 
     @staticmethod
-    def check_against_stepwise(gens, n, s_pivots, start, stop, chunk_bits):
+    def check_against_stepwise(gens, n, s_span, start, stop, chunk_bits):
         with mock.patch.object(_distpure, "CHUNK_BITS", chunk_bits), \
                 chunk_test_spy() as outcomes:
-            got = _distpure.gray_scan(gens, n, s_pivots, start, stop)
-        assert got == stepwise_gray_scan(gens, n, s_pivots, start, stop)
+            got = _distpure.gray_scan(gens, n, s_span, start, stop)
+        assert got == stepwise_gray_scan(gens, n, s_span, start, stop)
         # every chunk up to the end of the scan, whole or partial, went
         # through the chunk test; a weight-1 word ends the scan with its
         # chunk
@@ -192,10 +187,9 @@ class TestChunkedGrayScan:
         # the witness is index 1, in the first chunk: that chunk alone
         # is tested (and walked), and none of the other 2^14 - 1 is
         gens = list(code_m1k0.n_matrix)
-        s_pivots = list(zip(code_m1k0.s_span.pivots, code_m1k0.s_span.rows))
         with chunk_test_spy() as outcomes:
-            w, idx, word = _distpure.gray_scan(gens, code_m1k0.n, s_pivots,
-                                               0, 1 << len(gens))
+            w, idx, word = _distpure.gray_scan(
+                gens, code_m1k0.n, code_m1k0.s_span, 0, 1 << len(gens))
         assert (w, idx) == (1, 1)
         assert word == gens[0]
         assert outcomes == [False]
@@ -203,23 +197,52 @@ class TestChunkedGrayScan:
     @pytest.mark.parametrize("chunk_bits", [1, 2, 3, 10])
     def test_chunks_skipped_on_a_code(self, code_m1k1, chunk_bits):
         gens = list(code_m1k1.n_matrix)
-        s_pivots = list(zip(code_m1k1.s_span.pivots, code_m1k1.s_span.rows))
+        s_span = code_m1k1.s_span
         n = code_m1k1.n
         stop = 1 << 16
         with mock.patch.object(_distpure, "CHUNK_BITS", chunk_bits), \
                 chunk_test_spy() as outcomes:
-            got = _distpure.gray_scan(gens, n, s_pivots, 0, stop)
-        assert got == stepwise_gray_scan(gens, n, s_pivots, 0, stop)
+            got = _distpure.gray_scan(gens, n, s_span, 0, stop)
+        assert got == stepwise_gray_scan(gens, n, s_span, 0, stop)
         assert len(outcomes) == stop >> chunk_bits
         assert 0 < sum(outcomes) < len(outcomes)
 
     @pytest.mark.parametrize("bits", range(_distpure.CHUNK_BITS + 1))
     def test_gray_lanes(self, bits):
-        lanes = _distpure.gray_lanes(bits)
+        # over unit rows in the u half the chunk table lists the Gray
+        # code itself, so position j's u column is the selector lane of
+        # row j: bit l is bit j of l ^ (l >> 1)
+        carries = _distpure.chunk_carries(
+            tuple(1 << j for j in range(bits)), bits)
+        lanes = [u for (u, _), _ in carries]
         assert len(lanes) == bits
         for j, lane in enumerate(lanes):
             assert lane == sum(((l ^ (l >> 1)) >> j & 1) << l
                                for l in range(1 << bits))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_chunk_carries(self, data):
+        # n = 1 and any number of low rows up to CHUNK_BITS; rows may
+        # repeat or be zero
+        n = data.draw(st.sampled_from((1, 1, 2, 5, 13)))
+        bits = data.draw(st.integers(0, _distpure.CHUNK_BITS))
+        low_rows = tuple(data.draw(st.lists(
+            st.integers(0, (1 << (2 * n)) - 1), min_size=bits,
+            max_size=bits)))
+        words = [xor_rows(low_rows, l ^ (l >> 1)) for l in range(1 << bits)]
+        want = []
+        for j in range(n):
+            pairs = [(x >> j & 1, x >> (n + j) & 1) for x in words]
+
+            def lanes(bit):  # lane l set where word l's (u_j, v_j) pass
+                return sum(bit(u, v) << l for l, (u, v) in enumerate(pairs))
+
+            want.append(((lanes(lambda u, v: u | v),
+                          lanes(lambda u, v: u | 1 - v)),
+                         (lanes(lambda u, v: 1 - u | v),
+                          lanes(lambda u, v: 1 - (u & v)))))
+        assert _distpure.chunk_carries(low_rows, n) == want
 
     @pytest.mark.parametrize("chunk_bits", [1, 3, 10])
     def test_chunks_list_every_index_once(self, chunk_bits):
@@ -234,11 +257,14 @@ class TestChunkedGrayScan:
                 assert words == [i ^ (i >> 1) for i in range(start, stop)]
 
     def test_parts_share_one_table(self, code_m1k1):
-        # every part of a split scan walks the same low rows
+        # every part of a split scan walks the same low rows; the first
+        # part's chunk_carries transposes the table, and each part's
+        # walk reads it
         _distpure.gray_table.cache_clear()
+        _distpure.chunk_carries.cache_clear()
         exact_distance(code_m1k1, parts=8)
         info = _distpure.gray_table.cache_info()
-        assert (info.misses, info.hits) == (1, 7)
+        assert (info.misses, info.hits) == (1, 8)
 
 
 class TestExactDistance:
@@ -844,8 +870,8 @@ class TestBlockLocalDecomposition:
                 n_keys |= {k ^ exp.key(x, i) for k in n_keys}
             table, coset_table = classes.tables[i], cosets.tables[i]
             for key in n_keys:
-                want = {table[key ^ t] for t in local}
-                assert coset_table[key] == want
+                want = {table(key ^ t) for t in local}
+                assert coset_table(key) == want
 
     @pytest.mark.parametrize("case", [None, *FORCED])
     @pytest.mark.parametrize("cut", CUTS)
@@ -903,7 +929,7 @@ class TestClassTables:
             i, a_i, a_ni, s_i, t_i = data.draw(block_inputs(exp))
             b, c = exp.expand_block(i, a_i, a_ni, s_i, t_i)
             table = classes.tables[i]
-            cid = table[b | (c << w)]
+            cid = table(b | (c << w))
             # one class per quaternary (2m+1)-tuple, after 0 and 1
             assert 0 <= cid < 2 + 4 ** half
             tup = designated_tuple(exp, i, b, c)
@@ -930,7 +956,7 @@ class TestClassTables:
 
         def signature(x):
             return (x >> shift != 0,
-                    tuple(table[classes.exp.key(x, i)]
+                    tuple(table(classes.exp.key(x, i))
                           for i, table in enumerate(classes.tables)))
 
         walked = list(chain.from_iterable(

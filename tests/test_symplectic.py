@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 from stabcat import _distpure, symplectic
 from stabcat.concat import SymplecticVector, build_code
 from stabcat.symplectic import (DualityReport, Rref, RrefError,
-                                column_plan, column_supports,
-                                first_outside, in_span,
+                                column_plan, first_outside, in_span,
                                 is_rref, row_reduce, selected,
                                 symplectic_product,
                                 symplectic_product_packed, symplectic_weight,
@@ -321,10 +320,31 @@ class TestSelected:
 
 
 def entry_rows(entry):
-    """The row indices that a ``column_supports`` entry selects."""
+    """The row indices that a ``column_plan`` entry other than a tuple
+    selects."""
     if isinstance(entry, bytes):
         return [j for j, b in enumerate(entry) if b]
     return entry
+
+
+def check_support(entry, want):
+    """A support entry selects the rows ``want``, in the smaller form:
+    8 bytes per index or 1 byte per row."""
+    assert entry_rows(entry) == want
+    assert isinstance(entry, list) == \
+        (8 * len(want) <= (want[-1] + 1 if want else 0))
+
+
+def bit_tests(rows, c):
+    """The rows with bit c set, by one bit test a row."""
+    return [j for j, x in enumerate(rows) if x >> c & 1]
+
+
+def plan_order(n, w):
+    """The column of each ``column_plan`` entry: block by block, each
+    block's u columns, then its v columns."""
+    return [c for j in range(0, n, w)
+            for c in chain(range(j, j + w), range(n + j, n + j + w))]
 
 
 class TestColumnSupports:
@@ -332,32 +352,36 @@ class TestColumnSupports:
     @given(st.data())
     def test_matches_bit_tests(self, data):
         # columns from empty to full, so that both forms occur; bits at
-        # or above width are ignored; narrow slices force many slices
+        # or above 2n are ignored; narrow slices force many slices
         nrows = data.draw(st.integers(0, 60))
-        width = data.draw(st.integers(0, 90))
+        w = data.draw(st.integers(1, 15))
+        n = w * data.draw(st.integers(0, 45 // w))
         rng = random.Random(data.draw(st.integers(0, 1 << 32)))
         cols = [sum(1 << j for j in range(nrows) if rng.random() < p)
-                for p in rng.choices((0, 0.02, 0.1, 0.5, 1), k=width)]
-        rows = [x | rng.getrandbits(20) << width
+                for p in rng.choices((0, 0.02, 0.1, 0.5, 1), k=2 * n)]
+        rows = [x | rng.getrandbits(20) << (2 * n)
                 for x in transpose(cols, nrows)]
         slice_width = data.draw(st.sampled_from((1, 7, 64, 1024)))
         with mock.patch.object(symplectic, "COLUMN_SLICE", slice_width):
-            supports = column_supports(rows, width)
-        assert len(supports) == width
-        for c, entry in enumerate(supports):
-            want = [j for j, x in enumerate(rows) if x >> c & 1]
-            assert entry_rows(entry) == want
-            # the smaller form: 8 bytes per index or 1 byte per row
-            assert isinstance(entry, list) == \
-                (8 * len(want) <= (want[-1] + 1 if want else 0))
+            plan = column_plan(rows, n, w)
+        assert len(plan) == 2 * n
+        order = plan_order(n, w)
+        for k, (c, entry) in enumerate(zip(order, plan)):
+            if isinstance(entry, tuple):  # the XOR of its block's columns
+                lo = k - k % (2 * w)
+                assert reduce(xor, (cols[order[lo + i]] for i in entry)) \
+                    == cols[c]
+                continue
+            check_support(entry, bit_tests(rows, c))
 
     def test_both_forms_on_a_code(self, code_m2k3):
         rows = code_m2k3.n_matrix
-        supports = column_supports(rows, 2 * code_m2k3.n)
-        assert {type(e) for e in supports} == {list, bytes}
-        for c, entry in enumerate(supports):
-            assert entry_rows(entry) == [
-                j for j, x in enumerate(rows) if x >> c & 1]
+        n = code_m2k3.n
+        plan = column_plan(rows, n, code_m2k3.block_width)
+        assert {type(e) for e in plan} == {list, bytes, tuple}
+        for c, entry in zip(plan_order(n, code_m2k3.block_width), plan):
+            if not isinstance(entry, tuple):
+                check_support(entry, bit_tests(rows, c))
 
 
 def lane_xors(entries) -> int:
@@ -411,10 +435,10 @@ class TestColumnPlan:
         rows, n, w, slice_width = case
         with mock.patch.object(symplectic, "COLUMN_SLICE", slice_width):
             plan = column_plan(rows, n, w)
-            supports = column_supports(rows, 2 * n)
-        # block by block, as the plan lists them
-        plain = [e for j in range(0, n, w)
-                 for e in supports[j:j + w] + supports[n + j:n + j + w]]
+        # each column's rows, by bit tests, in column order and block by
+        # block, as the plan lists them
+        supports = [bit_tests(rows, c) for c in range(2 * n)]
+        plain = [supports[c] for c in plan_order(n, w)]
         assert len(plan) == len(plain) == 2 * n
         assert lane_xors(plan) <= lane_xors(plain)
         for lo in range(0, 2 * n, 2 * w):
@@ -426,7 +450,7 @@ class TestColumnPlan:
                                for i in e)
                     assert len(e) < lane_xors([plain[lo + k]])
                 else:
-                    assert e == plain[lo + k]
+                    check_support(e, plain[lo + k])
         rng = random.Random(seed)
         lanes = [rng.getrandbits(16) for _ in rows]
         want = [reduce(xor, (v for v, x in zip(lanes, rows) if x >> c & 1),
@@ -450,7 +474,7 @@ class TestColumnPlan:
         with mock.patch.object(symplectic, "transpose",
                                side_effect=AssertionError):
             plan = column_plan(rows, 2, 1)
-            supports = column_supports(rows, 4)
+            supports = column_plan(rows, 2, 2)  # one block: column order
         assert supports == [[16, 17], [16, 18], [17, 19], [18, 19]]
         assert plan == [[16, 17], [17, 19], [16, 18], [18, 19]]
 
@@ -458,8 +482,8 @@ class TestColumnPlan:
         # a block's 28 columns span at most 20 dimensions
         code = code_m3k10
         plan = column_plan(code.n_matrix, code.n, 14)
-        assert lane_xors(column_supports(code.n_matrix, 2 * code.n)) == \
-            119_659
+        # the plain supports name every set bit of N
+        assert sum(map(int.bit_count, code.n_matrix)) == 119_659
         assert lane_xors(plan) <= 60_000
 
 
@@ -614,7 +638,7 @@ def test_duality_and_supports_memory(code_m3k10):
     """No table over N at m=3 K=10 (N: 1140 x 1764 bits).  Traced peaks,
     where the four-Russians tables and one int per set bit took 1.28 MB
     (``first_outside``), 1.29 MB (``verify_duality``) and 1.19 MB held
-    by the supports."""
+    by the column supports; the column plan holds about 0.31 MB."""
     code = code_m3k10
     span = code.n_span
     span.rows  # canonical before tracing
@@ -627,11 +651,11 @@ def test_duality_and_supports_memory(code_m3k10):
         duality = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        supports = column_supports(code.n_matrix, 2 * code.n)
+        plan = column_plan(code.n_matrix, code.n, code.block_width)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(supports) == 2 * code.n
+    assert len(plan) == 2 * code.n
     assert outside < 100_000
     assert duality < 1_000_000
     assert held - before < 600_000
