@@ -14,9 +14,10 @@ DES implementation in software", FSE 1997), a batch at a time: bit t of
 each of a batch's 2n column ints belongs to word t.  :func:`count_planes`
 sums ``u_j | v_j`` over the positions j with a ripple counter,
 :func:`below` picks the words under a weight, and :func:`lightest`
-rebuilds and tests those in order.  A sampler batch is ``BATCH`` trials:
-:func:`draw` takes their selectors from one ``getrandbits`` call,
-:func:`lane_vectors` transposes them into one int per normalizer row,
+rebuilds and tests those in order.  Both sampled modes take batches of
+``BATCH`` trials from :func:`batches`: :func:`draw` takes their
+selectors from one ``getrandbits`` call, :func:`lane_vectors`
+transposes them into one int per normalizer row,
 and :func:`columns` XORs those into the words' columns one block at a
 time (:func:`block_columns`), as ``symplectic.column_plan``, the one
 builder of column entries, lists them: a column that is the XOR of
@@ -30,6 +31,7 @@ once (:func:`chunk_carries`), flipped where the high word is set.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache, reduce
 from itertools import chain, compress
 from operator import getitem, or_, xor
@@ -121,6 +123,17 @@ def lane_vectors(buf: bytes, r: int) -> list[int]:
     cols = transpose_bytes(buf, 4 * words, range(4 * words))
     split = max(32 * words - 32, 0)  # selector bits below stay in place
     return cols[:split] + cols[split + 32 * words - r:]
+
+
+def batches(seed, r: int, trials: int):
+    """Per batch of up to ``BATCH`` trials, ``(first, count, lanes)``:
+    the :func:`lane_vectors` of trials first..first + count - 1, trial t
+    taking the t-th ``getrandbits(r)`` of ``random.Random(seed)``.  No
+    batch is held here while the next is drawn."""
+    rng = random.Random(seed)
+    for first in range(0, trials, BATCH):
+        count = min(BATCH, trials - first)
+        yield first, count, lane_vectors(draw(rng, r, count), r)
 
 
 def columns(lanes: list[int], supports) -> list[int]:

@@ -29,27 +29,27 @@ tuples take at least ceil((K+1)/2^m) distinct nonzero values, and no
 value repeats more than 2^m times.  These facts depend on a word only
 through the class of each block (zero, s/t content only, or its
 designated tuple), so each block has a class table keyed by its bits
-(:class:`ClassTables`).  The exhaustive check does not visit every
-word.  Let T0_i be the words of N in S that vanish outside block i, and
-F, the field parts, a complement of T0 = sum T0_i in N.  Each word of N
-is f + sum t_i for one f in F and one t_i in each T0_i: it lies in S iff
-f does, and block i's bits range over f's coset modulo T0_i whatever
-the other blocks hold.  So the claims over the 2^dim(T0) words of one f
-follow from one set of classes per block (:mod:`stabcat._cosets`), and
+(:func:`class_tables`).  The exhaustive check does not visit every
+word.  Let T0_i be the words of N in S that vanish outside block i
+(:func:`block_local`), and F, the field parts, a complement of
+T0 = sum T0_i in N.  Each word of N is f + sum t_i for one f in F and
+one t_i in each T0_i: it lies in S iff f does, and block i's bits range
+over f's coset modulo T0_i whatever the other blocks hold.  So the
+claims over the 2^dim(T0) words of one f follow from one set of classes
+per block (:func:`coset_tables`, scored by :func:`coset_outcome`), and
 the F words are walked in Gray chunks as signatures of those sets: a
 word's signature is its outside-S flag next to the tuple of its block
 classes (or class sets).  At m=1 K=1 there are 256 field parts, 240 of
 them outside S, each standing for 2^12 words.  Sampled draws rarely
 share a signature, so the sampled check does not tally them: it takes
-the sampler's draws, a batch at a time, reads each block's keys and the
-stabilizer residue off the batch's columns, and scores the signatures
-in draw order.
+the sampler's batches (:func:`~stabcat._distpure.batches`), reads each
+block's keys and the stabilizer residue off a batch's columns, and
+scores the signatures in draw order.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from functools import cache, partial, reduce
 from itertools import chain, islice, repeat
@@ -57,11 +57,10 @@ from operator import and_, or_, rshift
 from typing import NamedTuple
 
 from .concat import StabilizerCodeL, SymplecticVector, designated_half
-from .symplectic import (Rref, byte_mask, column_plan, in_span, row_reduce,
-                         symplectic_weight_packed, transpose)
+from .symplectic import (Rref, byte_mask, column_plan, in_span, lowest_bit,
+                         row_reduce, symplectic_weight_packed, transpose,
+                         xor_rows)
 from . import _distpure
-from ._cosets import CosetClasses, block_local
-from ._distpure import BATCH
 
 HAVE_COMPILED = False  # always False; perfbench/run.py's env probe reads it
 
@@ -132,6 +131,8 @@ def exact_distance(code: StabilizerCodeL, parts: int = 1) -> DistanceReport:
             code.n + 1 if best is None else best[0])
         if w >= 0:
             best = (w, idx, word)
+            if w == 1:  # no later part can beat it
+                break
     if best is None:  # pragma: no cover - k >= 1 always leaves a coset
         raise DistanceError("no codeword outside the stabilizer span")
     w, _idx, word = best
@@ -153,8 +154,8 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     ``random.Random(seed)``; the first minimum-weight word outside the
     stabilizer span is the witness.
 
-    The trials are evaluated bit-sliced, ``BATCH`` at a time, one bit
-    lane per trial (see :mod:`stabcat._distpure`).  Each of the 2n
+    The trials are evaluated bit-sliced, a batch at a time, one bit
+    lane per trial (:func:`~stabcat._distpure.batches`).  Each of the 2n
     columns of a batch's words is the XOR of the lane vectors of the
     rows with that column set, or of other columns of its block, as a
     plan read once per call from the normalizer's columns says
@@ -167,7 +168,6 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     """
     if trials < 1:
         raise DistanceError("trials must be >= 1")
-    rng = random.Random(seed)
     rows = code.n_matrix
     r = code.rank_n
     n = code.n
@@ -175,9 +175,7 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     plan = column_plan(rows, n, width)
     s_span = code.s_span
     best = None  # (w, trial, word)
-    for first in range(0, trials, BATCH):
-        count = min(BATCH, trials - first)
-        lanes = _distpure.lane_vectors(_distpure.draw(rng, r, count), r)
+    for first, count, lanes in _distpure.batches(seed, r, trials):
         found = _distpure.lightest(
             _distpure.weight_planes(lanes, plan, width), (1 << count) - 1,
             n + 1 if best is None else best[0],
@@ -230,40 +228,99 @@ class CountingReport(NamedTuple):
         return self.claim_blocks and self.claim_distinct and self.claim_mult
 
 
-class ClassTables:
-    """Per-block class tables, from which word signatures are built.
+def block_class(exp, i: int, key: int) -> int:
+    """Class of block i's bits ``key``: 0 for a zero block, 1 for a
+    nonzero block without a designated half (s/t content only), and
+    2 + h for a block whose designated half is h (:func:`designated_half`),
+    so equal tuples get equal classes in every block."""
+    if not key:
+        return 0
+    w = exp.block_width
+    half = designated_half(exp, i, key & ((1 << w) - 1), key >> w)
+    return 1 if half is None else 2 + half
 
-    Classes: 0 for a zero block, 1 for a nonzero block without a
-    designated half (s/t content only), and 2 + h for a block whose
-    designated half is h (:func:`designated_half`), so equal tuples get
-    equal classes in every block.  A word's signature is the pair of
-    its outside-S flag and the tuple of its block classes
-    (:func:`_signatures`); the counting claims depend on a word only
-    through its signature.  Block i's table is :meth:`classify` for
-    block i under ``functools.cache``, so each key is classified once.
+
+def class_tables(exp) -> list:
+    """Per block of ``exp``, its :func:`block_class` under
+    ``functools.cache``, so each key is classified once."""
+    return [cache(partial(block_class, exp, i)) for i in range(exp.n_blocks)]
+
+
+def outcome(classes: tuple) -> tuple[int, int, int]:
+    """(nonzero blocks, distinct designated tuples, max multiplicity)
+    of a word with block classes ``classes``."""
+    counts = Counter(classes)
+    zero = counts.pop(0, 0)
+    counts.pop(1, None)
+    return (len(classes) - zero, len(counts),
+            max(counts.values(), default=0))
+
+
+def block_local(rows, exp) -> list[list[int]]:
+    """Per block of the expander ``exp``, a basis of the words of
+    span(rows) in S that vanish outside it.
+
+    ``rows`` carry their stabilizer residue above bit 2n.  One
+    :class:`Rref` per block takes each row with the block's bits cleared
+    (the outside bits and the residue low) and its tag ``1 << (4n + j)``
+    high; an echelon row with no bit below 4n tags a combination of the
+    rows that is zero outside the block and in S.
     """
+    tag = 4 * exp.n
+    block = (1 << (2 * exp.block_width)) - 1  # every bit of a key
+    local = []
+    for i in range(exp.n_blocks):
+        outside = ~exp.word(block, i)
+        acc = Rref()
+        for j, x in enumerate(rows):
+            acc.add((x & outside) | (1 << (tag + j)))
+        local.append([xor_rows(rows, t >> tag) for t in acc.rows
+                      if lowest_bit(t) >= tag])
+    return local
 
-    def __init__(self, exp) -> None:
-        self.exp = exp
-        self.tables = [cache(partial(self.classify, i))
-                       for i in range(exp.n_blocks)]
 
-    def classify(self, i: int, key: int) -> int:
-        """Class of block i's bits ``key``."""
-        if not key:
-            return 0
-        w = self.exp.block_width
-        half = designated_half(self.exp, i, key & ((1 << w) - 1), key >> w)
-        return 1 if half is None else 2 + half
+def coset_tables(exp, tables, local) -> list:
+    """Per block, a cached table from a key to the frozenset of the
+    classes that ``tables`` give the keys of its coset key + key_i(T0_i),
+    where ``local[i]`` spans T0_i (:func:`block_local`), whose keys
+    :func:`~stabcat._distpure.gray_table` lists."""
+    spans = [_distpure.gray_table(tuple(exp.key(t, i) for t in words))[0]
+             for i, words in enumerate(local)]
+    return [cache(partial(_coset_classes, table, span))
+            for table, span in zip(tables, spans)]
 
-    def outcome(self, classes: tuple) -> tuple[int, int, int]:
-        """(nonzero blocks, distinct designated tuples, max multiplicity)
-        of a word with block classes ``classes``."""
-        counts = Counter(classes)
-        zero = counts.pop(0, 0)
-        counts.pop(1, None)
-        return (len(classes) - zero, len(counts),
-                max(counts.values(), default=0))
+
+def _coset_classes(table, span, key: int) -> frozenset:
+    return frozenset([table(key ^ s) for s in span])
+
+
+def coset_outcome(sets: tuple) -> tuple[int, int, int]:
+    """(min nonzero blocks, min distinct tuples, max multiplicity) over
+    the words whose blocks take classes from ``sets``, one class set
+    per block.
+
+    Each block takes any class of its set, whatever the others take:
+    zero wherever it can, a tuple shared with as many blocks as hold
+    it, and for the blocks that must take a tuple (no class 0 or 1)
+    the fewest tuples that meet all of their sets.
+    """
+    counts = Counter(chain.from_iterable(s - {0, 1} for s in sets))
+    forced = [s for s in sets if s.isdisjoint((0, 1))]
+    return (sum(0 not in s for s in sets), min_hitting_set(forced),
+            max(counts.values(), default=0))
+
+
+def min_hitting_set(sets) -> int | float:
+    """Fewest elements meeting every one of ``sets`` (inf if one is empty).
+
+    Branches on the elements of the smallest set: exact, and exponential
+    only in the number of sets.
+    """
+    if not sets:
+        return 0
+    first = min(sets, key=len)
+    return 1 + min((min_hitting_set([s for s in sets if x not in s])
+                    for x in first), default=math.inf)
 
 
 def _signatures(tables, outside, keys):
@@ -278,24 +335,37 @@ def _signatures(tables, outside, keys):
                               for table, block_keys in zip(tables, keys)]))
 
 
-def _walk_signatures(classes, rows, r: int):
+def _walk_signatures(exp, tables, rows, r: int):
     """Signatures of the words at Gray indices [0, 2^r) of ``rows``.
 
-    ``classes`` is a :class:`ClassTables` or a :class:`CosetClasses`.
-    One :func:`~stabcat._distpure.gray_chunks` walk per block key and one
+    ``tables`` are the blocks' tables of ``exp``, from
+    :func:`class_tables` or :func:`coset_tables`.  One
+    :func:`~stabcat._distpure.gray_chunks` walk per block key and one
     for the stabilizer residue; their chunks cover the same indices, so
     each chunk's signatures come from :func:`_signatures`, one lazy
     iterator per chunk.
     """
-    exp = classes.exp
     total = 1 << r
     walks = [_distpure.gray_chunks([x >> (2 * exp.n) for x in rows], 0,
                                    total)]
     walks += [_distpure.gray_chunks([exp.key(x, i) for x in rows], 0, total)
-              for i in range(len(classes.tables))]
+              for i in range(len(tables))]
     for (_f, high, low), *blocks in zip(*walks):
-        yield _signatures(classes.tables, map(bool, map(high.__xor__, low)),
+        yield _signatures(tables, map(bool, map(high.__xor__, low)),
                           [map(high.__xor__, low) for _f, high, low in blocks])
+
+
+def _extremes(scored, n_blocks: int) -> tuple[int, int, int, int]:
+    """(examined, min nonzero blocks, min distinct tuples, max
+    multiplicity) over ``scored``, (word count, shared outcome) pairs."""
+    examined = max_mult = 0
+    min_blocks = min_distinct = n_blocks + 1
+    for count, (nb, nd, mm) in scored:
+        examined += count
+        min_blocks = min(min_blocks, nb)
+        min_distinct = min(min_distinct, nd)
+        max_mult = max(max_mult, mm)
+    return examined, min_blocks, min_distinct, max_mult
 
 
 def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
@@ -305,7 +375,8 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
 
     Exhaustive mode covers every normalizer combination (same budget as
     :func:`exact_distance`); sampled mode draws ``trials`` seeded uniform
-    normalizer codewords, the same draws as
+    normalizer codewords from the sampler's batches
+    (:func:`~stabcat._distpure.batches`), the same draws as
     :func:`sampled_distance_upper`'s for the seed.
     Both combine normalizer rows that carry their stabilizer residue
     ``s_span.reduce(x)`` above bit 2n.  The residue is linear in x, so a
@@ -313,116 +384,101 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
     members are never examined.
 
     Each word is reduced to its signature through per-block class tables
-    (:class:`ClassTables`).  Exhaustive mode finds the block-local
-    stabilizer words T0 (:func:`~stabcat._cosets.block_local`) and
-    reduces the rows by ``Rref.reduce`` against them to a basis of the
-    field parts F, whose block keys are then coset representatives
-    modulo T0.  It walks the 2^dim(F) field parts in Gray chunks, one
-    walk per block key, to signatures of per-block class sets
-    (:class:`~stabcat._cosets.CosetClasses`), tallies them, and
-    evaluates the claims once per distinct signature, which stands for
-    2^dim(T0) words per field part.  Only when a claim fails is every
-    word of N walked, to list the first 8 violating words in walk order.
+    (:func:`class_tables`).  Exhaustive mode finds the block-local
+    stabilizer words T0 (:func:`block_local`) and reduces the rows by
+    ``Rref.reduce`` against them to a basis of the field parts F, whose
+    block keys are then coset representatives modulo T0.  It tallies
+    the signatures of the 2^dim(F) field parts over per-block class sets
+    (:func:`coset_tables`) and scores each distinct one once
+    (:func:`coset_outcome`) for the 2^dim(T0) words it stands for.
+    Only when a claim fails is every word of N walked, to list the
+    first 8 violating words in walk order.
     Sampled draws almost never repeat a signature (all 10^5 distinct at
-    m=2 K=3), so they are not tallied: the draws are taken bit-sliced,
-    ``BATCH`` at a time, as :func:`sampled_distance_upper` takes them
-    for the seed, and scored in draw order.  A batch's columns are
-    formed block by block (:func:`~stabcat._distpure.block_columns`)
-    from two column plans (:func:`column_plan`): the OR of the residue
-    columns, from a plan of the residues, gives each draw's outside-S
-    bit, and one :func:`transpose` of the 2n key columns, from the
-    sampler's plan of N, gives each draw its block keys side by side.
-    A draw's word is rebuilt from its selector only when it is listed as
-    a violation.
+    m=2 K=3), so they are not tallied but scored in draw order.  A
+    batch's columns are formed block by block
+    (:func:`~stabcat._distpure.block_columns`) from two column plans
+    (:func:`column_plan`): the OR of the residue columns, from a plan of
+    the residues, gives each draw's outside-S bit, and one
+    :func:`transpose` of the 2n key columns, from the sampler's plan of
+    N, gives each draw its block keys side by side.  A draw's word is
+    rebuilt from its selector only when it is listed as a violation.
+    Both modes fold their scores into the extremes by :func:`_extremes`.
     """
     shift = 2 * code.n
-    s_span = code.s_span
-    rows = [x | (s_span.reduce(x) << shift) for x in code.n_matrix]
+    rows = [x | (code.s_span.reduce(x) << shift) for x in code.n_matrix]
     r = code.rank_n
-    classes = ClassTables(code.expander)
+    exp = code.expander
+    tables = class_tables(exp)
     blocks_thr = code.big_k + 1
     distinct_thr = math.ceil((code.big_k + 1) / (1 << code.m))
     mult_thr = 1 << code.m
     word_mask = (1 << shift) - 1
 
-    def violates(outcome):
-        nb, nd, mm = outcome
+    def violates(score):
+        nb, nd, mm = score
         return nb < blocks_thr or nd < distinct_thr or mm > mult_thr
 
-    def violation(word, outcome):
-        nb, nd, mm = outcome
+    def violation(word, score):
+        nb, nd, mm = score
         return {"word": word & word_mask, "nonzero_blocks": nb,
                 "distinct_tuples": nd, "multiplicity": mm}
 
-    examined = 0
-    min_blocks = min_distinct = code.big_n + 1
-    max_mult = 0
     violations: list = []
     if mode == "exhaustive":
         if r > MAX_EXACT_RANK:
             raise DistanceError(
                 f"rank(N) = {r} exceeds the exhaustive budget; use "
                 f"sampled mode")
-        local = block_local(rows, classes.exp)
-        t0 = Rref()
-        for t in chain.from_iterable(local):
-            t0.add(t)
+        local = block_local(rows, exp)
+        t0 = Rref(row_reduce(chain.from_iterable(local))[1])
         f_rows = row_reduce(map(t0.reduce, rows))[1]
-        cosets = CosetClasses(classes, local)
-        tally = Counter(chain.from_iterable(
-            _walk_signatures(cosets, f_rows, len(f_rows))))
-        for (out, sets), count in tally.items():
-            if not out:
-                continue
-            nb, nd, mm = cosets.outcome(sets)
-            examined += count << t0.rank
-            min_blocks = min(min_blocks, nb)
-            min_distinct = min(min_distinct, nd)
-            max_mult = max(max_mult, mm)
-        if violates((min_blocks, min_distinct, max_mult)):
-            outcome = cache(classes.outcome)
+        tally = Counter(chain.from_iterable(_walk_signatures(
+            exp, coset_tables(exp, tables, local), f_rows, len(f_rows))))
+        extremes = _extremes(((count << t0.rank, coset_outcome(sets))
+                              for (out, sets), count in tally.items()
+                              if out), code.big_n)
+        if violates(extremes[1:]):
+            score = cache(outcome)
             words = chain.from_iterable(
                 map(high.__xor__, low)
                 for _f, high, low in _distpure.gray_chunks(rows, 0, 1 << r))
-            sigs = chain.from_iterable(_walk_signatures(classes, rows, r))
+            sigs = chain.from_iterable(_walk_signatures(exp, tables, rows, r))
             listed = ((word, cls) for word, (out, cls) in zip(words, sigs)
-                      if out and violates(outcome(cls)))
-            violations = [violation(word, outcome(cls))
+                      if out and violates(score(cls)))
+            violations = [violation(word, score(cls))
                           for word, cls in islice(listed, 8)]
     elif mode == "sampled":
         if trials is None or trials < 1:
             raise DistanceError("sampled mode needs trials >= 1")
-        rng = random.Random(seed)
-        w = classes.exp.block_width
+        w = exp.block_width
         residue = column_plan([x >> shift for x in rows], code.n, w)
         # block by block, each block's u columns then its v columns, so
         # that bits 2wi.. of a draw's entry in ``keys`` are block i's key
         plan = column_plan(code.n_matrix, code.n, w)
         key_mask = (1 << (2 * w)) - 1
-        for first in range(0, trials, BATCH):
-            count = min(BATCH, trials - first)
-            lanes = _distpure.lane_vectors(_distpure.draw(rng, r, count), r)
-            outside = reduce(or_, chain.from_iterable(
-                _distpure.block_columns(lanes, residue, w)), 0)
-            keys = transpose(list(chain.from_iterable(
-                _distpure.block_columns(lanes, plan, w))), count)
-            sigs = _signatures(
-                classes.tables, byte_mask(outside).ljust(count, b"\0"),
-                (map(and_, map(rshift, keys, repeat(i)), repeat(key_mask))
-                 for i in range(0, shift, 2 * w)))
-            for t, (out, cls) in enumerate(sigs):
-                if not out:
-                    continue
-                outcome = nb, nd, mm = classes.outcome(cls)
-                examined += 1
-                min_blocks = min(min_blocks, nb)
-                min_distinct = min(min_distinct, nd)
-                max_mult = max(max_mult, mm)
-                if len(violations) < 8 and violates(outcome):
-                    violations.append(violation(
-                        _distpure.trial_word(rows, lanes, t), outcome))
+
+        def scored():
+            for _first, count, lanes in _distpure.batches(seed, r, trials):
+                outside = reduce(or_, chain.from_iterable(
+                    _distpure.block_columns(lanes, residue, w)), 0)
+                keys = transpose(list(chain.from_iterable(
+                    _distpure.block_columns(lanes, plan, w))), count)
+                sigs = _signatures(
+                    tables, byte_mask(outside).ljust(count, b"\0"),
+                    (map(and_, map(rshift, keys, repeat(i)), repeat(key_mask))
+                     for i in range(0, shift, 2 * w)))
+                for t, (out, cls) in enumerate(sigs):
+                    if out:
+                        found = outcome(cls)
+                        if len(violations) < 8 and violates(found):
+                            violations.append(violation(
+                                _distpure.trial_word(rows, lanes, t), found))
+                        yield 1, found
+
+        extremes = _extremes(scored(), code.big_n)
     else:
         raise DistanceError(f"unknown mode {mode!r}")
+    examined, min_blocks, min_distinct, max_mult = extremes
     if not examined:
         raise DistanceError("no codeword outside the stabilizer examined")
     return CountingReport(

@@ -21,7 +21,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stabcat import _cosets, _distpure, distance
+from stabcat import _distpure, distance
 from stabcat.concat import get_expander
 from stabcat.distance import (DistanceError, MAX_EXACT_RANK,
                               exact_distance, sampled_distance_upper,
@@ -290,6 +290,23 @@ class TestExactDistance:
         rep = exact_distance(code_m1k0, parts=8)
         assert rep.d == 1
         assert rep.d >= 1
+
+    @pytest.mark.parametrize("parts", [4096, 1 << 24])
+    def test_weight_one_ends_the_parts(self, code_m1k0, parts):
+        # the witness is index 1, in the first part or the second: no
+        # later part is scanned once the best weight is 1
+        base = exact_distance(code_m1k0, parts=1)
+        gray_scan = _distpure.gray_scan
+
+        def scan(*args):
+            # fail at the third call rather than record 2^24 of them
+            assert spy.call_count <= 2, "a part after weight 1 was scanned"
+            return gray_scan(*args)
+
+        with mock.patch.object(_distpure, "gray_scan", wraps=scan) as spy:
+            rep = exact_distance(code_m1k0, parts=parts)
+        assert spy.call_count <= 2
+        assert rep == base._replace(parts=parts)
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 8, 4096])
     def test_partition_invariance(self, code_m1k1, parts):
@@ -744,7 +761,8 @@ def tally_counting(code):
     shift = 2 * code.n
     rows = [x | (code.s_span.reduce(x) << shift) for x in code.n_matrix]
     r = code.rank_n
-    classes = distance.ClassTables(get_expander(code.field, code.basis))
+    exp = get_expander(code.field, code.basis)
+    tables = distance.class_tables(exp)
     blocks_thr, distinct_thr, mult_thr = thresholds(code)
 
     def violates(outcome):
@@ -752,7 +770,7 @@ def tally_counting(code):
         return nb < blocks_thr or nd < distinct_thr or mm > mult_thr
 
     tally = Counter(chain.from_iterable(
-        distance._walk_signatures(classes, rows, r)))
+        distance._walk_signatures(exp, tables, rows, r)))
     examined = 0
     min_blocks = min_distinct = code.big_n + 1
     max_mult = 0
@@ -760,7 +778,7 @@ def tally_counting(code):
     for (out, cls), count in tally.items():
         if not out:
             continue
-        outcome = nb, nd, mm = classes.outcome(cls)
+        outcome = nb, nd, mm = distance.outcome(cls)
         examined += count
         min_blocks = min(min_blocks, nb)
         min_distinct = min(min_distinct, nd)
@@ -773,11 +791,11 @@ def tally_counting(code):
             map(high.__xor__, low)
             for _f, high, low in _distpure.gray_chunks(rows, 0, 1 << r))
         sigs = chain.from_iterable(
-            distance._walk_signatures(classes, rows, r))
+            distance._walk_signatures(exp, tables, rows, r))
         listed = ((word, cls) for word, (out, cls) in zip(words, sigs)
                   if out and cls in bad)
         for word, cls in islice(listed, 8):
-            nb, nd, mm = classes.outcome(cls)
+            nb, nd, mm = distance.outcome(cls)
             violations.append({"word": word & ((1 << shift) - 1),
                                "nonzero_blocks": nb, "distinct_tuples": nd,
                                "multiplicity": mm})
@@ -845,7 +863,7 @@ class TestBlockLocalDecomposition:
             shift = 2 * code.n
             rows = [x | (code.s_span.reduce(x) << shift)
                     for x in code.n_matrix]
-            local = _cosets.block_local(rows, code.expander)
+            local = distance.block_local(rows, code.expander)
             want = block_local_bases(code)
             assert [row_reduce(words)[1] for words in local] == want
             dims.append([len(b) for b in want])
@@ -856,11 +874,11 @@ class TestBlockLocalDecomposition:
         # coset spanned by brute force from the block-local words
         code = code_m1k1
         exp = code.expander
-        classes = distance.ClassTables(exp)
+        tables = distance.class_tables(exp)
         rows = [x | (code.s_span.reduce(x) << (2 * code.n))
                 for x in code.n_matrix]
-        cosets = _cosets.CosetClasses(classes,
-                                      _cosets.block_local(rows, exp))
+        cosets = distance.coset_tables(exp, tables,
+                                       distance.block_local(rows, exp))
         for i, basis in enumerate(block_local_bases(code)):
             local = {0}
             n_keys = {0}
@@ -868,7 +886,7 @@ class TestBlockLocalDecomposition:
                 local |= {k ^ exp.key(t, i) for k in local}
             for x in code.n_matrix:
                 n_keys |= {k ^ exp.key(x, i) for k in n_keys}
-            table, coset_table = classes.tables[i], cosets.tables[i]
+            table, coset_table = tables[i], cosets[i]
             for key in n_keys:
                 want = {table(key ^ t) for t in local}
                 assert coset_table(key) == want
@@ -898,7 +916,18 @@ class TestBlockLocalDecomposition:
                      if any(all(s.intersection(h) for s in sets)
                             for h in combinations(universe, k))),
                     math.inf)
-        assert _cosets.min_hitting_set(sets) == want
+        assert distance.min_hitting_set(sets) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=8).map(tuple))
+    @example(())
+    @example((0, 1, 0))
+    @example((2, 2, 3, 1, 0, 2))
+    def test_coset_outcome_of_single_classes(self, classes):
+        # a word whose every block has one class is its own coset: the
+        # extremes over its class sets are the word's own outcome
+        sets = tuple(frozenset({c}) for c in classes)
+        assert distance.coset_outcome(sets) == distance.outcome(classes)
 
 
 @st.composite
@@ -921,14 +950,14 @@ class TestClassTables:
     @given(st.data())
     def test_ids_decode_to_designated_tuples(self, data):
         exp = expander(data.draw(st.sampled_from((1, 2))))
-        classes = distance.ClassTables(exp)
+        tables = distance.class_tables(exp)
         w = exp.block_width
         half = 2 * exp.m + 1
         ids = {}  # designated tuple -> class, across blocks
         for _ in range(data.draw(st.integers(1, 24))):
             i, a_i, a_ni, s_i, t_i = data.draw(block_inputs(exp))
             b, c = exp.expand_block(i, a_i, a_ni, s_i, t_i)
-            table = classes.tables[i]
+            table = tables[i]
             cid = table(b | (c << w))
             # one class per quaternary (2m+1)-tuple, after 0 and 1
             assert 0 <= cid < 2 + 4 ** half
@@ -952,15 +981,16 @@ class TestClassTables:
         shift = 2 * code_m1k1.n
         rows = [x | (code_m1k1.s_span.reduce(x) << shift)
                 for x in code_m1k1.n_matrix]
-        classes = distance.ClassTables(code_m1k1.expander)
+        exp = code_m1k1.expander
+        tables = distance.class_tables(exp)
 
         def signature(x):
             return (x >> shift != 0,
-                    tuple(table(classes.exp.key(x, i))
-                          for i, table in enumerate(classes.tables)))
+                    tuple(table(exp.key(x, i))
+                          for i, table in enumerate(tables)))
 
         walked = list(chain.from_iterable(
-            distance._walk_signatures(classes, rows, 12)))
+            distance._walk_signatures(exp, tables, rows, 12)))
         words = chain.from_iterable(
             map(high.__xor__, low)
             for _f, high, low in _distpure.gray_chunks(rows, 0, 1 << 12))
