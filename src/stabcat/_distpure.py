@@ -15,10 +15,13 @@ each of a batch's 2n column ints belongs to word t.  :func:`count_planes`
 sums ``u_j | v_j`` over the positions j with a ripple counter,
 :func:`below` picks the words under a weight, and :func:`lightest`
 rebuilds and tests those in order.  Both sampled modes take batches of
-``BATCH`` trials from :func:`batches`: :func:`draw` takes their
-selectors from one ``getrandbits`` call, :func:`lane_vectors`
-transposes them into one int per normalizer row,
-and :func:`columns` XORs those into the words' columns one block at a
+``BATCH`` trials from :func:`batches`, which draws their selectors
+``DRAW`` trials per ``getrandbits`` call (:func:`draw`) and streams
+each draw's bytes into the batch's byte planes, one per selector byte;
+each plane is cut into its 8 lane vectors, one int per normalizer row,
+and freed at once.  So a batch's memory is its lanes, rank(N) ×
+``BATCH`` bits, plus one draw.  :func:`columns` XORs the lanes into
+the words' columns one block at a
 time (:func:`block_columns`), as ``symplectic.column_plan``, the one
 builder of column entries, lists them: a column that is the XOR of
 fewer of its block's other columns than it has rows is formed from
@@ -36,11 +39,14 @@ from functools import lru_cache, reduce
 from itertools import chain, compress
 from operator import getitem, or_, xor
 
-from .symplectic import byte_mask, transpose, transpose_bytes, xor_rows
+from .symplectic import byte_mask, transpose, transpose_planes, xor_rows
 
 #: low bits of the combination index handled per chunk, one bit-sliced
-#: batch.  12 bits halves the m=1 K=1 scan but slows the m=1 K=0 scan in
-#: 4,096 parts 1.6 times, as each part builds a 4,096-word table
+#: batch.  The chunk table is kept across parts (:func:`gray_table`), yet
+#: 12 bits is no clear gain: it takes the m=1 K=1 scan from 21 to 9 ms,
+#: but m=1 K=0 in 4,096 parts from 0.6 to 1.5 ms, and the exact CLI
+#: runs' peak RSS at m=1 from 16.2 to 16.5-16.7 MB (2-CPU Xeon, Python
+#: 3.11)
 CHUNK_BITS = 10
 
 
@@ -92,9 +98,18 @@ def gray_table(low_rows: tuple) -> tuple[list[int], list[int]]:
 # ----------------------------------------------------------------------
 
 #: trials the sampler evaluates together, one bit lane of each batch int
-#: per trial; a multiple of 8.  Larger batches are barely faster and
-#: raise the sampler's memory above the rest of ``distance``'s at m=3
-BATCH = 2048
+#: per trial; a multiple of 8.  A batch holds r × BATCH bits of lanes
+#: (:func:`batches`), so wider ints cost memory: the m=3 K=10 sampler
+#: (20,000 draws) takes 176, 135 and 127 ms at 2,048, 4,096 and 8,192
+#: lanes, at traced peaks of 0.64, 0.93 and 1.58 MB.  At 4,096 its CLI
+#: run peaks no higher than the one-shot draws of 2,048 did
+BATCH = 4096
+
+#: trials per ``getrandbits`` call within a batch (:func:`batches`): a
+#: 36 KB draw at m=3 K=10.  Half as many take about as long, and twice as
+#: many add 0.11 MB to the sampler's traced peak there
+DRAW = 256
+
 
 def draw(rng, r: int, count: int) -> bytes:
     """The selectors of ``count`` trials, from one ``rng.getrandbits``.
@@ -104,36 +119,76 @@ def draw(rng, r: int, count: int) -> bytes:
     a partial last word (and of the single word when r <= 32).  One
     ``getrandbits(32·W·count)`` takes the same words in the same order,
     so trial t's words are the 4W bytes from byte 4W·t, and the
-    generator is left as ``count`` separate draws would leave it.  See
-    :func:`lane_vectors` for where each bit sits.
+    generator is left as ``count`` separate draws would leave it; so
+    are consecutive draws of any counts.  See :func:`selector_bytes`
+    for where each bit sits.
     """
     words = (r + 31) // 32
     return rng.getrandbits(32 * words * count).to_bytes(4 * words * count,
                                                         "little")
 
 
-def lane_vectors(buf: bytes, r: int) -> list[int]:
-    """One int per row: bit t of entry i is trial t's selector bit i.
+def selector_bytes(r: int) -> tuple[int, list[int], slice]:
+    """Where a :func:`draw` row keeps the r selector bits.
 
-    A :func:`draw` buffer holds one 32·W-bit row per trial; selector
-    bit i is column i of it, or column i + 32·W - r in a partial last
-    word.
+    A row is 4W bytes; selector bit i is column i of it, or column
+    i + 32·W - r in a partial last word, whose low columns are unused.
+    Returns the row size 4W, the byte offsets that hold selector bits,
+    in order, and the slice of the unused columns among those offsets'
+    8 columns each; the other columns are bits 0..r-1.
     """
     words = (r + 31) // 32
-    cols = transpose_bytes(buf, 4 * words, range(4 * words))
     split = max(32 * words - 32, 0)  # selector bits below stay in place
-    return cols[:split] + cols[split + 32 * words - r:]
+    start = split + 32 * words - r  # the column of selector bit split
+    return (4 * words, [*range(split // 8), *range(start // 8, 4 * words)],
+            slice(split, split + start % 8))
+
+
+def lane_vectors(buf: bytes, r: int) -> list[int]:
+    """One int per row: bit t of entry i is trial t's selector bit i,
+    from one :func:`draw` buffer (:func:`selector_bytes`): the one-shot
+    form of the lanes that :func:`batches` streams."""
+    size, offsets, unused = selector_bytes(r)
+    lanes = transpose_planes((buf[o::size] for o in offsets),
+                             len(buf) // max(size, 1))
+    del lanes[unused]
+    return lanes
 
 
 def batches(seed, r: int, trials: int):
     """Per batch of up to ``BATCH`` trials, ``(first, count, lanes)``:
     the :func:`lane_vectors` of trials first..first + count - 1, trial t
-    taking the t-th ``getrandbits(r)`` of ``random.Random(seed)``.  No
-    batch is held here while the next is drawn."""
+    taking the t-th ``getrandbits(r)`` of ``random.Random(seed)``.
+
+    A batch is drawn ``DRAW`` trials at a time (:func:`draw`), and each
+    draw's bytes go into one plane per selector byte offset.  Each plane
+    is freed as soon as its 8 lanes are cut
+    (:func:`~stabcat.symplectic.transpose_planes`), so a batch holds its
+    lanes, r × ``BATCH`` bits, and one draw of ``DRAW`` trials.  No
+    batch is held here while the next is drawn.
+    """
     rng = random.Random(seed)
+    size, offsets, unused = selector_bytes(r)
     for first in range(0, trials, BATCH):
         count = min(BATCH, trials - first)
-        yield first, count, lane_vectors(draw(rng, r, count), r)
+        planes = [bytearray(count) for _ in offsets]
+        for lo in range(0, count, DRAW):
+            hi = min(lo + DRAW, count)
+            buf = draw(rng, r, hi - lo)
+            for plane, o in zip(planes, offsets):
+                plane[lo:hi] = buf[o::size]
+        del buf
+        lanes = transpose_planes(_drain(planes), count)
+        del lanes[unused]
+        yield first, count, lanes
+        del lanes  # before the next batch is drawn
+
+
+def _drain(items: list):
+    """The items of the list in order, each dropped from it as taken."""
+    items.reverse()
+    while items:
+        yield items.pop()
 
 
 def columns(lanes: list[int], supports) -> list[int]:
@@ -141,12 +196,14 @@ def columns(lanes: list[int], supports) -> list[int]:
 
     ``supports`` is a run of ``symplectic.column_plan`` entries.  Bit t
     of a column is trial t's bit there: the XOR of the lane vectors of
-    the rows in its entry, a list of row indices or a byte mask over the
-    rows.  An entry that is a tuple names other entries of ``supports``
-    by index, all of them row entries, and its column is the XOR of
-    theirs: those are formed first.
+    the rows in its entry, one row index, a list of them or a byte mask
+    over the rows.  An entry that is a tuple names other entries of
+    ``supports`` by index, all of them row entries, and its column is
+    the XOR of theirs: those are formed first.
     """
     def column(rows_at):
+        if isinstance(rows_at, int):  # one row: its lane vector itself
+            return lanes[rows_at]
         if isinstance(rows_at, bytes):  # ends at a set bit: never empty
             return reduce(xor, compress(lanes, rows_at))
         if isinstance(rows_at, tuple):

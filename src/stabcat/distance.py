@@ -14,11 +14,12 @@ span, in index order.
 Sampled mode draws uniform random normalizer codewords and reports the
 minimum weight seen, an upper bound on the true distance only.  It is
 reproducible per seed and prefix-stable.  The draws are evaluated
-bit-sliced, ``BATCH`` at a time with one bit lane per draw, from one
-``getrandbits`` call that gives the same bits as per-draw calls: each
-column of the batch's words is one XOR of row lane vectors, or of
-fewer other columns of its block where the block's columns depend on
-each other, and a bit-sliced counter gives every draw's weight at once.
+bit-sliced, ``BATCH`` at a time with one bit lane per draw, from
+``getrandbits`` calls of ``DRAW`` draws each that give the same bits as
+per-draw calls, streamed into the lanes: each column of the batch's
+words is one XOR of row lane vectors, or of fewer other columns of its
+block where the block's columns depend on each other, and a
+bit-sliced counter gives every draw's weight at once.
 Only the draws below the best weight so far are rebuilt and tested
 against the stabilizer span, in draw order.
 
@@ -155,7 +156,9 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     stabilizer span is the witness.
 
     The trials are evaluated bit-sliced, a batch at a time, one bit
-    lane per trial (:func:`~stabcat._distpure.batches`).  Each of the 2n
+    lane per trial (:func:`~stabcat._distpure.batches`).  A batch holds
+    its lanes, rank(N) × ``BATCH`` bits, and one ``getrandbits`` call's
+    worth of draws while they are streamed in.  Each of the 2n
     columns of a batch's words is the XOR of the lane vectors of the
     rows with that column set, or of other columns of its block, as a
     plan read once per call from the normalizer's columns says
@@ -240,10 +243,28 @@ def block_class(exp, i: int, key: int) -> int:
     return 1 if half is None else 2 + half
 
 
+#: most input bits of the block map at which a block's class table is
+#: cached (:func:`class_tables`)
+CACHED_INPUT_BITS = 14
+
+
 def class_tables(exp) -> list:
-    """Per block of ``exp``, its :func:`block_class` under
-    ``functools.cache``, so each key is classified once."""
-    return [cache(partial(block_class, exp, i)) for i in range(exp.n_blocks)]
+    """Per block of ``exp``, its :func:`block_class`, cached where its
+    keys repeat.
+
+    A block's keys in N are images of the block map, which has 6m+2
+    input bits (:meth:`~stabcat.concat.BlockExpander.unit_images`), so
+    a block has at most 2^(6m+2) keys.  Up to ``CACHED_INPUT_BITS``
+    (m <= 2) each table is under ``functools.cache`` and classifies
+    each key once; the cache is bounded by the keys themselves (16,384
+    per block at m=2).  At m=3 a block has about a million keys, and a
+    cache almost never hit (62,962 misses in 63,000 lookups over 1,000
+    draws at K=10) and grew with every draw, so no table is cached.
+    """
+    tables = [partial(block_class, exp, i) for i in range(exp.n_blocks)]
+    if 6 * exp.m + 2 <= CACHED_INPUT_BITS:
+        tables = list(map(cache, tables))
+    return tables
 
 
 def outcome(classes: tuple) -> tuple[int, int, int]:
@@ -474,6 +495,7 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
                             violations.append(violation(
                                 _distpure.trial_word(rows, lanes, t), found))
                         yield 1, found
+                del lanes, keys, sigs  # before the next batch is drawn
 
         extremes = _extremes(scored(), code.big_n)
     else:

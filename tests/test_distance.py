@@ -14,6 +14,8 @@ import functools
 import math
 import random
 import sys
+import tracemalloc
+import types
 from collections import Counter
 from itertools import chain, combinations, islice
 from unittest import mock
@@ -366,6 +368,24 @@ class TestSampledDistance:
         with pytest.raises(DistanceError):
             sampled_distance_upper(code_m1k1, trials=0, seed=0)
 
+    def test_m3k10_memory(self, code_m3k10):
+        """A batch holds its lanes and one draw.  Traced peaks of 20,000
+        draws at m=3 K=10 (rank N = 1,140): 977 KB for one-shot draws
+        of 2,048 trials, which held a batch's random int and its bytes,
+        then those bytes and the lanes; 934 KB for 4,096 trials streamed
+        into their lanes, which take 0.65 MB.  The column plan is
+        traced in both."""
+        code = code_m3k10
+        code.s_span.rows, code.n_span.rows  # canonical before tracing
+        tracemalloc.start()
+        try:
+            rep = sampled_distance_upper(code, trials=20000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.d == 593
+        assert peak < 977_000, peak
+
 
 def one_shot_sampler(code, trials, seed):
     """Oracle: the sampler as a trial-by-trial loop, one xor_rows per
@@ -444,6 +464,10 @@ def row_codes(draw):
 
 
 BATCH = _distpure.BATCH
+DRAW = _distpure.DRAW
+#: trial counts at the edges of the batches and of the draws within one
+EDGES = [1, 8 * DRAW - 1, 8 * DRAW, 8 * DRAW + 1, BATCH - 1, BATCH,
+         BATCH + 1, BATCH + 3, 2 * BATCH + 3]
 
 
 class TestSamplerOracle:
@@ -454,8 +478,7 @@ class TestSamplerOracle:
                 assert counted_sampler(code, trials, seed) == \
                     one_shot_sampler(code, trials, seed)
 
-    @pytest.mark.parametrize("trials", [1, BATCH - 1, BATCH, BATCH + 1,
-                                        2 * BATCH + 3])
+    @pytest.mark.parametrize("trials", EDGES)
     def test_batch_edges(self, code_m1k1, code_m2k3, trials):
         for code in (code_m1k1, code_m2k3):
             assert counted_sampler(code, trials, 7) == \
@@ -481,6 +504,38 @@ class TestSamplerOracle:
                              for t, sel in enumerate(want))
                          for i in range(r)]
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(r=st.one_of(st.integers(0, 200), st.sampled_from(
+               [32 * k + e for k in range(7) for e in (0, 1, 31)])),
+           trials=st.sampled_from([1, 7, DRAW - 1, DRAW, DRAW + 1,
+                                   BATCH - 1, BATCH, BATCH + 1,
+                                   BATCH + DRAW + 1]),
+           seed=st.integers(0, 3))
+    def test_streamed_batches_are_one_shot_draws(self, r, trials, seed):
+        # each batch's lanes are those of one draw of all its trials,
+        # and the generator ends where per-trial draws leave it
+        made = []
+
+        class Spy(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        with mock.patch.object(_distpure, "random",
+                               types.SimpleNamespace(Random=Spy)):
+            got = list(_distpure.batches(seed, r, trials))
+        one = random.Random(seed)
+        want = []
+        for first in range(0, trials, BATCH):
+            count = min(BATCH, trials - first)
+            want.append((first, count, _distpure.lane_vectors(
+                _distpure.draw(one, r, count), r)))
+        assert got == want
+        per_trial = random.Random(seed)
+        for _ in range(trials):
+            per_trial.getrandbits(r)
+        assert [rng.getstate() for rng in made] == [per_trial.getstate()]
+
     @given(weights=st.lists(st.integers(0, 40), min_size=1, max_size=40),
            w=st.integers(0, 70))
     def test_bit_sliced_weights(self, weights, w):
@@ -496,8 +551,7 @@ class TestSamplerOracle:
         assert _distpure.below(planes, w, every) == \
             sum(1 << t for t, wt in enumerate(weights) if wt < w)
 
-    @pytest.mark.parametrize("trials", [1, BATCH - 1, BATCH, BATCH + 1,
-                                        2 * BATCH + 3])
+    @pytest.mark.parametrize("trials", EDGES)
     def test_sampled_counting_unchanged(self, code_m1k1, code_m2k3,
                                         trials):
         # the counting check takes the sampler's draws, a batch at a time
@@ -1015,6 +1069,25 @@ class TestCountingClaims:
         assert rep.passed
         assert rep.blocks_threshold == 4
         assert rep.mult_threshold == 4
+
+    def test_m3k10_sampled_memory_flat(self, code_m3k10, monkeypatch):
+        # at m=3 the class tables are not cached: a cache of every key
+        # seen grew by 63 entries a draw and almost never hit.  Batches
+        # of 128 draws keep the traced runs short; the batches are
+        # freed as they go, so three take no more than one
+        monkeypatch.setattr(_distpure, "BATCH", 128)
+        # the block maps' inversion spans, kept by the expander
+        verify_counting_claims(code_m3k10, "sampled", trials=8, seed=0)
+        peaks = []
+        for trials in (128, 3 * 128):
+            tracemalloc.start()
+            try:
+                verify_counting_claims(code_m3k10, "sampled",
+                                       trials=trials, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 20_000, peaks
 
     def test_exhaustive_budget(self, code_m2k3):
         with pytest.raises(DistanceError):

@@ -322,17 +322,22 @@ class TestSelected:
 def entry_rows(entry):
     """The row indices that a ``column_plan`` entry other than a tuple
     selects."""
+    if isinstance(entry, int):
+        return [entry]
     if isinstance(entry, bytes):
         return [j for j, b in enumerate(entry) if b]
     return entry
 
 
 def check_support(entry, want):
-    """A support entry selects the rows ``want``, in the smaller form:
-    8 bytes per index or 1 byte per row."""
+    """A support entry selects the rows ``want``: one row as its index,
+    more or none in the smaller form, 8 bytes per index or 1 byte per
+    row."""
     assert entry_rows(entry) == want
-    assert isinstance(entry, list) == \
-        (8 * len(want) <= (want[-1] + 1 if want else 0))
+    assert isinstance(entry, int) == (len(want) == 1)
+    if len(want) != 1:
+        assert isinstance(entry, list) == \
+            (8 * len(want) <= (want[-1] + 1 if want else 0))
 
 
 def bit_tests(rows, c):
@@ -378,7 +383,7 @@ class TestColumnSupports:
         rows = code_m2k3.n_matrix
         n = code_m2k3.n
         plan = column_plan(rows, n, code_m2k3.block_width)
-        assert {type(e) for e in plan} == {list, bytes, tuple}
+        assert {type(e) for e in plan} == {int, list, bytes, tuple}
         for c, entry in zip(plan_order(n, code_m2k3.block_width), plan):
             if not isinstance(entry, tuple):
                 check_support(entry, bit_tests(rows, c))
@@ -386,8 +391,8 @@ class TestColumnSupports:
 
 def lane_xors(entries) -> int:
     """Lane vectors or columns that forming every entry's column XORs."""
-    return sum(e.count(1) if isinstance(e, bytes) else len(e)
-               for e in entries)
+    return sum(1 if isinstance(e, int) else e.count(1)
+               if isinstance(e, bytes) else len(e) for e in entries)
 
 
 @st.composite
