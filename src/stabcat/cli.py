@@ -16,8 +16,8 @@ import sys
 from itertools import chain
 
 from . import CURVE_NAMES, codefile
-from .concat import (ConcatError, build_code, check_block_injectivity,
-                     closed_forms)
+from .concat import (ConcatError, StabilizerCodeL, build_code,
+                     check_block_injectivity, closed_forms)
 from .distance import (DistanceError, exact_distance,
                        sampled_distance_upper)
 from .field import DEFAULT_MAX_DEGREE, FieldError, Field, gram_matrix
@@ -38,6 +38,15 @@ INJECTIVITY_BUDGET_BITS = 24
 
 def _print_err(msg: str) -> None:
     print(f"stabcat: {msg}", file=sys.stderr)
+
+
+def _load(path) -> codefile.CodeFile | None:
+    """The code file at ``path``, or None once its error line is written."""
+    try:
+        return codefile.load(path)
+    except codefile.CodeFileError as exc:
+        _print_err(str(exc))
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -131,18 +140,16 @@ def verify_code_file(cf: codefile.CodeFile) -> dict:
     rank_s, rank_n = len(cf.s_rows), len(cf.n_rows)
     checks["ranks"] = ranks_hold(cf)
 
-    code = codefile.to_code(cf, field) if field is not None else None
-    if code is not None:
-        rep = verify_duality(code)
-        checks["orthogonality"] = rep.all_orthogonal
-        checks["dims_complementary"] = rep.dims_complementary
-        checks["containment"] = rep.contained
-        if rep.failures:
-            details["duality_failures"] = rep.failures
-    else:
-        checks["orthogonality"] = False
-        checks["dims_complementary"] = False
-        checks["containment"] = False
+    # the duality checks read n and the rows alone, so a field that
+    # fails to build leaves them to run
+    rep = verify_duality(StabilizerCodeL(
+        m=m, big_n=big_n, big_k=big_k, n=n, k=cf.k, s_matrix=cf.s_rows,
+        n_matrix=cf.n_rows, field=field, basis=cf.basis))
+    checks["orthogonality"] = rep.all_orthogonal
+    checks["dims_complementary"] = rep.dims_complementary
+    checks["containment"] = rep.contained
+    if rep.failures:
+        details["duality_failures"] = rep.failures
 
     if checks["field"] and checks["basis"]:
         if 6 * m + 2 <= INJECTIVITY_BUDGET_BITS:
@@ -161,10 +168,8 @@ def verify_code_file(cf: codefile.CodeFile) -> dict:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cf = codefile.load(args.path)
-    except codefile.CodeFileError as exc:
-        _print_err(str(exc))
+    cf = _load(args.path)
+    if cf is None:
         return EXIT_IO
     report = verify_code_file(cf)
     if args.json:
@@ -202,10 +207,8 @@ def describe_failure(failure: tuple) -> str:
 
 
 def cmd_distance(args) -> int:
-    try:
-        cf = codefile.load(args.path)
-    except codefile.CodeFileError as exc:
-        _print_err(str(exc))
+    cf = _load(args.path)
+    if cf is None:
         return EXIT_IO
     try:
         code = codefile.to_code(cf)
@@ -311,10 +314,8 @@ def pauli_string(row: int, n: int) -> str:
 
 
 def cmd_export(args) -> int:
-    try:
-        cf = codefile.load(args.path)
-    except codefile.CodeFileError as exc:
-        _print_err(str(exc))
+    cf = _load(args.path)
+    if cf is None:
         return EXIT_IO
     print(f"# stabilizer generators ({len(cf.s_rows)} rows)")
     for row in cf.s_rows:

@@ -200,6 +200,37 @@ class TestVerify:
         assert main(["verify", str(m9_header_path)]) == EXIT_VERIFY_FAIL
         assert "field: FAIL" in capsys.readouterr().out.split("\n")
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_bad_field_still_runs_duality(self, m1k1_path, tmp_path,
+                                          capsys, monkeypatch, json_flag):
+        # the genuine code's rows under a reducible modulus: the duality
+        # checks need only n and the rows, so only field and basis fail
+        lines = m1k1_path.read_text().split("\n")
+        assert lines[6] == "modulus 0x7"
+        lines[6] = "modulus 0x5"
+        bad = tmp_path / "reducible.code"
+        bad.write_text("\n".join(lines))
+        calls = []
+        real = cli.verify_duality
+        monkeypatch.setattr(cli, "verify_duality",
+                            lambda code: calls.append(code) or real(code))
+        assert main(["verify", str(bad), *json_flag]) == EXIT_VERIFY_FAIL
+        captured = capsys.readouterr()
+        assert len(calls) == 1
+        checks = {"header": True, "field": False, "basis": False,
+                  "rows_canonical": True, "ranks": True,
+                  "orthogonality": True, "dims_complementary": True,
+                  "containment": True}
+        if json_flag:
+            assert json.loads(captured.out)["checks"] == checks
+        else:
+            assert captured.out == "".join(
+                f"{name}: {'pass' if ok else 'FAIL'}\n"
+                for name, ok in checks.items()) + (
+                "  field: modulus 0x5 is reducible\n"
+                "[[18,2]] rank_s=16 rank_n=20 => FAIL\n")
+        assert captured.err == "stabcat: verification failed: field, basis\n"
+
     @pytest.mark.parametrize("m", ["-1", "4000000000"])
     def test_hostile_m_fails_header_and_field(self, m1k1_path, tmp_path,
                                               capsys, m):

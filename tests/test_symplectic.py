@@ -233,6 +233,35 @@ class TestLazyRref:
         acc.add(0b010)
         assert before == [0b011] and acc.rows == [0b001, 0b010]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_pivot_list_grows(self, data):
+        # the shape of block_local and _block_plan: row bits low, one tag
+        # bit per row far above them; read, grown past its highest
+        # pivot and read again
+        width = data.draw(st.integers(1, 12))
+        tag = data.draw(st.integers(width + 1, 4 * width + 100))
+        words = data.draw(st.lists(st.integers(0, (1 << width) - 1),
+                                   min_size=2, max_size=16))
+        cut = data.draw(st.integers(1, len(words) - 1))
+        words[cut] = 0  # a row whose pivot is its own tag bit
+        rows = [x | 1 << (tag + j) for j, x in enumerate(words)]
+        acc = Rref()
+        added = []
+        for stage in (rows[:cut], rows[cut:]):
+            top = max(acc.pivots, default=-1)
+            for x in data.draw(st.permutations(stage)):
+                acc.add(x)
+                added.append(x)
+            assert max(acc.pivots) > top  # the second stage: tag + cut
+            assert acc.rows == \
+                row_reduce(data.draw(st.permutations(added)))[1]
+            red = naive_rref(added)
+            for x in data.draw(st.lists(
+                    st.integers(0, (1 << (tag + len(rows) + 8)) - 1),
+                    max_size=8)):
+                assert acc.reduce(x) == naive_residue(red, x)
+
 
 @st.composite
 def bit_matrices(draw):
@@ -291,6 +320,16 @@ def selections(draw):
     return items, bits
 
 
+def loop_xor(rows, bits):
+    """Oracle: XOR of rows[j] over the set bits j < len(rows) of
+    ``bits``, by one bit test per row."""
+    x = 0
+    for j, row in enumerate(rows):
+        if bits >> j & 1:
+            x ^= row
+    return x
+
+
 class TestSelected:
     @settings(max_examples=400, deadline=None)
     @given(selections())
@@ -298,7 +337,7 @@ class TestSelected:
         items, bits = case
         inside = bits & ((1 << len(items)) - 1)
         assert reduce(xor, selected(items, bits), 0) == \
-            xor_rows(items, inside)
+            loop_xor(items, inside) == xor_rows(items, bits)
         assert list(selected(items, bits)) == [
             x for c, x in enumerate(items) if inside >> c & 1]
 
@@ -316,7 +355,7 @@ class TestSelected:
             assert isinstance(selected(items, bits), list) == \
                 (count <= loop_limit(width))
             assert reduce(xor, selected(items, bits), 0) == \
-                xor_rows(items, bits)
+                loop_xor(items, bits) == xor_rows(items, bits)
 
 
 def entry_rows(entry):
@@ -580,15 +619,18 @@ class TestFirstOutside:
         word = st.integers(0, (1 << width) - 1)
         span = Rref(row_reduce(data.draw(st.lists(word, max_size=12)))[1])
         # members, non-members and words with bits above every pivot
-        members = [xor_rows(span.rows, b) for b in data.draw(
+        members = [loop_xor(span.rows, b) for b in data.draw(
             st.lists(st.integers(0, (1 << span.rank) - 1), max_size=6))]
         rows = data.draw(st.permutations(
             members + data.draw(st.lists(word, max_size=4))))
         if data.draw(st.booleans()):
             rows = [r | (1 << (width + 2)) for r in rows]
+        # rank oracle: r lies in the span iff it adds nothing to its rank
         want = next((i for i, r in enumerate(rows)
-                     if not in_span(span, r)), None)
+                     if row_reduce(span.rows + [r])[0] != span.rank), None)
         assert first_outside(span, rows) == want
+        assert want == next((i for i, r in enumerate(rows)
+                             if not in_span(span, r)), None)
 
 
 class TestVerifyDuality:
