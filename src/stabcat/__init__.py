@@ -5,9 +5,11 @@ block expansion of a CSS Reed-Solomon pair over GF(2^(2m)), exact
 verification of its defining algebra, minimum-distance search at desk
 scale, and the analytic rate/distance bound curves.
 
-The names below are imported from their modules on first use (PEP 562),
-so a command imports only the modules it runs: ``stabcat.cli`` leaves
-``bounds`` and its ``fractions`` import alone until ``bounds`` runs.
+The names below are imported from their modules on first use (PEP 562).
+``stabcat.cli`` imports every module but ``bounds`` whatever the
+command, since the per-layer trace (``perfbench/layertrace.py``) wraps
+names on it, until ROADMAP item 8; without cached bytecode that is
+about 21 ms of compiling per process (2-CPU Xeon, Python 3.11).
 """
 
 from importlib import import_module

@@ -155,22 +155,22 @@ def lane_vectors(buf: bytes, r: int) -> list[int]:
     return lanes
 
 
-def batches(seed, r: int, trials: int):
-    """Per batch of up to ``BATCH`` trials, ``(first, count, lanes)``:
-    the :func:`lane_vectors` of trials first..first + count - 1, trial t
-    taking the t-th ``getrandbits(r)`` of ``random.Random(seed)``.
+def batches(seed, r: int, trials: int, lanes_per: int = BATCH):
+    """Per batch of up to ``lanes_per`` trials, ``(first, count,
+    lanes)``: the :func:`lane_vectors` of trials first..first + count - 1,
+    trial t taking the t-th ``getrandbits(r)`` of ``random.Random(seed)``.
 
     A batch is drawn ``DRAW`` trials at a time (:func:`draw`), and each
     draw's bytes go into one plane per selector byte offset.  Each plane
     is freed as soon as its 8 lanes are cut
     (:func:`~stabcat.symplectic.transpose_planes`), so a batch holds its
-    lanes, r × ``BATCH`` bits, and one draw of ``DRAW`` trials.  No
+    lanes, r × ``lanes_per`` bits, and one draw of ``DRAW`` trials.  No
     batch is held here while the next is drawn.
     """
     rng = random.Random(seed)
     size, offsets, unused = selector_bytes(r)
-    for first in range(0, trials, BATCH):
-        count = min(BATCH, trials - first)
+    for first in range(0, trials, lanes_per):
+        count = min(lanes_per, trials - first)
         planes = [bytearray(count) for _ in offsets]
         for lo in range(0, count, DRAW):
             hi = min(lo + DRAW, count)

@@ -107,7 +107,7 @@ def verify_code_file(cf: codefile.CodeFile) -> dict:
     unique per row space, so any one-bit edit of a stored row either
     breaks this shape or changes the row space and breaks duality),
     rank closed forms, symplectic orthogonality of every stabilizer row
-    to every normalizer row (S·Ω·Nᵀ = 0, by table lookups),
+    to every normalizer row (S·Ω·Nᵀ = 0, from N's columns),
     stabilizer-in-normalizer containment, and per-block injectivity of
     the expansion (for m <= 3, see ``INJECTIVITY_BUDGET_BITS``), over
     the field's 2^(2m) - 1 blocks.  The field is built once and shared

@@ -396,13 +396,11 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
 
     Exhaustive mode covers every normalizer combination (same budget as
     :func:`exact_distance`); sampled mode draws ``trials`` seeded uniform
-    normalizer codewords from the sampler's batches
-    (:func:`~stabcat._distpure.batches`), the same draws as
-    :func:`sampled_distance_upper`'s for the seed.
-    Both combine normalizer rows that carry their stabilizer residue
-    ``s_span.reduce(x)`` above bit 2n.  The residue is linear in x, so a
-    combined word lies in S iff its bits from 2n up are zero; stabilizer
-    members are never examined.
+    normalizer codewords, the same draws as
+    :func:`sampled_distance_upper`'s for the seed.  The stabilizer
+    residue ``s_span.reduce(x)`` is linear in x, so a combined word lies
+    in S iff the residues combine to zero; stabilizer members are never
+    examined.
 
     Each word is reduced to its signature through per-block class tables
     (:func:`class_tables`).  Exhaustive mode finds the block-local
@@ -421,12 +419,14 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
     (:func:`column_plan`): the OR of the residue columns, from a plan of
     the residues, gives each draw's outside-S bit, and one
     :func:`transpose` of the 2n key columns, from the sampler's plan of
-    N, gives each draw its block keys side by side.  A draw's word is
-    rebuilt from its selector only when it is listed as a violation.
+    N, gives each draw its block keys side by side (at m=3 K=10 in 268
+    bytes, where one int per block key takes 36 a block).  A batch is
+    one draw (``_distpure.DRAW`` trials): the traced peak at 4,096
+    draws is 1.3 MB, not 4.4 as in 4,096-draw batches.  A draw's word
+    is rebuilt from its selector only when it is listed as a violation.
     Both modes fold their scores into the extremes by :func:`_extremes`.
     """
     shift = 2 * code.n
-    rows = [x | (code.s_span.reduce(x) << shift) for x in code.n_matrix]
     r = code.rank_n
     exp = code.expander
     tables = class_tables(exp)
@@ -450,6 +450,7 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
             raise DistanceError(
                 f"rank(N) = {r} exceeds the exhaustive budget; use "
                 f"sampled mode")
+        rows = [x | (code.s_span.reduce(x) << shift) for x in code.n_matrix]
         local = block_local(rows, exp)
         t0 = Rref(row_reduce(chain.from_iterable(local))[1])
         f_rows = row_reduce(map(t0.reduce, rows))[1]
@@ -472,16 +473,23 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
         if trials is None or trials < 1:
             raise DistanceError("sampled mode needs trials >= 1")
         w = exp.block_width
-        residue = column_plan([x >> shift for x in rows], code.n, w)
+        residue = column_plan(list(map(code.s_span.reduce, code.n_matrix)),
+                              code.n, w)
         # block by block, each block's u columns then its v columns, so
         # that bits 2wi.. of a draw's entry in ``keys`` are block i's key
         plan = column_plan(code.n_matrix, code.n, w)
         key_mask = (1 << (2 * w)) - 1
 
         def scored():
-            for _first, count, lanes in _distpure.batches(seed, r, trials):
-                outside = reduce(or_, chain.from_iterable(
-                    _distpure.block_columns(lanes, residue, w)), 0)
+            for _first, count, lanes in _distpure.batches(
+                    seed, r, trials, _distpure.DRAW):
+                # the blocks stop once every draw is known to be outside
+                every = (1 << count) - 1
+                outside = 0
+                for cols in _distpure.block_columns(lanes, residue, w):
+                    outside = reduce(or_, cols, outside)
+                    if outside == every:
+                        break
                 keys = transpose(list(chain.from_iterable(
                     _distpure.block_columns(lanes, plan, w))), count)
                 sigs = _signatures(
@@ -493,7 +501,8 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
                         found = outcome(cls)
                         if len(violations) < 8 and violates(found):
                             violations.append(violation(
-                                _distpure.trial_word(rows, lanes, t), found))
+                                _distpure.trial_word(code.n_matrix, lanes,
+                                                     t), found))
                         yield 1, found
                 del lanes, keys, sigs  # before the next batch is drawn
 

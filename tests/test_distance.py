@@ -510,10 +510,13 @@ class TestSamplerOracle:
            trials=st.sampled_from([1, 7, DRAW - 1, DRAW, DRAW + 1,
                                    BATCH - 1, BATCH, BATCH + 1,
                                    BATCH + DRAW + 1]),
-           seed=st.integers(0, 3))
-    def test_streamed_batches_are_one_shot_draws(self, r, trials, seed):
+           seed=st.integers(0, 3),
+           lanes_per=st.sampled_from([BATCH, DRAW, 8]))
+    def test_streamed_batches_are_one_shot_draws(self, r, trials, seed,
+                                                 lanes_per):
         # each batch's lanes are those of one draw of all its trials,
-        # and the generator ends where per-trial draws leave it
+        # and the generator ends where per-trial draws leave it, for
+        # the sampler's batches and sampled counting's (one draw each)
         made = []
 
         class Spy(random.Random):
@@ -523,11 +526,11 @@ class TestSamplerOracle:
 
         with mock.patch.object(_distpure, "random",
                                types.SimpleNamespace(Random=Spy)):
-            got = list(_distpure.batches(seed, r, trials))
+            got = list(_distpure.batches(seed, r, trials, lanes_per))
         one = random.Random(seed)
         want = []
-        for first in range(0, trials, BATCH):
-            count = min(BATCH, trials - first)
+        for first in range(0, trials, lanes_per):
+            count = min(lanes_per, trials - first)
             want.append((first, count, _distpure.lane_vectors(
                 _distpure.draw(one, r, count), r)))
         assert got == want
@@ -1075,7 +1078,7 @@ class TestCountingClaims:
         # seen grew by 63 entries a draw and almost never hit.  Batches
         # of 128 draws keep the traced runs short; the batches are
         # freed as they go, so three take no more than one
-        monkeypatch.setattr(_distpure, "BATCH", 128)
+        monkeypatch.setattr(_distpure, "DRAW", 128)
         # the block maps' inversion spans, kept by the expander
         verify_counting_claims(code_m3k10, "sampled", trials=8, seed=0)
         peaks = []
@@ -1088,6 +1091,22 @@ class TestCountingClaims:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 20_000, peaks
+
+    def test_m3k10_sampled_peak(self, code_m3k10):
+        # batches of one draw: at 4,096-draw batches the whole keys of a
+        # batch and their transposition took 4.42 MB
+        verify_counting_claims(code_m3k10, "sampled", trials=8, seed=0)
+        tracemalloc.start()
+        try:
+            rep = verify_counting_claims(code_m3k10, "sampled",
+                                         trials=4096, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.examined, rep.min_nonzero_blocks,
+                rep.min_distinct_tuples, rep.max_multiplicity,
+                rep.passed) == (4096, 63, 60, 2, True)
+        assert peak < 1_500_000, peak
 
     def test_exhaustive_budget(self, code_m2k3):
         with pytest.raises(DistanceError):

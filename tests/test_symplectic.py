@@ -16,7 +16,8 @@ from stabcat.symplectic import (DualityReport, Rref, RrefError,
                                 column_plan, first_outside, in_span,
                                 is_rref, row_reduce, selected,
                                 symplectic_product,
-                                symplectic_product_packed, symplectic_weight,
+                                symplectic_product_packed,
+                                symplectic_products, symplectic_weight,
                                 transpose, verify_duality, xor_rows)
 
 
@@ -609,6 +610,60 @@ class TestOrthogonalityOracle:
         rep = verify_duality(wide)
         assert rep.all_orthogonal
         assert rep.failures == pairwise_duality(wide).failures
+
+
+@st.composite
+def product_matrices(draw):
+    """S and N rows that come from no code, for n = 0..10, and a column
+    slice width.
+
+    N mixes random rows, rows of at most three bits (whose columns are
+    often unit columns, of one row alone, several in one row, or shared
+    with another row) and zero rows; a repeated row leaves neither copy
+    a unit column.
+    Every row may have bits at or above 2n.
+    """
+    n = draw(st.integers(0, 10))
+    top = 2 * n + 3
+    row = st.integers(0, (1 << top) - 1)
+    few = st.lists(st.integers(0, top - 1), max_size=3).map(
+        lambda bits: sum(1 << b for b in set(bits)))
+    s_rows = draw(st.lists(row, min_size=1, max_size=8))
+    n_rows = draw(st.lists(st.one_of(row, few, st.just(0)), max_size=12))
+    if n_rows and draw(st.booleans()):
+        n_rows.append(draw(st.sampled_from(n_rows)))
+    n_rows = draw(st.permutations(n_rows))
+    return s_rows, n_rows, n, draw(st.sampled_from((1, 7, 64)))
+
+
+class TestProductsOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(product_matrices())
+    def test_matches_pairwise_products(self, case):
+        s_rows, n_rows, n, slice_width = case
+        want = [sum(symplectic_product_packed(s, x, n) << j
+                    for j, x in enumerate(n_rows)) for s in s_rows]
+        with mock.patch.object(symplectic, "COLUMN_SLICE", slice_width):
+            assert symplectic_products(s_rows, n_rows, n) == want
+
+    def test_unit_columns_are_not_xored(self, code_m3k10):
+        # N's 1,140 pivot columns and 48 other columns hold one row
+        # alone: only the other 576 columns are XORed (117,986 XORs
+        # without the gather)
+        code = code_m3k10
+        picked = []
+        real = symplectic.selected
+
+        def counted(items, bits):
+            items = list(real(items, bits))
+            picked.append(len(items))
+            return items
+
+        with mock.patch.object(symplectic, "selected", counted):
+            prods = symplectic_products(code.s_matrix, code.n_matrix,
+                                        code.n)
+        assert prods == [0] * code.rank_s
+        assert sum(picked) == 21_086
 
 
 class TestFirstOutside:
