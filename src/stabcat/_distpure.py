@@ -35,18 +35,17 @@ once (:func:`chunk_carries`), flipped where the high word is set.
 from __future__ import annotations
 
 import random
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain, compress
 from operator import getitem, or_, xor
 
 from .symplectic import byte_mask, transpose, transpose_planes, xor_rows
 
 #: low bits of the combination index handled per chunk, one bit-sliced
-#: batch.  The chunk table is kept across parts (:func:`gray_table`), yet
+#: batch.  Each scan builds its chunk table once (:func:`gray_table`);
 #: 12 bits is no clear gain: it takes the m=1 K=1 scan from 21 to 9 ms,
-#: but m=1 K=0 in 4,096 parts from 0.6 to 1.5 ms, and the exact CLI
-#: runs' peak RSS at m=1 from 16.2 to 16.5-16.7 MB (2-CPU Xeon, Python
-#: 3.11)
+#: but the exact CLI runs' peak RSS at m=1 from 16.2 to 16.5-16.7 MB
+#: (2-CPU Xeon, Python 3.11)
 CHUNK_BITS = 10
 
 
@@ -64,7 +63,7 @@ def gray_chunks(rows, start: int, stop: int):
         return
     bits = min(len(rows), CHUNK_BITS)
     size = 1 << bits
-    table, backward = gray_table(tuple(rows[:bits]))
+    table, backward = gray_table(rows[:bits])
     high_rows = rows[bits:]
     first_h = start >> bits
     high = xor_rows(high_rows, first_h ^ (first_h >> 1))
@@ -78,14 +77,12 @@ def gray_chunks(rows, start: int, stop: int):
         yield base + lo, high, low if hi - lo == size else low[lo:hi]
 
 
-@lru_cache(maxsize=1)
-def gray_table(low_rows: tuple) -> tuple[list[int], list[int]]:
+def gray_table(low_rows) -> tuple[list[int], list[int]]:
     """The chunk table over ``low_rows`` in reflected Gray order, and its
     reverse.
 
     Word l of the table is the XOR of low_rows[j] over the set bits j of
-    l ^ (l >> 1).  The last result is kept, as every part of a split
-    scan walks the same low rows.
+    l ^ (l >> 1).
     """
     table = [0]
     for g in low_rows:
@@ -314,14 +311,12 @@ def lightest(planes: list[int], every: int, w: int, word, outside):
 # Exact scan
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def chunk_carries(low_rows: tuple, n: int) -> list:
+def chunk_carries(low_rows, n: int) -> list:
     """Per position j, the lanes ``u_j | v_j`` by the high word's u_j, v_j.
 
     The 2n columns of the chunk table over ``low_rows`` (:func:`gray_table`)
     are one :func:`transpose` of its words: bit l of column c is bit c of
-    word l.  A set high bit flips its column.  The last result is kept,
-    as every part of a split scan has the same low rows.
+    word l.  A set high bit flips its column.
     """
     full = (1 << (1 << len(low_rows))) - 1
     table = transpose(gray_table(low_rows)[0], 2 * n)
@@ -329,18 +324,20 @@ def chunk_carries(low_rows: tuple, n: int) -> list:
             for u, v in zip(table[:n], table[n:])]
 
 
-def gray_scan(gens, n: int, s_span, start: int, stop: int,
-              bound: int | None = None):
+def gray_scan(gens, n: int, s_span, start: int, stop: int):
     """Scan combination indices [start, stop); returns (w, idx, word).
 
     ``gens`` are packed 2n-bit generator rows; ``s_span`` is the span to
     exclude, an ``Rref`` whose ``reduce`` tests each candidate.  The zero
-    word is never a candidate, nor is a word of weight ``bound`` or more
-    (by default n + 1: none is).  Returns the best (weight, index,
+    word is never a candidate.  Returns the best (weight, index,
     codeword) with ties broken by the smallest index, or (-1, -1, 0) if
-    no candidate outside the excluded span was seen.  The scan stops
-    once the bound is 1, which no word can beat: at once for such a
-    bound, else after the chunk that holds a word of weight 1.
+    no candidate outside the excluded span was seen.  Each chunk looks
+    only for words strictly lighter than the best of the chunks before
+    it, and the scan stops after the chunk that holds a word of weight
+    1, which no later word can beat.  Disjoint ranges scanned apart
+    combine by minimum on (weight, index) to the scan of their union;
+    :func:`~stabcat.distance.exact_distance` scans its whole range in
+    one call.
 
     Each chunk is one bit-sliced batch, a lane per word, and a partial
     chunk takes its lanes' slice of the carries.  An odd chunk lists the
@@ -348,13 +345,10 @@ def gray_scan(gens, n: int, s_span, start: int, stop: int,
     (gray(2^L - 1 - l) = gray(l) ^ 2^(L-1)), so that row joins the high
     word that selects the carries.
     """
-    if bound is None:
-        bound = n + 1
-    if bound <= 1:
-        return -1, -1, 0
     bits = min(len(gens), CHUNK_BITS)  # as gray_chunks splits the index
     size = 1 << bits
-    carry = chunk_carries(tuple(gens[:bits]), n)
+    carry = chunk_carries(gens[:bits], n)
+    bound = n + 1  # no word weighs more than n
     best = None  # (w, idx, word)
     for first, high, low in gray_chunks(gens, start, stop):
         lo = first & (size - 1)

@@ -380,8 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample count (sample mode)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--parts", type=int, default=1,
-                   help="number of disjoint enumeration ranges "
-                        "(exact mode)")
+                   help="number of disjoint ranges the enumeration "
+                        "splits into; one walk covers them all and the "
+                        "report is the same for any count (exact mode)")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("bounds", help="rate/distance curve as CSV")

@@ -24,9 +24,10 @@ by the four equation groups
 
 (empty ranges at m = 1 contribute zero).  The map is GF(2)-linear and
 injective per block.  :meth:`BlockExpander.expand_block` is the only
-encoding of these equations; injectivity and inversion both use the span
-of a block's 6m+2 unit-input images, each tagged with its input index
-above the image bits (:meth:`BlockExpander.unit_span`).  A block's input
+encoding of these equations.  Injectivity is the rank of a block's 6m+2
+unit-input images (:func:`check_block_injectivity`); inversion uses
+their span with each image tagged by its input index above the image
+bits (:meth:`BlockExpander.unit_span`).  A block's input
 is one bit vector in that order: the 2m basis coordinates of a_i, those
 of a_{N+i}, then s_i and t_i, and :meth:`BlockExpander.invert_block`
 returns it as the tag that the reduction leaves.  No field element is
@@ -67,7 +68,7 @@ from typing import NamedTuple
 
 from .field import Field, build_field, coords, find_self_dual_basis
 from .rs import build_rs_pair, css_generators
-from .symplectic import Rref, RrefError, row_reduce, xor_rows
+from .symplectic import Rref, RrefError, row_reduce
 
 
 class ConcatError(ValueError):
@@ -156,11 +157,15 @@ class BlockExpander:
         self._coord_bits = [
             sum(c << j for j, c in enumerate(coords(field, basis, x)))
             for x in range(field.order)]
+        # _sums[c] is sum_j c_j beta_j, c as coordinate bits
+        self._sums = [0]
+        for b in basis:
+            self._sums += [x ^ b for x in self._sums]
         self._unit_spans: dict[int, Rref] = {}  # block -> unit_span
 
     def _twist(self, e: int, c: int) -> int:
         """Coordinate bits of e * sum_j c_j beta_j (c as coordinate bits)."""
-        return self._coord_bits[self.field.mul(e, xor_rows(self.basis, c))]
+        return self._coord_bits[self.field.mul(e, self._sums[c])]
 
     def expand_block(self, i: int, a_i: int, a_ni: int,
                      s_i, t_i) -> tuple[int, int]:
@@ -327,12 +332,12 @@ def check_block_injectivity(field: Field, basis, i: int) -> bool:
     """Test that block i's input -> bits map is injective.
 
     The map is GF(2)-linear, so it is injective iff no nonzero input
-    maps to zero, i.e. iff every pivot of the tagged unit-image span
-    (:meth:`BlockExpander.unit_span`) lies in the 2(4m+2) image bits:
-    a pivot in the tag bits is a nonzero input with a zero image.
+    maps to zero, i.e. iff its 6m+2 unit-input images
+    (:meth:`BlockExpander.unit_images`) are independent: each one
+    enlarges the span of those before it.
     """
-    exp = get_expander(field, basis)
-    return all(p < 2 * exp.block_width for p in exp.unit_span(i).pivots)
+    span = Rref()
+    return all(map(span.add, get_expander(field, basis).unit_images(i)))
 
 
 # ----------------------------------------------------------------------

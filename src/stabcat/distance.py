@@ -2,14 +2,14 @@
 
 Exact mode enumerates all 2^rank(N) combinations of the reduced
 normalizer generators in Gray order, skipping members of the
-stabilizer span, and is partitionable into disjoint index ranges whose
-results combine by minimum — the outcome is independent of the
-partition count.  The kernel is :func:`stabcat._distpure.gray_scan`:
-it walks the indices in chunks of 2^10 words, each one XOR of a high
-word with a shared table, and weighs a whole chunk at once bit-sliced,
-one lane per word, with the sampler's counter.  Only the words below
-the best weight so far are rebuilt and tested against the stabilizer
-span, in index order.
+stabilizer span.  The enumeration is partitionable into disjoint index
+ranges whose results combine by minimum — the outcome is independent
+of the partition count — and one walk covers all of them.  The kernel
+is :func:`stabcat._distpure.gray_scan`: it walks the indices in chunks
+of 2^10 words, each one XOR of a high word with a shared table, and
+weighs a whole chunk at once bit-sliced, one lane per word, with the
+sampler's counter.  Only the words below the best weight so far are
+rebuilt and tested against the stabilizer span, in index order.
 
 Sampled mode draws uniform random normalizer codewords and reports the
 minimum weight seen, an upper bound on the true distance only.  It is
@@ -110,33 +110,25 @@ def exact_distance(code: StabilizerCodeL, parts: int = 1) -> DistanceReport:
 
     Refuses instances with rank(N) above ``MAX_EXACT_RANK`` (the
     enumeration budget 2^24); use :func:`sampled_distance_upper` there.
-    ``parts`` splits the index range into that many equal chunks,
-    scanned in order, each for words strictly lighter than the best of
-    the parts before it; ties stay with the lowest index, so any part
-    count gives the identical report.
+    ``parts``, from 1 to 2^rank(N), names how many disjoint index
+    ranges the enumeration splits into.  Their minima combine to the
+    minimum of the whole, ties staying with the lowest index, so every
+    part count gives the identical report, and the ranges are not
+    walked apart: one :func:`~stabcat._distpure.gray_scan` walks
+    [0, 2^rank(N)), handing the best weight on from chunk to chunk.
     """
     r = code.rank_n
     if r > MAX_EXACT_RANK:
         raise DistanceError(
             f"rank(N) = {r} exceeds the exact-enumeration budget "
             f"2^{MAX_EXACT_RANK}; use the sampled mode")
-    if parts < 1 or parts > (1 << r):
-        raise DistanceError(f"invalid partition count {parts}")
-    gens = list(code.n_matrix)
     total = 1 << r
-    best = None  # (w, idx, word)
-    for part in range(parts):
-        lo, hi = total * part // parts, total * (part + 1) // parts
-        w, idx, word = _distpure.gray_scan(
-            gens, code.n, code.s_span, lo, hi,
-            code.n + 1 if best is None else best[0])
-        if w >= 0:
-            best = (w, idx, word)
-            if w == 1:  # no later part can beat it
-                break
-    if best is None:  # pragma: no cover - k >= 1 always leaves a coset
+    if parts < 1 or parts > total:
+        raise DistanceError(f"invalid partition count {parts}")
+    w, _idx, word = _distpure.gray_scan(list(code.n_matrix), code.n,
+                                        code.s_span, 0, total)
+    if w < 0:  # pragma: no cover - k >= 1 always leaves a coset
         raise DistanceError("no codeword outside the stabilizer span")
-    w, _idx, word = best
     _validate_witness(code, word, w)
     return DistanceReport(
         method="exact", d=w,
@@ -305,7 +297,7 @@ def coset_tables(exp, tables, local) -> list:
     classes that ``tables`` give the keys of its coset key + key_i(T0_i),
     where ``local[i]`` spans T0_i (:func:`block_local`), whose keys
     :func:`~stabcat._distpure.gray_table` lists."""
-    spans = [_distpure.gray_table(tuple(exp.key(t, i) for t in words))[0]
+    spans = [_distpure.gray_table([exp.key(t, i) for t in words])[0]
              for i, words in enumerate(local)]
     return [cache(partial(_coset_classes, table, span))
             for table, span in zip(tables, spans)]

@@ -258,15 +258,19 @@ class TestChunkedGrayScan:
                     words += [high ^ t for t in low]
                 assert words == [i ^ (i >> 1) for i in range(start, stop)]
 
-    def test_parts_share_one_table(self, code_m1k1):
-        # every part of a split scan walks the same low rows; the first
-        # part's chunk_carries transposes the table, and each part's
-        # walk reads it
-        _distpure.gray_table.cache_clear()
-        _distpure.chunk_carries.cache_clear()
-        exact_distance(code_m1k1, parts=8)
-        info = _distpure.gray_table.cache_info()
-        assert (info.misses, info.hits) == (1, 8)
+    def test_one_walk_for_any_part_count(self, code_m1k1):
+        # a part count splits the index range, not the walk: one
+        # gray_scan covers [0, 2^r) and the report differs from the
+        # whole scan's in its parts field alone
+        base = exact_distance(code_m1k1, parts=1)
+        total = 1 << code_m1k1.rank_n
+        for parts in (1, 8, total):
+            with mock.patch.object(_distpure, "gray_scan",
+                                   wraps=_distpure.gray_scan) as spy:
+                rep = exact_distance(code_m1k1, parts=parts)
+            assert spy.call_count == 1
+            assert spy.call_args.args[3:] == (0, total)
+            assert rep == base._replace(parts=parts)
 
 
 class TestExactDistance:
@@ -295,8 +299,8 @@ class TestExactDistance:
 
     @pytest.mark.parametrize("parts", [4096, 1 << 24])
     def test_weight_one_ends_the_parts(self, code_m1k0, parts):
-        # the witness is index 1, in the first part or the second: no
-        # later part is scanned once the best weight is 1
+        # the witness is index 1: the scan ends with its chunk, and no
+        # part gets a scan of its own
         base = exact_distance(code_m1k0, parts=1)
         gray_scan = _distpure.gray_scan
 
@@ -310,7 +314,7 @@ class TestExactDistance:
         assert spy.call_count <= 2
         assert rep == base._replace(parts=parts)
 
-    @pytest.mark.parametrize("parts", [1, 2, 3, 8, 4096])
+    @pytest.mark.parametrize("parts", [1, 2, 3, 8, 4096, 1 << 20])
     def test_partition_invariance(self, code_m1k1, parts):
         base = exact_distance(code_m1k1, parts=1)
         rep = exact_distance(code_m1k1, parts=parts)
