@@ -14,22 +14,24 @@ DES implementation in software", FSE 1997), a batch at a time: bit t of
 each of a batch's 2n column ints belongs to word t.  :func:`count_planes`
 sums ``u_j | v_j`` over the positions j with a ripple counter,
 :func:`below` picks the words under a weight, and :func:`lightest`
-rebuilds and tests those in order.  Both sampled modes take batches of
-``BATCH`` trials from :func:`batches`, which draws their selectors
-``DRAW`` trials per ``getrandbits`` call (:func:`draw`) and streams
-each draw's bytes into the batch's byte planes, one per selector byte;
-each plane is cut into its 8 lane vectors, one int per normalizer row,
-and freed at once.  So a batch's memory is its lanes, rank(N) ×
-``BATCH`` bits, plus one draw.  :func:`columns` XORs the lanes into
-the words' columns one block at a
-time (:func:`block_columns`), as ``symplectic.column_plan``, the one
-builder of column entries, lists them: a column that is the XOR of
-fewer of its block's other columns than it has rows is formed from
-those columns, which halves a batch's XORs at m=3 K=10.  The sampled
-counting check reads the same columns, and its residue's columns from
-a plan of their own.  An exact-scan batch is a chunk of
-:func:`gray_chunks`, whose columns are the chunk table's, transposed
-once (:func:`chunk_carries`), flipped where the high word is set.
+rebuilds and tests those in order.  :func:`batches` draws a batch's
+selectors ``DRAW`` trials per ``getrandbits`` call (:func:`draw`) and
+streams each draw's bytes into the batch's byte planes, one per
+selector byte; each plane is cut into its 8 lane vectors, one int per
+normalizer row, and freed at once.  So a batch's memory is its lanes,
+rank(N) bits a trial, plus one draw.  The sampled distance takes
+batches of ``BATCH`` trials, rank(N) × ``BATCH`` bits of lanes; the
+sampled counting check takes batches of ``DRAW`` trials, one draw
+each.  Both form a batch's word columns from its lanes one block at a
+time through ``symplectic.block_columns``, as ``symplectic.column_plan``
+lists them: the plan is built and read in :mod:`stabcat.symplectic`.
+A column that is the XOR of fewer of its block's other columns than it
+has rows is formed from those columns, which halves a batch's XORs at
+m=3 K=10.  The sampled counting check reads the same columns, and its
+residue's columns from a plan of their own.  An exact-scan batch is a
+chunk of :func:`gray_chunks`, whose columns are the chunk table's,
+transposed once (:func:`chunk_carries`), flipped where the high word
+is set.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from functools import reduce
 from itertools import chain, compress
 from operator import getitem, or_, xor
 
-from .symplectic import byte_mask, transpose, transpose_planes, xor_rows
+from .symplectic import (block_columns, byte_mask, transpose, transpose_planes,
+                         xor_rows)
 
 #: low bits of the combination index handled per chunk, one bit-sliced
 #: batch.  Each scan builds its chunk table once (:func:`gray_table`);
@@ -188,33 +191,6 @@ def _drain(items: list):
         yield items.pop()
 
 
-def columns(lanes: list[int], supports) -> list[int]:
-    """The batch's word columns, one per entry of ``supports``.
-
-    ``supports`` is a run of ``symplectic.column_plan`` entries.  Bit t
-    of a column is trial t's bit there: the XOR of the lane vectors of
-    the rows in its entry, one row index, a list of them or a byte mask
-    over the rows.  An entry that is a tuple names other entries of
-    ``supports`` by index, all of them row entries, and its column is
-    the XOR of theirs: those are formed first.
-    """
-    def column(rows_at):
-        if isinstance(rows_at, int):  # one row: its lane vector itself
-            return lanes[rows_at]
-        if isinstance(rows_at, bytes):  # ends at a set bit: never empty
-            return reduce(xor, compress(lanes, rows_at))
-        if isinstance(rows_at, tuple):
-            return None
-        return reduce(xor, map(lanes.__getitem__, rows_at)) if rows_at \
-            else 0
-
-    cols = list(map(column, supports))
-    for k, rows_at in enumerate(supports):
-        if isinstance(rows_at, tuple):
-            cols[k] = reduce(xor, map(cols.__getitem__, rows_at))
-    return cols
-
-
 def count_planes(carries) -> list[int]:
     """Bit-sliced counts: a ripple counter over the ints of ``carries``.
 
@@ -238,24 +214,12 @@ def count_planes(carries) -> list[int]:
     return planes
 
 
-def block_columns(lanes: list[int], supports, width: int):
-    """:func:`columns` of each run of 2·width entries of ``supports``.
-
-    A run is the u columns, then the v columns, of ``width`` positions:
-    one block of a ``symplectic.column_plan``, whose tuples name entries
-    of their own run.  Each run's columns are formed only when the
-    iterator reaches it.
-    """
-    step = max(2 * width, 1)  # no positions, no entries
-    return (columns(lanes, supports[lo:lo + step])
-            for lo in range(0, len(supports), step))
-
-
 def weight_planes(lanes: list[int], supports, width: int) -> list[int]:
     """Bit-sliced weights of a batch's words, a block at a time.
 
     ``supports`` holds the 2n columns' entries as the blocks of a
-    ``symplectic.column_plan``, runs of 2·width (:func:`block_columns`).
+    ``symplectic.column_plan``, runs of 2·width
+    (:func:`~stabcat.symplectic.block_columns`).
     Each run's u_j | v_j pairs go into :func:`count_planes`, whose
     result does not depend on their order; only one run's columns are
     held at a time.

@@ -85,18 +85,12 @@ def from_code(code: StabilizerCodeL) -> CodeFile:
         s_rows=tuple(code.s_matrix), n_rows=tuple(code.n_matrix))
 
 
-def to_code(cf: CodeFile, field: Field | None = None) -> StabilizerCodeL:
-    """Rebuild a code object (field, basis, matrices) from a file image.
-
-    ``field`` is the file's field when the caller has already built it
-    (``Field(2 * cf.m, cf.modulus)``); otherwise it is built here.
-    """
-    if field is None:
-        field = Field(2 * cf.m, cf.modulus)
+def to_code(cf: CodeFile) -> StabilizerCodeL:
+    """Rebuild a code object (field, basis, matrices) from a file image."""
     return StabilizerCodeL(
         m=cf.m, big_n=cf.big_n, big_k=cf.big_k, n=cf.n, k=cf.k,
         s_matrix=tuple(cf.s_rows), n_matrix=tuple(cf.n_rows),
-        field=field, basis=tuple(cf.basis))
+        field=Field(2 * cf.m, cf.modulus), basis=tuple(cf.basis))
 
 
 def _lines(cf: CodeFile) -> Iterator[str]:

@@ -58,9 +58,9 @@ from operator import and_, or_, rshift
 from typing import NamedTuple
 
 from .concat import StabilizerCodeL, SymplecticVector, designated_half
-from .symplectic import (Rref, byte_mask, column_plan, in_span, lowest_bit,
-                         row_reduce, symplectic_weight_packed, transpose,
-                         xor_rows)
+from .symplectic import (Rref, block_columns, byte_mask, column_plan,
+                         in_span, lowest_bit, row_reduce,
+                         symplectic_weight_packed, transpose, xor_rows)
 from . import _distpure
 
 HAVE_COMPILED = False  # always False; perfbench/run.py's env probe reads it
@@ -407,7 +407,7 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
     Sampled draws almost never repeat a signature (all 10^5 distinct at
     m=2 K=3), so they are not tallied but scored in draw order.  A
     batch's columns are formed block by block
-    (:func:`~stabcat._distpure.block_columns`) from two column plans
+    (:func:`block_columns`) from two column plans
     (:func:`column_plan`): the OR of the residue columns, from a plan of
     the residues, gives each draw's outside-S bit, and one
     :func:`transpose` of the 2n key columns, from the sampler's plan of
@@ -478,12 +478,12 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
                 # the blocks stop once every draw is known to be outside
                 every = (1 << count) - 1
                 outside = 0
-                for cols in _distpure.block_columns(lanes, residue, w):
+                for cols in block_columns(lanes, residue, w):
                     outside = reduce(or_, cols, outside)
                     if outside == every:
                         break
                 keys = transpose(list(chain.from_iterable(
-                    _distpure.block_columns(lanes, plan, w))), count)
+                    block_columns(lanes, plan, w))), count)
                 sigs = _signatures(
                     tables, byte_mask(outside).ljust(count, b"\0"),
                     (map(and_, map(rshift, keys, repeat(i)), repeat(key_mask))

@@ -25,11 +25,13 @@ orthogonality check (:func:`symplectic_products`) XORs the columns
 that a stabilizer row picks, but for N's columns of one row, which it
 gathers by transposes.  :func:`column_plan`
 is the one builder of column entries, for the sampler's batches and
-the sampled counting check's residue: it keeps a column of one row as
-that row's index, the picks of a sparse column as a list and the mask
-of a dense one, and reduces each block's columns, one tag bit each,
-with :class:`Rref`, so that a column that is the XOR of fewer of its
-block's columns than it has rows is formed from them.
+the sampled counting check, and :func:`block_columns` their one
+reader: both live here.  The plan reads every matrix through
+:func:`column_slices`, keeps a column of one row as that row's index,
+the picks of a sparse column as a list and the mask of a dense one
+(:func:`_support`), and reduces each block's columns, one tag bit
+each, with :func:`row_reduce`, so that a column that is the XOR of
+fewer of its block's columns than it has rows is formed from them.
 :func:`transpose` is the one way to read whole columns out of a row
 list: the orthogonality check, the column plans (through
 :func:`column_slices`), the exact scan's chunk table, the sampler's
@@ -290,31 +292,6 @@ def _support(index: list, col: int):
     return byte_mask(col)
 
 
-def _sparse(rows, width: int) -> bool:
-    """At most two set bits per column on average: read row by row.
-
-    One step per set bit then costs less than transposing every column:
-    0.03 s against 0.15 s at m=4 K=0 (18,262 set bits over 9,180
-    columns, 6,948 of them of one row).  A column of one or two rows
-    gains at most one XOR from a plan (:func:`column_plan`), and at m=4
-    K=0 a plan saves none, so a sparse matrix keeps its supports.
-    """
-    return sum(map(int.bit_count, rows)) <= 2 * width
-
-
-def _row_supports(rows, width: int) -> list:
-    """The :func:`_support` of each column c < width of a sparse matrix,
-    one step per set bit."""
-    found: list = [[] for _ in range(width)]
-    columns = range(width)
-    for j, x in enumerate(rows):
-        for c in selected(columns, x):
-            found[c].append(j)
-    return [s[0] if len(s) == 1
-            else s if 8 * len(s) <= (s[-1] + 1 if s else 0)
-            else byte_mask(sum(1 << j for j in s)) for s in found]
-
-
 def column_plan(rows, n: int, w: int) -> list:
     """Entries for the 2n columns of ``rows``, block by block.
 
@@ -323,31 +300,25 @@ def column_plan(rows, n: int, w: int) -> list:
     the blocks follow in order.  Bits at or above 2n are ignored.  An
     entry is a column's support or a tuple of the indices, within its
     block's 2w entries, of other columns whose XOR it is
-    (:func:`~stabcat._distpure.columns`).  A support is the index j of
-    the one row with the column set, or whichever form is smaller
-    (:func:`_support`): a list of the indices j of the rows with the
-    column set (8 bytes per set bit) or their :func:`byte_mask` (one
-    byte per row up to the last one set, for ``itertools.compress``);
-    every index is the one int of its row.  At m=3 K=10, 1,188 of the
-    1,764 columns have one row.  Within a block the columns are
-    taken sparsest first (ties in column order) and reduced, each
-    tagged with one bit, by one :func:`row_reduce`, as
+    (:func:`columns`).  A support is the index j of the one row with the
+    column set, or whichever form is smaller (:func:`_support`): a list
+    of the indices j of the rows with the column set (8 bytes per set
+    bit) or their :func:`byte_mask` (one byte per row up to the last one
+    set, for ``itertools.compress``); every index is the one int of its
+    row.  At m=3 K=10, 1,188 of the 1,764 columns have one row.  Within
+    a block the columns are taken sparsest first (ties in column order)
+    and reduced, each tagged with one bit, by one :func:`row_reduce`, as
     ``BlockExpander.unit_span`` tags unit images.  A column that is the
     XOR of k earlier columns, with k below its row count, becomes their
     tuple; those columns keep their supports.  Every entry comes from
     the actual columns, so the plan holds for any matrix.  In the
     paper's code a block's 2(4m+2) columns span at most 6m+2 dimensions:
     at m=3 K=10 the plan names 56,315 rows or columns per batch where the
-    supports name 119,659.  A sparse matrix (:func:`_sparse`) keeps its
-    supports.  The columns are read through :func:`column_slices`, in
-    slices of whole blocks.
+    supports name 119,659.  The columns are read through
+    :func:`column_slices`, in slices of whole blocks.
     """
     if w < 1 or n % w:
         raise ValueError(f"{n} positions do not split into blocks of {w}")
-    if _sparse(rows, 2 * n):
-        supports = _row_supports(rows, 2 * n)
-        return [e for j in range(0, n, w)
-                for e in supports[j:j + w] + supports[n + j:n + j + w]]
     index = list(range(len(rows)))
     plan: list = []
     for cols in column_slices(rows, n, max(1, COLUMN_SLICE // (2 * w)) * w):
@@ -382,6 +353,46 @@ def _block_plan(cols: list, index: list) -> list:
                                for p in selected(range(top + 1), rest))
     return [_support(index, c) if e is None else e
             for c, e in zip(cols, entries)]
+
+
+def columns(lanes: list[int], supports) -> list[int]:
+    """The batch's word columns, one per entry of ``supports``.
+
+    ``supports`` is a run of :func:`column_plan` entries.  Bit t of a
+    column is trial t's bit there: the XOR of the lane vectors of the
+    rows in its entry, one row index, a list of them or a byte mask
+    over the rows.  An entry that is a tuple names other entries of
+    ``supports`` by index, all of them row entries, and its column is
+    the XOR of theirs: those are formed first.
+    """
+    def column(rows_at):
+        if isinstance(rows_at, int):  # one row: its lane vector itself
+            return lanes[rows_at]
+        if isinstance(rows_at, bytes):  # ends at a set bit: never empty
+            return reduce(xor, compress(lanes, rows_at))
+        if isinstance(rows_at, tuple):
+            return None
+        return reduce(xor, map(lanes.__getitem__, rows_at)) if rows_at \
+            else 0
+
+    cols = list(map(column, supports))
+    for k, rows_at in enumerate(supports):
+        if isinstance(rows_at, tuple):
+            cols[k] = reduce(xor, map(cols.__getitem__, rows_at))
+    return cols
+
+
+def block_columns(lanes: list[int], supports, width: int):
+    """:func:`columns` of each run of 2·width entries of ``supports``.
+
+    A run is the u columns, then the v columns, of ``width`` positions:
+    one block of a :func:`column_plan`, whose tuples name entries of
+    their own run.  Each run's columns are formed only when the
+    iterator reaches it.
+    """
+    step = max(2 * width, 1)  # no positions, no entries
+    return (columns(lanes, supports[lo:lo + step])
+            for lo in range(0, len(supports), step))
 
 
 def in_span(span: Rref, x: int) -> bool:

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from stabcat import _distpure, symplectic
 from stabcat.concat import SymplecticVector, build_code
 from stabcat.symplectic import (DualityReport, Rref, RrefError,
-                                column_plan, first_outside, in_span,
+                                block_columns, column_plan,
+                                first_outside, in_span,
                                 is_rref, row_reduce, selected,
                                 symplectic_product,
                                 symplectic_product_packed,
@@ -501,7 +502,7 @@ class TestColumnPlan:
         want = [reduce(xor, (v for v, x in zip(lanes, rows) if x >> c & 1),
                        0) for c in range(2 * n)]
         got = list(chain.from_iterable(
-            _distpure.block_columns(lanes, plan, w)))
+            block_columns(lanes, plan, w)))
         assert got == [c for j in range(0, n, w)
                        for c in want[j:j + w] + want[n + j:n + j + w]]
         assert _distpure.weight_planes(lanes, plan, w) == \
@@ -513,15 +514,27 @@ class TestColumnPlan:
                 column_plan([1, 2], n, w)
         assert column_plan([1, 2], 0, 3) == []
 
-    def test_sparse_rows_keep_their_supports(self):
-        # two set bits per column: read row by row, nothing transposed
-        rows = [0] * 16 + [0b0011, 0b0101, 0b1010, 0b1100]
-        with mock.patch.object(symplectic, "transpose",
-                               side_effect=AssertionError):
-            plan = column_plan(rows, 2, 1)
-            supports = column_plan(rows, 2, 2)  # one block: column order
-        assert supports == [[16, 17], [16, 18], [17, 19], [18, 19]]
-        assert plan == [[16, 17], [17, 19], [16, 18], [18, 19]]
+    @pytest.mark.parametrize("m", (1, 2))
+    def test_k0_plans_are_the_plain_supports(self, m):
+        # the sparsest normalizers, at most two rows a column on average,
+        # take the one block path: no column is the XOR of fewer other
+        # columns than it has rows, so every entry is its support
+        code = build_code(m, 0)
+        rows, n, w = code.n_matrix, code.n, code.block_width
+        plan = column_plan(rows, n, w)
+        assert len(plan) == 2 * n
+        assert sum(map(int.bit_count, rows)) <= 2 * len(plan)
+        for c, entry in zip(plan_order(n, w), plan):
+            check_support(entry, bit_tests(rows, c))
+        # the residues modulo S, as sampled counting reads them
+        residue = list(map(code.s_span.reduce, rows))
+        rng = random.Random(m)
+        lanes = [rng.getrandbits(64) for _ in rows]
+        got = chain.from_iterable(
+            block_columns(lanes, column_plan(residue, n, w), w))
+        assert list(got) == [
+            reduce(xor, (lanes[j] for j in bit_tests(residue, c)), 0)
+            for c in plan_order(n, w)]
 
     def test_halves_the_lane_xors_at_m3(self, code_m3k10):
         # a block's 28 columns span at most 20 dimensions
