@@ -7,7 +7,9 @@ bits.  The 2^L low words are one precomputed table listed in reflected
 Gray order, and each high step costs one XOR, so every word of a chunk
 is ``high ^ table[l]`` and a whole chunk is handled by ``map`` at C
 speed.  In the reflected Gray code an odd chunk lists the table
-backwards.
+backwards, which is the table forwards with the top low row set
+(gray(2^L - 1 - l) = gray(l) ^ 2^(L-1)), so an odd chunk's high word
+takes that row and its low words are the one table's.
 
 Both distance searches weigh their words bit-sliced (Biham, "A fast new
 DES implementation in software", FSE 1997), a batch at a time: bit t of
@@ -30,8 +32,8 @@ has rows is formed from those columns, which halves a batch's XORs at
 m=3 K=10.  The sampled counting check reads the same columns, and its
 residue's columns from a plan of their own.  An exact-scan batch is a
 chunk of :func:`gray_chunks`, whose columns are the chunk table's,
-transposed once (:func:`chunk_carries`), flipped where the high word
-is set.
+transposed once (:func:`chunk_carries`), flipped where the chunk's
+high word is set.
 """
 
 from __future__ import annotations
@@ -58,15 +60,15 @@ def gray_chunks(rows, start: int, stop: int):
     The word at index idx is the XOR of rows[j] over the set bits j of
     idx ^ (idx >> 1).  Yields ``(first, high, low)`` per chunk: the
     words at indices first, first + 1, ... are ``high ^ low[0]``,
-    ``high ^ low[1]``, ...  Whole chunks share one table (read backwards
-    for odd chunks); a partial chunk at either end of the range gets a
-    slice of it.
+    ``high ^ low[1]``, ...  Every chunk reads the one table forwards,
+    an odd chunk with the top low row in its high word; a partial chunk
+    at either end of the range gets a slice of the table.
     """
     if start >= stop:
         return
     bits = min(len(rows), CHUNK_BITS)
     size = 1 << bits
-    table, backward = gray_table(rows[:bits])
+    table = gray_table(rows[:bits])
     high_rows = rows[bits:]
     first_h = start >> bits
     high = xor_rows(high_rows, first_h ^ (first_h >> 1))
@@ -76,13 +78,12 @@ def gray_chunks(rows, start: int, stop: int):
         base = h << bits
         lo = max(start - base, 0)
         hi = min(stop - base, size)
-        low = backward if h & 1 else table
-        yield base + lo, high, low if hi - lo == size else low[lo:hi]
+        yield (base + lo, high ^ rows[bits - 1] if h & 1 else high,
+               table if hi - lo == size else table[lo:hi])
 
 
-def gray_table(low_rows) -> tuple[list[int], list[int]]:
-    """The chunk table over ``low_rows`` in reflected Gray order, and its
-    reverse.
+def gray_table(low_rows) -> list[int]:
+    """The chunk table over ``low_rows`` in reflected Gray order.
 
     Word l of the table is the XOR of low_rows[j] over the set bits j of
     l ^ (l >> 1).
@@ -90,7 +91,7 @@ def gray_table(low_rows) -> tuple[list[int], list[int]]:
     table = [0]
     for g in low_rows:
         table += [t ^ g for t in reversed(table)]
-    return table, table[::-1]
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -280,10 +281,10 @@ def chunk_carries(low_rows, n: int) -> list:
 
     The 2n columns of the chunk table over ``low_rows`` (:func:`gray_table`)
     are one :func:`transpose` of its words: bit l of column c is bit c of
-    word l.  A set high bit flips its column.
+    word l.  A set bit of a chunk's high word flips its column.
     """
     full = (1 << (1 << len(low_rows))) - 1
-    table = transpose(gray_table(low_rows)[0], 2 * n)
+    table = transpose(gray_table(low_rows), 2 * n)
     return [((u | v, u | v ^ full), (u ^ full | v, (u & v) ^ full))
             for u, v in zip(table[:n], table[n:])]
 
@@ -304,10 +305,9 @@ def gray_scan(gens, n: int, s_span, start: int, stop: int):
     one call.
 
     Each chunk is one bit-sliced batch, a lane per word, and a partial
-    chunk takes its lanes' slice of the carries.  An odd chunk lists the
-    table backwards, which is the table forwards XOR the top low row
-    (gray(2^L - 1 - l) = gray(l) ^ 2^(L-1)), so that row joins the high
-    word that selects the carries.
+    chunk takes its lanes' slice of the carries.  A chunk's words are its
+    high word XOR the one table (:func:`gray_chunks`), so the high word
+    alone selects the carries.
     """
     bits = min(len(gens), CHUNK_BITS)  # as gray_chunks splits the index
     size = 1 << bits
@@ -317,11 +317,10 @@ def gray_scan(gens, n: int, s_span, start: int, stop: int):
     for first, high, low in gray_chunks(gens, start, stop):
         lo = first & (size - 1)
         every = (1 << len(low)) - 1
-        flip = high ^ gens[bits - 1] if first >> bits & 1 else high
         carries = map(getitem,
                       map(getitem, carry,
-                          byte_mask(flip & ((1 << n) - 1)).ljust(n, b"\0")),
-                      byte_mask(flip >> n).ljust(n, b"\0"))
+                          byte_mask(high & ((1 << n) - 1)).ljust(n, b"\0")),
+                      byte_mask(high >> n).ljust(n, b"\0"))
         if len(low) < size:  # a partial chunk
             carries = [c >> lo & every for c in carries]
         found = lightest(count_planes(carries), every, bound,

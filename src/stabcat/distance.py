@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cache, partial, reduce
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, tee
 from operator import and_, or_, rshift
 from typing import NamedTuple
 
@@ -167,7 +167,7 @@ def sampled_distance_upper(code: StabilizerCodeL, trials: int,
     r = code.rank_n
     n = code.n
     width = code.block_width
-    plan = column_plan(rows, n, width)
+    plan = list(column_plan(rows, n, width))
     s_span = code.s_span
     best = None  # (w, trial, word)
     for first, count, lanes in _distpure.batches(seed, r, trials):
@@ -297,7 +297,7 @@ def coset_tables(exp, tables, local) -> list:
     classes that ``tables`` give the keys of its coset key + key_i(T0_i),
     where ``local[i]`` spans T0_i (:func:`block_local`), whose keys
     :func:`~stabcat._distpure.gray_table` lists."""
-    spans = [_distpure.gray_table([exp.key(t, i) for t in words])[0]
+    spans = [_distpure.gray_table([exp.key(t, i) for t in words])
              for i, words in enumerate(local)]
     return [cache(partial(_coset_classes, table, span))
             for table, span in zip(tables, spans)]
@@ -412,9 +412,11 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
     the residues, gives each draw's outside-S bit, and one
     :func:`transpose` of the 2n key columns, from the sampler's plan of
     N, gives each draw its block keys side by side (at m=3 K=10 in 268
-    bytes, where one int per block key takes 36 a block).  A batch is
+    bytes, where one int per block key takes 36 a block).  The OR stops
+    once every draw is outside, so the residue plan is built only as
+    far as a batch has read it: 5 of 63 blocks at m=3 K=10.  A batch is
     one draw (``_distpure.DRAW`` trials): the traced peak at 4,096
-    draws is 1.3 MB, not 4.4 as in 4,096-draw batches.  A draw's word
+    draws is 1.1 MB, not 4.4 as in 4,096-draw batches.  A draw's word
     is rebuilt from its selector only when it is listed as a violation.
     Both modes fold their scores into the extremes by :func:`_extremes`.
     """
@@ -465,20 +467,23 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
         if trials is None or trials < 1:
             raise DistanceError("sampled mode needs trials >= 1")
         w = exp.block_width
-        residue = column_plan(list(map(code.s_span.reduce, code.n_matrix)),
-                              code.n, w)
         # block by block, each block's u columns then its v columns, so
         # that bits 2wi.. of a draw's entry in ``keys`` are block i's key
-        plan = column_plan(code.n_matrix, code.n, w)
+        plan = list(column_plan(code.n_matrix, code.n, w))
         key_mask = (1 << (2 * w)) - 1
 
         def scored():
+            # planned as far as the walks read it: each batch walks a copy
+            # (tee), and the copy left at the start keeps what is planned
+            residue = column_plan(
+                list(map(code.s_span.reduce, code.n_matrix)), code.n, w)
             for _first, count, lanes in _distpure.batches(
                     seed, r, trials, _distpure.DRAW):
                 # the blocks stop once every draw is known to be outside
                 every = (1 << count) - 1
                 outside = 0
-                for cols in block_columns(lanes, residue, w):
+                residue, walk = tee(residue)
+                for cols in block_columns(lanes, walk, w):
                     outside = reduce(or_, cols, outside)
                     if outside == every:
                         break

@@ -23,20 +23,19 @@ rows that the row's pivot bits pick; the containment test
 (:func:`first_outside`) looks for the first nonzero residue, and the
 orthogonality check (:func:`symplectic_products`) XORs the columns
 that a stabilizer row picks, but for N's columns of one row, which it
-gathers by transposes.  :func:`column_plan`
-is the one builder of column entries, for the sampler's batches and
-the sampled counting check, and :func:`block_columns` their one
-reader: both live here.  The plan reads every matrix through
-:func:`column_slices`, keeps a column of one row as that row's index,
-the picks of a sparse column as a list and the mask of a dense one
-(:func:`_support`), and reduces each block's columns, one tag bit
-each, with :func:`row_reduce`, so that a column that is the XOR of
-fewer of its block's columns than it has rows is formed from them.
+gathers by transposes.  :func:`column_plan` is the one builder of
+column entries, for the sampler's batches and the sampled counting
+check, and :func:`block_columns` their one reader: both live here.
+The plan reads a matrix a slice of blocks at a time, keeps a column
+of one row as that row's index, the picks of a sparse column as a list
+and the mask of a dense one (:func:`_support`), and reduces each
+block's columns, one tag bit each, with :func:`row_reduce`, so that a
+column that is the XOR of fewer of its block's columns than it has
+rows is formed from them; a block is planned when it is first read.
 :func:`transpose` is the one way to read whole columns out of a row
-list: the orthogonality check, the column plans (through
-:func:`column_slices`), the exact scan's chunk table, the sampler's
-batches and the sampled counting check's block keys all go through its
-byte-level core.
+list: the orthogonality check, the column plans, the exact scan's
+chunk table, the sampler's batches and the sampled counting check's
+block keys all go through it or its byte-level core.
 """
 
 from __future__ import annotations
@@ -247,34 +246,6 @@ def transpose(rows, width: int) -> list[int]:
 COLUMN_SLICE = 1024
 
 
-def column_slices(rows, half: int, step: int):
-    """The columns of ``rows`` as u | v halves, ``step`` positions at a time.
-
-    A slice holds the columns of positions lo..lo+width-1 of the low half
-    (bits lo..), then those of the high half (bits half + lo..), 2·width
-    ints for width = min(step, half - lo).  Bits at or above 2·half are
-    ignored.  Each row is cut to its 2·half bits once, as bytes in one
-    buffer; a slice transposes the bytes that hold its bits in either
-    half (:func:`transpose_planes`) and drops the columns of the other
-    bits in them.  At m=4 K=60 the buffer holds N's 5,670 rows in 6.5 MB.
-    """
-    size = (2 * half + 7) // 8
-    full = (1 << 2 * half) - 1
-    buf = bytearray()
-    for x in rows:
-        buf += (x & full).to_bytes(size, "little")
-    count = len(buf) // max(size, 1)
-    for lo in range(0, half, step):
-        width = min(step, half - lo)
-        cols = []
-        for start in (lo, half + lo):
-            skip = start & 7
-            planes = (buf[i::size]
-                      for i in range(start >> 3, (start + width + 7) >> 3))
-            cols += transpose_planes(planes, count)[skip:skip + width]
-        yield cols
-
-
 def _support(index: list, col: int):
     """The rows of a column: the index of its one row, or an index list
     or byte mask, whichever is smaller.
@@ -292,8 +263,9 @@ def _support(index: list, col: int):
     return byte_mask(col)
 
 
-def column_plan(rows, n: int, w: int) -> list:
-    """Entries for the 2n columns of ``rows``, block by block.
+def column_plan(rows, n: int, w: int):
+    """Entries for the 2n columns of ``rows``, block by block, as they
+    are read.
 
     The n positions form blocks of w.  Block i lists the entries of its u
     columns i·w..i·w+w-1, then of its v columns n+i·w..n+i·w+w-1, and
@@ -314,19 +286,26 @@ def column_plan(rows, n: int, w: int) -> list:
     the actual columns, so the plan holds for any matrix.  In the
     paper's code a block's 2(4m+2) columns span at most 6m+2 dimensions:
     at m=3 K=10 the plan names 56,315 rows or columns per batch where the
-    supports name 119,659.  The columns are read through
-    :func:`column_slices`, in slices of whole blocks.
+    supports name 119,659.
+
+    The columns are read in slices of whole blocks, at most
+    ``COLUMN_SLICE`` columns a slice (one block if a block has more): a
+    slice's u columns and its v columns are each one :func:`transpose`
+    of the shifted rows, so one slice's columns are held at a time and a
+    block is planned only when its first entry is read.  ``rows`` is
+    read once per slice and half.  Blocks that do not split the n
+    positions raise ValueError at the first read.
     """
     if w < 1 or n % w:
         raise ValueError(f"{n} positions do not split into blocks of {w}")
     index = list(range(len(rows)))
-    plan: list = []
-    for cols in column_slices(rows, n, max(1, COLUMN_SLICE // (2 * w)) * w):
-        size = len(cols) // 2
-        for j in range(0, size, w):
-            plan += _block_plan(cols[j:j + w] + cols[size + j:size + j + w],
-                                index)
-    return plan
+    step = max(1, COLUMN_SLICE // (2 * w)) * w
+    for lo in range(0, n, step):
+        width = min(step, n - lo)
+        u = transpose((x >> lo for x in rows), width)
+        v = transpose((x >> (n + lo) for x in rows), width)
+        for j in range(0, width, w):
+            yield from _block_plan(u[j:j + w] + v[j:j + w], index)
 
 
 def _block_plan(cols: list, index: list) -> list:
@@ -387,12 +366,13 @@ def block_columns(lanes: list[int], supports, width: int):
 
     A run is the u columns, then the v columns, of ``width`` positions:
     one block of a :func:`column_plan`, whose tuples name entries of
-    their own run.  Each run's columns are formed only when the
-    iterator reaches it.
+    their own run.  ``supports`` is a list or an iterator, such as a
+    plan being built, and each run is taken from it, and its columns
+    formed, only when the iterator reaches it.
     """
-    step = max(2 * width, 1)  # no positions, no entries
-    return (columns(lanes, supports[lo:lo + step])
-            for lo in range(0, len(supports), step))
+    entries = iter(supports)
+    runs = iter(lambda: list(islice(entries, 2 * width)), [])
+    return (columns(lanes, run) for run in runs)
 
 
 def in_span(span: Rref, x: int) -> bool:

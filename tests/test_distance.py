@@ -1098,7 +1098,9 @@ class TestCountingClaims:
 
     def test_m3k10_sampled_peak(self, code_m3k10):
         # batches of one draw: at 4,096-draw batches the whole keys of a
-        # batch and their transposition took 4.42 MB
+        # batch and their transposition took 4.42 MB.  The residue plan is
+        # built only as far as the early stops read it: 1.13 MB with
+        # Python 3.10 and 3.11, where the whole plan took 1.31
         verify_counting_claims(code_m3k10, "sampled", trials=8, seed=0)
         tracemalloc.start()
         try:
@@ -1110,7 +1112,7 @@ class TestCountingClaims:
         assert (rep.examined, rep.min_nonzero_blocks,
                 rep.min_distinct_tuples, rep.max_multiplicity,
                 rep.passed) == (4096, 63, 60, 2, True)
-        assert peak < 1_500_000, peak
+        assert peak < 1_200_000, peak
 
     def test_exhaustive_budget(self, code_m2k3):
         with pytest.raises(DistanceError):

@@ -8,7 +8,7 @@ from operator import xor
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stabcat import _distpure, symplectic
 from stabcat.concat import SymplecticVector, build_code
@@ -409,7 +409,7 @@ class TestColumnSupports:
                 for x in transpose(cols, nrows)]
         slice_width = data.draw(st.sampled_from((1, 7, 64, 1024)))
         with mock.patch.object(symplectic, "COLUMN_SLICE", slice_width):
-            plan = column_plan(rows, n, w)
+            plan = list(column_plan(rows, n, w))
         assert len(plan) == 2 * n
         order = plan_order(n, w)
         for k, (c, entry) in enumerate(zip(order, plan)):
@@ -423,7 +423,7 @@ class TestColumnSupports:
     def test_both_forms_on_a_code(self, code_m2k3):
         rows = code_m2k3.n_matrix
         n = code_m2k3.n
-        plan = column_plan(rows, n, code_m2k3.block_width)
+        plan = list(column_plan(rows, n, code_m2k3.block_width))
         assert {type(e) for e in plan} == {int, list, bytes, tuple}
         for c, entry in zip(plan_order(n, code_m2k3.block_width), plan):
             if not isinstance(entry, tuple):
@@ -474,13 +474,83 @@ def block_matrices(draw):
     return rows, n, w, draw(st.sampled_from((1, 7, 64, 1024)))
 
 
+def column_slices(rows, half: int, step: int):
+    """Reference reader: the columns of ``rows`` as u | v halves, ``step``
+    positions at a time.
+
+    A slice holds the columns of positions lo..lo+width-1 of the low half
+    (bits lo..), then those of the high half (bits half + lo..), 2·width
+    ints for width = min(step, half - lo).  Bits at or above 2·half are
+    ignored.  Every row, cut to its 2·half bits, goes once into one byte
+    buffer, and a slice transposes the bytes that hold its bits in either
+    half and drops the columns of the other bits in them.
+    """
+    size = (2 * half + 7) // 8
+    full = (1 << 2 * half) - 1
+    buf = bytearray()
+    for x in rows:
+        buf += (x & full).to_bytes(size, "little")
+    count = len(buf) // max(size, 1)
+    for lo in range(0, half, step):
+        width = min(step, half - lo)
+        cols = []
+        for start in (lo, half + lo):
+            skip = start & 7
+            planes = (buf[i::size]
+                      for i in range(start >> 3, (start + width + 7) >> 3))
+            cols += symplectic.transpose_planes(planes,
+                                                count)[skip:skip + width]
+        yield cols
+
+
 class TestColumnPlan:
+    @settings(max_examples=300, deadline=None)
+    @given(block_matrices())
+    @example(([], 12, 3, 7))  # no rows
+    @example(([0, 0], 10, 5, 1))  # zero rows, n not a multiple of 8
+    @example(([(1 << 40) - 1, 1 << 19], 10, 2, 64))  # bits at 2n and above
+    @example(([0b1011 << 6, 1 << 13], 8, 4, 1024))  # one slice past n
+    def test_reads_the_reference_slices(self, case):
+        # the columns each block is planned from, block by block, against
+        # those that the reference reader's slices hold
+        rows, n, w, slice_width = case
+        step = max(1, slice_width // (2 * w)) * w
+        want = []
+        for cols in column_slices(rows, n, step):
+            size = len(cols) // 2
+            want += [cols[j:j + w] + cols[size + j:size + j + w]
+                     for j in range(0, size, w)]
+        with mock.patch.object(symplectic, "COLUMN_SLICE", slice_width), \
+                mock.patch.object(symplectic, "_block_plan",
+                                  wraps=symplectic._block_plan) as spy:
+            plan = list(column_plan(rows, n, w))
+        assert [call.args[0] for call in spy.call_args_list] == want
+        assert len(want) == n // w and len(plan) == 2 * n
+
+    def test_holds_one_slice(self):
+        # 256 rows of 16,384 bits: 512 KB as bytes, 32 KB in a slice of
+        # 512 positions' u and v columns.  The plan, read to the end and
+        # dropped as it goes, peaks at 108 KB with Python 3.11 and 133 KB
+        # with 3.10; one buffer of every row took it to 1.44 MB
+        rng = random.Random(5)
+        n, w = 8192, 16
+        rows = [sum(1 << rng.randrange(2 * n) for _ in range(64))
+                for _ in range(256)]
+        step = max(1, symplectic.COLUMN_SLICE // (2 * w)) * w
+        tracemalloc.start()
+        try:
+            assert sum(1 for _entry in column_plan(rows, n, w)) == 2 * n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * len(rows) * 2 * step // 8, peak
+
     @settings(max_examples=300, deadline=None)
     @given(block_matrices(), st.integers(0, 1 << 32))
     def test_same_columns_as_the_supports(self, case, seed):
         rows, n, w, slice_width = case
         with mock.patch.object(symplectic, "COLUMN_SLICE", slice_width):
-            plan = column_plan(rows, n, w)
+            plan = list(column_plan(rows, n, w))
         # each column's rows, by bit tests, in column order and block by
         # block, as the plan lists them
         supports = [bit_tests(rows, c) for c in range(2 * n)]
@@ -511,8 +581,8 @@ class TestColumnPlan:
     def test_widths_must_split_the_positions(self):
         for n, w in ((10, 3), (4, 0)):
             with pytest.raises(ValueError):
-                column_plan([1, 2], n, w)
-        assert column_plan([1, 2], 0, 3) == []
+                list(column_plan([1, 2], n, w))
+        assert list(column_plan([1, 2], 0, 3)) == []
 
     @pytest.mark.parametrize("m", (1, 2))
     def test_k0_plans_are_the_plain_supports(self, m):
@@ -521,7 +591,7 @@ class TestColumnPlan:
         # columns than it has rows, so every entry is its support
         code = build_code(m, 0)
         rows, n, w = code.n_matrix, code.n, code.block_width
-        plan = column_plan(rows, n, w)
+        plan = list(column_plan(rows, n, w))
         assert len(plan) == 2 * n
         assert sum(map(int.bit_count, rows)) <= 2 * len(plan)
         for c, entry in zip(plan_order(n, w), plan):
@@ -539,7 +609,7 @@ class TestColumnPlan:
     def test_halves_the_lane_xors_at_m3(self, code_m3k10):
         # a block's 28 columns span at most 20 dimensions
         code = code_m3k10
-        plan = column_plan(code.n_matrix, code.n, 14)
+        plan = list(column_plan(code.n_matrix, code.n, 14))
         # the plain supports name every set bit of N
         assert sum(map(int.bit_count, code.n_matrix)) == 119_659
         assert lane_xors(plan) <= 60_000
@@ -766,7 +836,7 @@ def test_duality_and_supports_memory(code_m3k10):
         duality = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        plan = column_plan(code.n_matrix, code.n, code.block_width)
+        plan = list(column_plan(code.n_matrix, code.n, code.block_width))
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
