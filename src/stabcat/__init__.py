@@ -6,10 +6,9 @@ verification of its defining algebra, minimum-distance search at desk
 scale, and the analytic rate/distance bound curves.
 
 The names below are imported from their modules on first use (PEP 562).
-``stabcat.cli`` imports every module but ``bounds`` whatever the
-command, since the per-layer trace (``perfbench/layertrace.py``) wraps
-names on it, until ROADMAP item 8; without cached bytecode that is
-about 21 ms of compiling per process (2-CPU Xeon, Python 3.11).
+``stabcat.cli`` imports no other module of the package on import:
+each command imports only the layers it runs, and ``--help`` none
+(the README's "Start-up" paragraph lists each command's modules).
 """
 
 from importlib import import_module

@@ -145,21 +145,11 @@ def selector_bytes(r: int) -> tuple[int, list[int], slice]:
             slice(split, split + start % 8))
 
 
-def lane_vectors(buf: bytes, r: int) -> list[int]:
-    """One int per row: bit t of entry i is trial t's selector bit i,
-    from one :func:`draw` buffer (:func:`selector_bytes`): the one-shot
-    form of the lanes that :func:`batches` streams."""
-    size, offsets, unused = selector_bytes(r)
-    lanes = transpose_planes((buf[o::size] for o in offsets),
-                             len(buf) // max(size, 1))
-    del lanes[unused]
-    return lanes
-
-
 def batches(seed, r: int, trials: int, lanes_per: int = BATCH):
     """Per batch of up to ``lanes_per`` trials, ``(first, count,
-    lanes)``: the :func:`lane_vectors` of trials first..first + count - 1,
-    trial t taking the t-th ``getrandbits(r)`` of ``random.Random(seed)``.
+    lanes)``: one int per selector bit i, whose bit t - first is bit i
+    of trial t's selector, for trials first..first + count - 1, trial t
+    taking the t-th ``getrandbits(r)`` of ``random.Random(seed)``.
 
     A batch is drawn ``DRAW`` trials at a time (:func:`draw`), and each
     draw's bytes go into one plane per selector byte offset.  Each plane

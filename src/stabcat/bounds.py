@@ -162,22 +162,6 @@ def total_weight_bound(tuple_len: int, count: float, lam: float) -> float:
         (count - 4.0 ** (tuple_len * entropy4(lam)))
 
 
-def asymptotic_lambda(delta: float, tuple_len: int) -> float:
-    """The large-L threshold choice lam = Hinv(delta - 1/log4(L)).
-
-    Only meaningful once delta exceeds 1/log4(L); rejects arguments
-    where the corrected entropy argument is negative.
-    """
-    if tuple_len < 2:
-        raise BoundsError("tuple length must be >= 2")
-    corrected = delta - 1.0 / (math.log2(tuple_len) / 2.0)
-    if corrected < 0.0:
-        raise BoundsError(
-            f"delta={delta} is below the 1/log4(L) correction at "
-            f"L={tuple_len}; no valid threshold")
-    return entropy4_inv(corrected)
-
-
 # ----------------------------------------------------------------------
 # Parameter choice achieving a target rate
 # ----------------------------------------------------------------------

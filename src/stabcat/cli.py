@@ -3,7 +3,8 @@
 Exit codes: 0 success / all checks passed, 1 verification failure
 (``distance`` on a file that fails the header, rank or duality checks
 included), 2 usage error (bad arguments, parameters out of range,
-over-budget request), 3 I/O or parse error.  Every exit other than 0
+over-budget request, a ``construct`` whose file would pass
+``CONSTRUCT_CEILING_BYTES``), 3 I/O or parse error.  Every exit other than 0
 writes exactly one ``stabcat: ...`` line on stderr, argparse's own
 usage errors (a missing or malformed option) included.
 """
@@ -15,14 +16,7 @@ import math
 import sys
 from itertools import chain
 
-from . import CURVE_NAMES, codefile
-from .concat import (ConcatError, StabilizerCodeL, build_code,
-                     check_block_injectivity, closed_forms)
-from .distance import (DistanceError, exact_distance,
-                       sampled_distance_upper)
-from .field import DEFAULT_MAX_DEGREE, FieldError, Field, gram_matrix
-from .rs import RsError
-from .symplectic import RrefError, is_rref, verify_duality
+from . import CURVE_NAMES
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -35,6 +29,44 @@ EXIT_IO = 3
 #: lines per m are an output contract (perfbench/workloads.py pins them).
 INJECTIVITY_BUDGET_BITS = 24
 
+#: ``construct`` refuses, before any layer work, an m whose code file
+#: would hold more row bytes (:func:`~stabcat.codefile.row_lines`):
+#: m = 5 writes 2.03 GB, m = 6..8 would write 45 GB and more.
+CONSTRUCT_CEILING_BYTES = 4 << 30
+
+
+# ----------------------------------------------------------------------
+# layer lookup points
+# ----------------------------------------------------------------------
+# Each command imports only the layers it runs; --help loads none.  The
+# per-layer trace (perfbench/layertrace.py) wraps these five names here,
+# so commands call them through this module's globals, until ROADMAP
+# item 8 retires the trace's patch table.
+
+def Field(*args, **kwargs):
+    from .field import Field
+    return Field(*args, **kwargs)
+
+
+def check_block_injectivity(*args, **kwargs):
+    from .concat import check_block_injectivity
+    return check_block_injectivity(*args, **kwargs)
+
+
+def is_rref(*args, **kwargs):
+    from .symplectic import is_rref
+    return is_rref(*args, **kwargs)
+
+
+def verify_duality(*args, **kwargs):
+    from .symplectic import verify_duality
+    return verify_duality(*args, **kwargs)
+
+
+def sampled_distance_upper(*args, **kwargs):
+    from .distance import sampled_distance_upper
+    return sampled_distance_upper(*args, **kwargs)
+
 
 def _print_err(msg: str) -> None:
     print(f"stabcat: {msg}", file=sys.stderr)
@@ -42,6 +74,8 @@ def _print_err(msg: str) -> None:
 
 def _load(path) -> codefile.CodeFile | None:
     """The code file at ``path``, or None once its error line is written."""
+    from . import codefile
+
     try:
         return codefile.load(path)
     except codefile.CodeFileError as exc:
@@ -54,6 +88,20 @@ def _load(path) -> codefile.CodeFile | None:
 # ----------------------------------------------------------------------
 
 def cmd_construct(args) -> int:
+    from . import codefile
+    from .concat import ConcatError, build_code
+    from .field import DEFAULT_MAX_DEGREE, FieldError
+    from .rs import RsError
+
+    # an m outside the field's cap is left to build_code's own message
+    if 1 <= 2 * args.m <= DEFAULT_MAX_DEGREE:
+        rows, width = codefile.row_lines(args.m)
+        if rows * width > CONSTRUCT_CEILING_BYTES:
+            _print_err(
+                f"m={args.m} would write a {rows * width / 1e9:.1f} GB "
+                f"code file ({rows} rows of {width} bytes), over the "
+                f"{CONSTRUCT_CEILING_BYTES >> 30} GiB ceiling")
+            return EXIT_USAGE
     try:
         code = build_code(args.m, args.K)
     except (FieldError, RsError, ConcatError) as exc:
@@ -81,6 +129,9 @@ def header_holds(cf: codefile.CodeFile) -> bool:
     before N is compared with 2^(2m) - 1, so no header builds a huge or
     negative shift.
     """
+    from .concat import closed_forms
+    from .field import DEFAULT_MAX_DEGREE
+
     m, big_n, big_k = cf.m, cf.big_n, cf.big_k
     if not 1 <= 2 * m <= DEFAULT_MAX_DEGREE:
         return False
@@ -92,6 +143,8 @@ def header_holds(cf: codefile.CodeFile) -> bool:
 def ranks_hold(cf: codefile.CodeFile) -> bool:
     """rank(S) is the closed form of the header's m, N and K, and
     rank(S) + rank(N) = 2n for the header's n."""
+    from .concat import closed_forms
+
     rank_s, rank_n = len(cf.s_rows), len(cf.n_rows)
     return (rank_s == closed_forms(cf.m, cf.big_n, cf.big_k)[2]
             and rank_s + rank_n == 2 * cf.n)
@@ -113,6 +166,9 @@ def verify_code_file(cf: codefile.CodeFile) -> dict:
     the field's 2^(2m) - 1 blocks.  The field is built once and shared
     by the field check and the code.
     """
+    from .concat import StabilizerCodeL
+    from .field import FieldError, gram_matrix
+
     checks: dict = {}
     details: dict = {}
 
@@ -207,6 +263,11 @@ def describe_failure(failure: tuple) -> str:
 
 
 def cmd_distance(args) -> int:
+    from . import codefile
+    from .distance import DistanceError, exact_distance
+    from .field import FieldError
+    from .symplectic import RrefError
+
     cf = _load(args.path)
     if cf is None:
         return EXIT_IO

@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator
 from itertools import chain
 from typing import NamedTuple
 
-from .concat import StabilizerCodeL
+from .concat import StabilizerCodeL, closed_forms
 from .field import Field
 
 MAGIC = "stabcat-code"
@@ -91,6 +91,13 @@ def to_code(cf: CodeFile) -> StabilizerCodeL:
         m=cf.m, big_n=cf.big_n, big_k=cf.big_k, n=cf.n, k=cf.k,
         s_matrix=tuple(cf.s_rows), n_matrix=tuple(cf.n_rows),
         field=Field(2 * cf.m, cf.modulus), basis=tuple(cf.basis))
+
+
+def row_lines(m: int) -> tuple[int, int]:
+    """(count, bytes) of the code's row lines at m, for any K: 2n rows of
+    2n + 2 bytes, n from :func:`~stabcat.concat.closed_forms`."""
+    n = closed_forms(m, (1 << 2 * m) - 1, 0)[0]
+    return 2 * n, 2 * n + 2
 
 
 def _lines(cf: CodeFile) -> Iterator[str]:

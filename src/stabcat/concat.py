@@ -104,15 +104,6 @@ class ExpansionInput(NamedTuple):
     t: tuple[tuple[int, ...], ...]
 
 
-def zero_input(m: int, n_blocks: int) -> ExpansionInput:
-    zrow = (0,) * (m + 1)
-    return ExpansionInput(
-        a=(0,) * (2 * n_blocks),
-        s=(zrow,) * n_blocks,
-        t=(zrow,) * n_blocks,
-    )
-
-
 class QuaternaryVector(NamedTuple):
     """GF(4) view of a symplectic vector: symbol_p = u_p + omega * v_p.
 

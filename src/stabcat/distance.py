@@ -59,8 +59,8 @@ from typing import NamedTuple
 
 from .concat import StabilizerCodeL, SymplecticVector, designated_half
 from .symplectic import (Rref, block_columns, byte_mask, column_plan,
-                         in_span, lowest_bit, row_reduce,
-                         symplectic_weight_packed, transpose, xor_rows)
+                         lowest_bit, symplectic_weight_packed, transpose,
+                         xor_rows)
 from . import _distpure
 
 HAVE_COMPILED = False  # always False; perfbench/run.py's env probe reads it
@@ -94,6 +94,12 @@ class DistanceReport(NamedTuple):
         return (f"d={self.d} witness_weight={w} "
                 f"enumerated={self.enumerated} method={self.method} "
                 f"seed={seed}")
+
+
+def in_span(span: Rref, x: int) -> bool:
+    """Membership of x in a span: symplectic's, not imported, since the
+    per-layer trace may wrap that name before this module loads."""
+    return span.reduce(x) == 0
 
 
 def _validate_witness(code: StabilizerCodeL, word: int, w: int) -> None:
@@ -446,8 +452,8 @@ def verify_counting_claims(code: StabilizerCodeL, mode: str = "exhaustive",
                 f"sampled mode")
         rows = [x | (code.s_span.reduce(x) << shift) for x in code.n_matrix]
         local = block_local(rows, exp)
-        t0 = Rref(row_reduce(chain.from_iterable(local))[1])
-        f_rows = row_reduce(map(t0.reduce, rows))[1]
+        t0 = Rref.spanning(chain.from_iterable(local))
+        f_rows = Rref.spanning(map(t0.reduce, rows)).rows
         tally = Counter(chain.from_iterable(_walk_signatures(
             exp, coset_tables(exp, tables, local), f_rows, len(f_rows))))
         extremes = _extremes(((count << t0.rank, coset_outcome(sets))

@@ -211,15 +211,6 @@ class Field:
             raise FieldError("zero has no multiplicative inverse")
         return self._exp[(self.order - 1) - self._log[x]]
 
-    def power(self, x: int, e: int) -> int:
-        """x^e; negative exponents allowed for x != 0."""
-        n = self.order - 1
-        if x == 0:
-            if e < 0:
-                raise FieldError("zero has no multiplicative inverse")
-            return 1 if e == 0 else 0
-        return self._exp[(self._log[x] * e) % n]
-
     def alpha_pow(self, e: int) -> int:
         """alpha^e for any integer exponent (reduced mod 2^two_m - 1)."""
         return self._exp[e % (self.order - 1)]

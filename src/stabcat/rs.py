@@ -214,32 +214,6 @@ def rs_contains(code: RsCode, v) -> bool:
                for j in range(n) if j not in inside)
 
 
-def min_weight_exhaustive(code: RsCode) -> int:
-    """Minimum Hamming weight by scanning every nonzero codeword.
-
-    Only feasible when order^dim is small; used as the distance oracle
-    for desk-scale instances.
-    """
-    if code.dim == 0:
-        raise RsError("zero code has no nonzero codeword")
-    if code.field.order ** code.dim > 1 << 20:
-        raise RsError("codebook too large for exhaustive weight scan")
-    f = code.field
-    best = code.length + 1
-    msg = [0] * code.dim
-    # Odometer over all messages.
-    total = f.order ** code.dim
-    for idx in range(1, total):
-        x = idx
-        for p in range(code.dim):
-            msg[p] = x % f.order
-            x //= f.order
-        w = sum(1 for sym in rs_encode(code, msg) if sym)
-        if w < best:
-            best = w
-    return best
-
-
 # ----------------------------------------------------------------------
 # CSS generator sets S = R x R, N = Rperp x Rperp
 # ----------------------------------------------------------------------
@@ -253,16 +227,6 @@ class CssPair(NamedTuple):
 
     s_gens: tuple[tuple[int, ...], ...]
     n_gens: tuple[tuple[int, ...], ...]
-
-
-def symplectic_field_product(field: Field, a, b) -> int:
-    """sum_i (aL_i * bR_i + aR_i * bL_i) for length-2N field vectors."""
-    n = len(a) // 2
-    acc = 0
-    for i in range(n):
-        acc ^= field.mul(a[i], b[n + i])
-        acc ^= field.mul(a[n + i], b[i])
-    return acc
 
 
 def css_generators(code: RsCode, dual: RsCode) -> CssPair:

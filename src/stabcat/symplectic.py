@@ -129,6 +129,14 @@ class Rref:
         at = self._canonical()
         return x ^ xor_rows(at, x & self._pivot_mask)
 
+    @classmethod
+    def spanning(cls, rows) -> "Rref":
+        """The span of any rows, each inserted by :meth:`add`."""
+        span = cls()
+        for r in rows:
+            span.add(r)
+        return span
+
     def add(self, x: int) -> bool:
         """Insert a row; returns True if it enlarged the span."""
         echelon = self._echelon
@@ -145,9 +153,7 @@ class Rref:
 
 def row_reduce(rows) -> tuple[int, list[int]]:
     """Canonical RREF of a list of packed rows; returns (rank, rows)."""
-    acc = Rref()
-    for r in rows:
-        acc.add(r)
+    acc = Rref.spanning(rows)
     return acc.rank, acc.rows
 
 

@@ -58,6 +58,31 @@ def m2k3_path(tmp_path_factory):
 
 
 class TestConstruct:
+    def test_row_lines_projection(self, m1k1_path, m2k3_path):
+        for path, m in ((m1k1_path, 1), (m2k3_path, 2)):
+            data = path.read_bytes()
+            header = b"".join(data.splitlines(keepends=True)[:10])
+            rows, width = codefile.row_lines(m)
+            assert len(data) - len(header) == rows * width
+        assert [codefile.row_lines(m) for m in (4, 5, 6)] == [
+            (9180, 9182), (45012, 45014), (212940, 212942)]
+        assert codefile.row_lines(5)[0] * codefile.row_lines(5)[1] < \
+            cli.CONSTRUCT_CEILING_BYTES < 45 * 10 ** 9
+
+    @pytest.mark.parametrize("m", [6, 7, 8])
+    def test_refuses_over_ceiling(self, m, tmp_path, capsys):
+        out = tmp_path / "big.code"
+        start = time.perf_counter()
+        rc = main(["construct", "--m", str(m), "--K", "0", "--out", str(out)])
+        assert time.perf_counter() - start < 1
+        assert rc == EXIT_USAGE and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        rows, width = codefile.row_lines(m)
+        assert captured.err == (
+            f"stabcat: m={m} would write a {rows * width / 1e9:.1f} GB code "
+            f"file ({rows} rows of {width} bytes), over the 4 GiB ceiling\n")
+
     def test_summary_line(self, tmp_path, capsys):
         out = tmp_path / "c.code"
         rc = main(["construct", "--m", "1", "--K", "1", "--out", str(out)])
@@ -659,6 +684,63 @@ class TestImports:
             "print(sorted({'stabcat.bounds', 'fractions'} & set(sys.modules)))"
         )
         assert out == "[]\n"
+
+    def stabcat_modules(self, call: str) -> list:
+        """The stabcat modules loaded once ``call`` runs in a fresh
+        interpreter that has imported ``main`` alone."""
+        out = self.run_fresh(
+            "import contextlib, io, sys\n"
+            "from stabcat.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "        contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        {call}\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('stabcat')))")
+        return out.split()
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["construct", "--help"], ["construct", "--m", "1"],
+        ["bogus"]], ids=" ".join)
+    def test_parser_loads_no_layer(self, argv):
+        assert self.stabcat_modules(f"main({argv!r})") == [
+            "stabcat", "stabcat.cli"]
+
+    def test_commands_load_their_layers(self, tmp_path):
+        path = str(tmp_path / "m1k1.code")
+        layers = ["stabcat", "stabcat.cli", "stabcat.codefile",
+                  "stabcat.concat", "stabcat.field", "stabcat.rs",
+                  "stabcat.symplectic"]
+        for argv in (["construct", "--m", "1", "--K", "1", "--out", path],
+                     ["verify", path], ["verify", path, "--json"],
+                     ["export", path]):
+            assert self.stabcat_modules(
+                f"assert main({argv!r}) == 0") == layers, argv
+        assert self.stabcat_modules(
+            f"assert main(['distance', {path!r}]) == 0") == sorted(
+            layers + ["stabcat._distpure", "stabcat.distance"])
+
+    @pytest.mark.parametrize("name, module, args", [
+        ("Field", "field", "2, 0x7"),
+        ("check_block_injectivity", "concat", "code.field, code.basis, 2"),
+        ("is_rref", "symplectic", "code.s_matrix"),
+        ("verify_duality", "symplectic", "code"),
+        ("sampled_distance_upper", "distance", "code, trials=300, seed=1"),
+    ])
+    def test_lookup_returns_layer_result(self, name, module, args):
+        # each lookup point imports its layer on its first call
+        out = self.run_fresh(
+            "import sys\n"
+            "from stabcat import cli, codefile\n"
+            "from stabcat.concat import build_code\n"
+            "code = build_code(1, 1)\n"
+            f"print('stabcat.{module}' in sys.modules)\n"
+            f"got = cli.{name}({args})\n"
+            f"from stabcat.{module} import {name} as layer\n"
+            f"want = layer({args})\n"
+            "print(type(got) is type(want), repr(got) == repr(want))")
+        assert out == f"{module != 'distance'}\nTrue True\n"
 
     def test_package_names_resolve(self):
         out = self.run_fresh(

@@ -32,6 +32,8 @@ from stabcat.field import build_field, find_self_dual_basis
 from stabcat.symplectic import (Rref, in_span, row_reduce,
                                 symplectic_weight_packed, xor_rows)
 
+from oracle import lane_vectors
+
 
 def brute_force_best(gens, n, s_rows):
     """Oracle: minimum (weight, index) over all generator combinations
@@ -503,7 +505,7 @@ class TestSamplerOracle:
         want = [one.getrandbits(r) for _ in range(37)]
         buf = _distpure.draw(bulk, r, 37)
         assert bulk.getstate() == one.getstate()
-        lanes = _distpure.lane_vectors(buf, r)
+        lanes = lane_vectors(buf, r)
         assert lanes == [sum((sel >> i & 1) << t
                              for t, sel in enumerate(want))
                          for i in range(r)]
@@ -535,7 +537,7 @@ class TestSamplerOracle:
         want = []
         for first in range(0, trials, lanes_per):
             count = min(lanes_per, trials - first)
-            want.append((first, count, _distpure.lane_vectors(
+            want.append((first, count, lane_vectors(
                 _distpure.draw(one, r, count), r)))
         assert got == want
         per_trial = random.Random(seed)

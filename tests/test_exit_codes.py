@@ -57,6 +57,8 @@ MATRIX = [
     (["construct", "--m", "1", "--K", "2", "--out", "{new}"], EXIT_USAGE),
     (["construct", "--m", "0", "--K", "0", "--out", "{new}"], EXIT_USAGE),
     (["construct", "--m", "9", "--K", "0", "--out", "{new}"], EXIT_USAGE),
+    # a 45 GB file, over the ceiling: refused before any layer work
+    (["construct", "--m", "6", "--K", "0", "--out", "{new}"], EXIT_USAGE),
     (["construct", "--m", "1", "--K", "1", "--out", "{missing}"], EXIT_IO),
     (["verify", "{m1k1}"], EXIT_OK),
     (["verify", "{flipped}"], EXIT_VERIFY_FAIL),

@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from stabcat.field import build_field
 from stabcat.rs import (CssPair, RsError, build_rs_pair, css_generators,
-                        dot, min_weight_exhaustive, rs_contains, rs_encode,
-                        symplectic_field_product, systematic_rows)
+                        dot, rs_contains, rs_encode, systematic_rows)
+
+from oracle import min_weight_exhaustive, power, symplectic_field_product
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +314,7 @@ def lagrange_entry(code, j, t):
     f = code.field
     x = code.eval_points
     e0 = code.exponents[0]
-    acc = f.mul(f.power(x[t], e0), f.power(x[j], -e0))
+    acc = f.mul(power(f, x[t], e0), power(f, x[j], -e0))
     for l in range(code.dim):
         if l != j:
             acc = f.mul(acc, f.mul(x[t] ^ x[l], f.inverse(x[j] ^ x[l])))
